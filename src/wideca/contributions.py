@@ -20,6 +20,12 @@ of an even-length vector is the mean of the two central order statistics.
 Maximum projections are reported over non-trivial axes only (the trivial
 projection is identically 1 and carries no information), separately for the
 column cloud (the headline number for wide matrices) and the row cloud.
+
+The column statistics are reductions over the engine's column blocks
+(``map_projection_blocks``): each block's projections are squared in place
+inside the worker that computed them, the worker writes that block's slice
+of the per-column arrays, and only per-axis partial sums and the block's
+largest |projection| come back, merged in block order.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FactorDecomposition, FrequencyModel, projection_blocks
+from .engine import (FactorDecomposition, FrequencyModel, _inv_pos,
+                     column_projection, map_projection_blocks)
 from .errors import ValidationError
 from .store import column_sums
 
@@ -61,7 +68,6 @@ class ContributionReport:
     per_row_relative: np.ndarray
     axis_column_inertia: np.ndarray
     excluded_cols: np.ndarray
-    elapsed_seconds: float | None = None
 
     def to_dict(self) -> dict:
         """Scalar summary with the exact serialization field set."""
@@ -100,34 +106,25 @@ def chi2_distance_to_centroid(fm: FrequencyModel, column: int) -> float:
     return float((((p - fi) ** 2)[live] / fi[live]).sum())
 
 
-def _column_projection(fm: FrequencyModel, fd: FactorDecomposition,
-                       column: int) -> np.ndarray:
-    """Non-trivial projections G_a(column) via the transition formula."""
-    kj = column_sums(fm.matrix)
-    if kj[column] == 0.0:
-        raise ValidationError(f"column {column} has zero mass")
-    rows, vals = fm.matrix.column_entries(column)
-    ki = fm.matrix.row_sums()
-    contrib = vals / np.sqrt(ki[rows])
-    return (fd.basis[rows].T @ contrib) * np.sqrt(fm.grand_total) / kj[column]
+def _square_in_place(G: np.ndarray) -> np.ndarray:
+    return np.multiply(G, G, out=G)
 
 
 def axis_column_inertias(fm: FrequencyModel, fd: FactorDecomposition,
                          workers: int = 1) -> np.ndarray:
-    """Per-axis inertia sum_j f_j G_a(j)^2 over non-trivial axes (cached)."""
-    if fd._axis_column_inertia is None:
-        fj = fm.col_masses
-        total = np.zeros(fd.n_nontrivial)
-        for j0, j1, G in projection_blocks(fm, fd, workers):
-            total += (G * G) @ fj[j0:j1]
-        fd._axis_column_inertia = total
-    return fd._axis_column_inertia
+    """Per-axis inertia sum_j f_j G_a(j)^2 over non-trivial axes."""
+    fj = fm.col_masses
+    total = np.zeros(fd.n_nontrivial)
+    for part in map_projection_blocks(
+            fm, fd, lambda j0, j1, G: _square_in_place(G) @ fj[j0:j1], workers):
+        total += part
+    return total
 
 
 def absolute_contribution(fm: FrequencyModel, fd: FactorDecomposition,
                           column: int) -> tuple[np.ndarray, float]:
     """Per-axis absolute contributions f_j G_a(j)^2 of one column, and their sum."""
-    g = _column_projection(fm, fd, column)
+    g = column_projection(fm, fd, column)
     fj = fm.col_masses[column]
     per_axis = fj * g * g
     if fd.include_trivial:
@@ -136,16 +133,22 @@ def absolute_contribution(fm: FrequencyModel, fd: FactorDecomposition,
 
 
 def relative_contribution(fm: FrequencyModel, fd: FactorDecomposition,
-                          column: int, workers: int = 1) -> tuple[np.ndarray, float]:
+                          column: int, workers: int = 1, *,
+                          axis_inertia: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, float]:
     """Per-axis relative contributions of one column, and their sum.
 
     Per axis these sum to 1 over all columns; summed over the nu retained
-    axes and averaged over columns they give exactly nu / |J|.
+    axes and averaged over columns they give exactly nu / |J|. The
+    denominators are the per-axis column inertias: pass
+    ``report.axis_column_inertia`` or ``axis_column_inertias(fm, fd)`` to
+    reuse them, otherwise they are computed here in one streaming pass.
     """
-    g = _column_projection(fm, fd, column)
+    g = column_projection(fm, fd, column)
     fj = fm.col_masses[column]
-    denom = axis_column_inertias(fm, fd, workers)
-    per_axis = np.where(denom > 0, fj * g * g / np.where(denom > 0, denom, 1.0), 0.0)
+    if axis_inertia is None:
+        axis_inertia = axis_column_inertias(fm, fd, workers)
+    per_axis = fj * g * g * _inv_pos(axis_inertia)
     if fd.include_trivial:
         per_axis = np.concatenate(([fj], per_axis))
     return per_axis, float(per_axis.sum())
@@ -165,21 +168,28 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
     trivial = 1.0 if fd.include_trivial else 0.0
 
     abs_col = np.zeros(n_cols)
+
+    def absolute(j0: int, j1: int, G: np.ndarray) -> tuple[float, np.ndarray]:
+        # max |G| without forming |G|; an empty G leaves the running max alone
+        top = float(max(G.max(), -G.min())) if G.size else 0.0
+        g2 = _square_in_place(G)
+        abs_col[j0:j1] = fj[j0:j1] * (trivial + g2.sum(axis=0))
+        return top, g2 @ fj[j0:j1]
+
     axis_inertia = np.zeros(fd.n_nontrivial)
     max_proj_cols = 0.0
-    for j0, j1, G in projection_blocks(fm, fd, workers):
-        g2 = G * G
-        abs_col[j0:j1] = fj[j0:j1] * (trivial + g2.sum(axis=0))
-        axis_inertia += g2 @ fj[j0:j1]
-        if G.size:
-            max_proj_cols = max(max_proj_cols, float(np.abs(G).max()))
-    fd._axis_column_inertia = axis_inertia
+    for top, part in map_projection_blocks(fm, fd, absolute, workers):
+        axis_inertia += part
+        max_proj_cols = max(max_proj_cols, top)
 
     rel_col = np.zeros(n_cols)
-    inv_inertia = np.where(axis_inertia > 0,
-                           1.0 / np.where(axis_inertia > 0, axis_inertia, 1.0), 0.0)
-    for j0, j1, G in projection_blocks(fm, fd, workers):
-        rel_col[j0:j1] = fj[j0:j1] * (trivial + (inv_inertia @ (G * G)))
+    inv_inertia = _inv_pos(axis_inertia)
+
+    def relative(j0: int, j1: int, G: np.ndarray) -> None:
+        rel_col[j0:j1] = fj[j0:j1] * (trivial + inv_inertia @ _square_in_place(G))
+
+    for _ in map_projection_blocks(fm, fd, relative, workers):
+        pass
 
     # Row cloud: small by design, computed densely.
     F = fd.row_projections
@@ -187,9 +197,7 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
     fi = fm.row_masses
     row_abs = fi * (F * F).sum(axis=1)
     row_axis_inertia = (F_nt * F_nt).T @ fi
-    inv_row_inertia = np.where(row_axis_inertia > 0,
-                               1.0 / np.where(row_axis_inertia > 0,
-                                              row_axis_inertia, 1.0), 0.0)
+    inv_row_inertia = _inv_pos(row_axis_inertia)
     row_rel = fi * (trivial * np.where(fi > 0, 1.0, 0.0)
                     + (F_nt * F_nt) @ inv_row_inertia)
     max_proj_rows = float(np.abs(F_nt).max()) if F_nt.size else 0.0

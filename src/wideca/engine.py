@@ -17,13 +17,23 @@ coordinates are recovered afterwards by the transition formula
 in a second streaming pass, which keeps cost and memory linear in the number
 of columns. Row coordinates are F_a(i) = sqrt(lambda_a) u_a(i) / sqrt(f_i).
 
+Both passes run one block kernel over the fixed column-block grid. Each
+block is scaled, and its projections G computed, in scratch buffers of one
+block each that belong to the thread running it and are reused by that
+thread's next block. The caller's reduction runs on the block inside the
+same worker (``map_projection_blocks``), so only small per-block partials
+leave it, and they are merged in block order: outputs do not depend on the
+worker count.
+
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); it is rejected above ``MAX_DUAL_ROWS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -94,7 +104,6 @@ class FactorDecomposition:
     row_projections: np.ndarray
     basis: np.ndarray
     include_trivial: bool
-    _axis_column_inertia: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_nontrivial(self) -> int:
@@ -149,21 +158,80 @@ def profile(fm: FrequencyModel, axis: str, index: int) -> Profile:
     return Profile(axis=axis, index=index, coordinates=coords)
 
 
-def _scaled_block(fm: FrequencyModel, j0: int, j1: int,
-                  inv_sqrt_ki: np.ndarray, inv_kj: np.ndarray):
-    """Columns [j0, j1) of B = diag(1/sqrt(k_i)) K diag(1/sqrt(k_j)).
+def _inv_pos(x: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / x where x > 0, else 0 (zero-mass rows and columns)."""
+    pos = x > 0
+    return np.where(pos, 1.0 / np.where(pos, x, 1.0), 0.0)
 
-    W = B B^T in count units equals the frequency-form operator exactly.
-    Returns a dense or scipy sparse block matching the matrix storage.
+
+class _Scratch(threading.local):
+    """Per-thread buffers, one block each, reused by the thread's next block."""
+
+    def take(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = getattr(self, name, None)
+        if buf is None or buf.size < size:
+            buf = np.empty(size)
+            setattr(self, name, buf)
+        return buf[:size].reshape(shape)
+
+
+class _BlockKernel:
+    """Scaled column blocks of K and their projections G, one block at a time.
+
+    In count units, with B = diag(1/sqrt(k_i)) K diag(1/sqrt(k_j)), the dual
+    operator is W = B B^T exactly, and the transition formula collapses to
+
+        G_a(j) = (sqrt(k) / k_j) sum_i u_a(i) k_ij / sqrt(k_i)
+
+    since the sqrt(lambda_a) in F and the 1/sqrt(lambda_a) prefactor cancel.
+    Dense blocks and dense G live in per-thread scratch: a result is valid
+    until the same thread computes its next block.
     """
-    m = fm.matrix
-    scale_j = np.sqrt(inv_kj[j0:j1])
-    if m.is_sparse:
-        blk = m.sparse[:, j0:j1].astype(np.float64, copy=True)
-        blk.data *= inv_sqrt_ki[blk.indices]
-        blk.data *= np.repeat(scale_j, np.diff(blk.indptr))
-        return blk
-    return m.dense[:, j0:j1] * inv_sqrt_ki[:, None] * scale_j[None, :]
+
+    def __init__(self, fm: FrequencyModel, basis: np.ndarray | None = None):
+        m = fm.matrix
+        self.m = m
+        self.inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
+        self.kj = column_sums(m)
+        self.sqrt_k = np.sqrt(fm.grand_total)
+        self.UT = None if basis is None else basis.T
+        self.scratch = _Scratch()
+
+    def scaled(self, j0: int, j1: int, scale_cols: bool):
+        """Columns [j0, j1) of diag(1/sqrt(k_i)) K, right-multiplied by
+        diag(1/sqrt(k_j)) when ``scale_cols``; dense or scipy sparse,
+        matching the matrix storage."""
+        m = self.m
+        if m.is_sparse:
+            blk = m.sparse[:, j0:j1].astype(np.float64, copy=True)
+            blk.data *= self.inv_sqrt_ki[blk.indices]
+            if scale_cols:
+                blk.data *= np.repeat(np.sqrt(_inv_pos(self.kj[j0:j1])),
+                                      np.diff(blk.indptr))
+            return blk
+        buf = self.scratch.take("block", (m.n_rows, j1 - j0))
+        np.multiply(m.dense[:, j0:j1], self.inv_sqrt_ki[:, None], out=buf)
+        if scale_cols:
+            np.multiply(buf, np.sqrt(_inv_pos(self.kj[j0:j1]))[None, :], out=buf)
+        return buf
+
+    def projections(self, j0: int, j1: int) -> np.ndarray:
+        """Non-trivial projections G of columns [j0, j1), shape
+        (n_nontrivial, j1 - j0); zero-mass columns hold zeros.
+
+        Dense G is C-ordered scratch; sparse storage gives a fresh F-ordered
+        array, the transpose of a sparse-times-dense product. The layout
+        fixes the summation order of reductions over G, so it is part of
+        the output contract."""
+        blk = self.scaled(j0, j1, scale_cols=False)
+        if self.m.is_sparse:
+            G = (blk.T @ self.UT.T).T
+        else:
+            G = np.matmul(self.UT, blk,
+                          out=self.scratch.take("G", (self.UT.shape[0], j1 - j0)))
+        G *= (self.sqrt_k * _inv_pos(self.kj[j0:j1]))[None, :]
+        return G
 
 
 def decompose(fm: FrequencyModel, include_trivial: bool = True,
@@ -180,13 +248,10 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
         raise ValidationError(
             f"dual-space route is designed for at most {MAX_DUAL_ROWS} rows; "
             f"got {m.n_rows}")
-    ki = m.row_sums()
-    kj = column_sums(m)
-    inv_sqrt_ki = np.where(ki > 0, 1.0 / np.sqrt(np.where(ki > 0, ki, 1.0)), 0.0)
-    inv_kj = np.where(kj > 0, 1.0 / np.where(kj > 0, kj, 1.0), 0.0)
+    kernel = _BlockKernel(fm)
 
     def block_gram(j0: int, j1: int) -> np.ndarray:
-        blk = _scaled_block(fm, j0, j1, inv_sqrt_ki, inv_kj)
+        blk = kernel.scaled(j0, j1, scale_cols=True)
         if m.is_sparse:
             return (blk @ blk.T).toarray()
         return blk @ blk.T
@@ -217,9 +282,7 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     _canonical_signs(U)
 
     # Row principal coordinates; zero-mass rows have no profile and get 0.
-    inv_sqrt_fi = np.where(fm.row_masses > 0,
-                           1.0 / np.sqrt(np.where(fm.row_masses > 0,
-                                                  fm.row_masses, 1.0)), 0.0)
+    inv_sqrt_fi = _inv_pos(np.sqrt(fm.row_masses))
     F_nt = U * np.sqrt(lams)[None, :] * inv_sqrt_fi[:, None]
     if include_trivial:
         trivial_col = np.where(fm.row_masses > 0, 1.0, 0.0)
@@ -247,37 +310,42 @@ def _canonical_signs(U: np.ndarray) -> None:
             U[:, a] = -col
 
 
+def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
+                          reduce: Callable, workers: int = 1) -> Iterator:
+    """Yield ``reduce(j0, j1, G)`` for every column block, in block order.
+
+    G is the block's non-trivial column projections (see
+    ``_BlockKernel.projections``). ``reduce`` runs inside the worker that
+    computed G and may overwrite it, but must not keep it: a dense G is
+    scratch that the worker's next block reuses. The block grid is fixed by
+    the matrix shape (see ``column_blocks``), so merging the results in the
+    order they come keeps every reduction independent of ``workers``.
+    """
+    kernel = _BlockKernel(fm, fd.basis)
+    return ordered_block_map(
+        lambda j0, j1: reduce(j0, j1, kernel.projections(j0, j1)),
+        column_blocks(fm.n_rows, fm.n_cols), workers)
+
+
 def projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
-                      workers: int = 1):
+                      workers: int = 1) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (j0, j1, G) with G the non-trivial column projections of a block.
 
-    G has shape (n_nontrivial, j1 - j0); zero-mass columns hold zeros. The
-    block grid is fixed by the matrix shape (see ``column_blocks``), so any
-    reduction over these blocks, merged in order, is deterministic.
+    G has shape (n_nontrivial, j1 - j0); zero-mass columns hold zeros. Each
+    G is a copy the caller may keep.
     """
-    m = fm.matrix
-    ki = m.row_sums()
-    kj = column_sums(m)
-    inv_sqrt_ki = np.where(ki > 0, 1.0 / np.sqrt(np.where(ki > 0, ki, 1.0)), 0.0)
-    inv_kj = np.where(kj > 0, 1.0 / np.where(kj > 0, kj, 1.0), 0.0)
-    sqrt_k = np.sqrt(fm.grand_total)
-    # In count units the transition formula collapses to
-    #   G_a(j) = (sqrt(k) / k_j) sum_i u_a(i) k_ij / sqrt(k_i)
-    # since the sqrt(lam) in F and the 1/sqrt(lam) prefactor cancel.
-    UT = fd.basis.T
+    return map_projection_blocks(
+        fm, fd, lambda j0, j1, G: (j0, j1, G.copy(order="K")), workers)
 
-    def block(j0: int, j1: int) -> tuple[int, int, np.ndarray]:
-        if m.is_sparse:
-            blk = m.sparse[:, j0:j1].astype(np.float64, copy=True)
-            blk.data *= inv_sqrt_ki[blk.indices]
-            G = (blk.T @ UT.T).T
-        else:
-            G = UT @ (m.dense[:, j0:j1] * inv_sqrt_ki[:, None])
-        G *= (sqrt_k * inv_kj[j0:j1])[None, :]
-        return j0, j1, G
 
-    for res in ordered_block_map(block, column_blocks(m.n_rows, m.n_cols), workers):
-        yield res
+def column_projection(fm: FrequencyModel, fd: FactorDecomposition,
+                      column: int) -> np.ndarray:
+    """Non-trivial projections G_a(column) of one nonzero-mass column."""
+    if not 0 <= column < fm.n_cols:
+        raise ValidationError(f"column index {column} out of range")
+    if column_sums(fm.matrix)[column] == 0.0:
+        raise ValidationError(f"column {column} has zero mass")
+    return _BlockKernel(fm, fd.basis).projections(column, column + 1)[:, 0].copy()
 
 
 def column_projections(fm: FrequencyModel, fd: FactorDecomposition,

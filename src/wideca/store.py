@@ -42,7 +42,8 @@ class CountMatrix:
     """Validated nonnegative matrix with dense or column-grouped sparse storage.
 
     Construction enforces the invariants all downstream analysis relies on:
-    finite nonnegative values, a positive grand total, in-range indices, and
+    finite nonnegative values, row and grand totals that are finite (do not
+    overflow float64), a positive grand total, in-range indices, and
     (for sparse storage) unique (row, col) pairs grouped by column. Zero
     columns and zero rows are retained but their indices are exposed so
     profile-based computations can exclude them.
@@ -100,7 +101,13 @@ class CountMatrix:
         if self.n_rows <= 0 or self.n_cols <= 0:
             raise ValidationError("matrix dimensions must be positive")
         vals = self._dense if self._dense is not None else self._sparse.data
-        if not np.isfinite(vals).all():
+        # A NaN or infinite entry makes its row sum non-finite, so the values
+        # are scanned for one only when a row sum is. Overflow is reported
+        # below, not as a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums_finite = bool(np.isfinite(self.row_sums()).all())
+            total = self.grand_total
+        if not sums_finite and not np.isfinite(vals).all():
             raise ValidationError("matrix contains NaN or infinite values")
         if vals.size and vals.min() < 0:
             if self._dense is not None:
@@ -110,7 +117,9 @@ class CountMatrix:
                 coo = self._sparse.tocoo()
                 i, j = int(coo.row[nz]), int(coo.col[nz])
             raise ValidationError(f"negative value at (row={i}, col={j})")
-        if self.grand_total <= 0:
+        if not np.isfinite(total):
+            raise ValidationError("matrix totals overflow float64")
+        if total <= 0:
             raise ValidationError("matrix grand total must be positive")
 
     # -- basic accessors ----------------------------------------------------
@@ -256,6 +265,8 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
     order and the caller reduces them sequentially, which makes every
     reduction bit-identical for any worker count.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     blocks = list(blocks)
     if workers <= 1 or len(blocks) <= 1:
         for j0, j1 in blocks:

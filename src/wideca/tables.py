@@ -43,7 +43,9 @@ _STAT_COLS = ("abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
               "rel_median", "max_proj_cols", "max_proj_rows")
 
 
-def _check_dims(dims, allow_large: bool) -> None:
+def _check_sweep(dims, seeds: int, allow_large: bool) -> None:
+    if seeds < 1:
+        raise ValidationError(f"seeds must be at least 1, got {seeds}")
     for d in dims:
         if d > LARGE_DIM_LIMIT and not allow_large:
             raise ValidationError(
@@ -72,7 +74,7 @@ def uniform_cloud_table(dims=UNIFORM_DIMS, seeds: int = 3, base_seed: int = 1,
                         include_trivial: bool = True, workers: int = 1,
                         allow_large: bool = False) -> list[dict]:
     """Concentration statistics of uniform [0,1) clouds, 86 rows per cloud."""
-    _check_dims(dims, allow_large)
+    _check_sweep(dims, seeds, allow_large)
     rows = []
     for dim in dims:
         per_seed = []
@@ -91,7 +93,7 @@ def embedding_table(dims=EMBED_DIMS, seeds: int = 3, base_seed: int = 1,
                     p_repeat: float = SIGNAL_P_REPEAT) -> list[dict]:
     """Concentration statistics of sliding-window embeddings of a synthetic
     quantized random-walk signal (one signal per seed, all dims share it)."""
-    _check_dims(dims, allow_large)
+    _check_sweep(dims, seeds, allow_large)
     signals = [gen_randomwalk_signal(SIGNAL_LEN, SIGNAL_START, base_seed + i,
                                      p_repeat=p_repeat)
                for i in range(seeds)]
@@ -118,7 +120,7 @@ def powerlaw_exponent_table(dims=POWERLAW_DIMS, seeds: int = 3,
     the sparse fan-out. The ``exponent`` column carries the conventional
     negative sign of a decaying CCDF slope.
     """
-    _check_dims(dims, allow_large)
+    _check_sweep(dims, seeds, allow_large)
     marg = ParametricMarginals(exponent=exponent)
     rows = []
     for dim in dims:
@@ -142,7 +144,7 @@ def powerlaw_concentration_table(dims=POWERLAW_DIMS, seeds: int = 3,
                                  workers: int = 1,
                                  allow_large: bool = False) -> list[dict]:
     """Concentration statistics of generated power-law boolean matrices."""
-    _check_dims(dims, allow_large)
+    _check_sweep(dims, seeds, allow_large)
     marg = ParametricMarginals(exponent=exponent)
     rows = []
     for dim in dims:

@@ -202,6 +202,33 @@ def test_exit_code_validation_error(tmp_path):
     assert run("analyze", mat, "-o", tmp_path / "r") == 1
 
 
+def test_exit_code_overflowing_totals(tmp_path, capsys):
+    mat = tmp_path / "huge.csv"
+    mat.write_text("1e308,1e308\n1e308,1e308\n")
+    assert run("analyze", mat, "-o", tmp_path / "r") == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: matrix totals overflow float64"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_exit_code_workers_below_one(tmp_path, capsys):
+    mat = tmp_path / "m.csv"
+    mat.write_text("1,2\n3,4\n")
+    for workers in (0, -3):
+        assert run("analyze", mat, "--workers", workers, "-o", tmp_path / "r") == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: workers must be at least 1, got {workers}"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_exit_code_reproduce_zero_seeds(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run("reproduce", "--table", "1", "--dims", "100", "--seeds", 0,
+               "-o", out) == 1
+    assert capsys.readouterr().err.strip() == "error: seeds must be at least 1, got 0"
+    assert not out.exists()
+
+
 def test_exit_code_bad_flags():
     assert run("analyze") == 1
     assert run("gen", "uniform", "--rows", 3, "--cols", "x", "-o", "/tmp/x") == 1

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def test_per_axis_relative_sums_to_one(rng):
     per_axis = np.stack([relative_contribution(fm, fd, j)[0]
                          for j in range(22)])
     np.testing.assert_allclose(per_axis.sum(axis=0), 1.0, atol=1e-10)
+
+
+def test_relative_contribution_takes_report_inertia(rng):
+    from wideca.contributions import axis_column_inertias
+    m = random_count_matrix(rng, 7, 19, "counts")
+    fm, fd = analyze(m)
+    rep = concentration_report(fm, fd)
+    assert (axis_column_inertias(fm, fd) == rep.axis_column_inertia).all()
+    for j in (0, 9, 18):
+        given = relative_contribution(fm, fd, j,
+                                      axis_inertia=rep.axis_column_inertia)
+        computed = relative_contribution(fm, fd, j)
+        assert (given[0] == computed[0]).all() and given[1] == computed[1]
 
 
 # -- concentration report ---------------------------------------------------------
@@ -250,3 +264,48 @@ def test_report_workers_bit_identical(rng):
         assert (rep.per_column_absolute == ref.per_column_absolute).all()
         assert (rep.per_column_relative == ref.per_column_relative).all()
         assert rep.to_csv_row() == ref.to_csv_row()
+
+
+REPORT_ARRAYS = ("per_column_absolute", "per_column_relative",
+                 "per_row_absolute", "per_row_relative",
+                 "axis_column_inertia", "excluded_cols")
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse-powerlaw"])
+def test_multi_block_workers_bit_identical(rng, kind):
+    from wideca import gen_powerlaw_boolean
+    from wideca.store import column_blocks
+    if kind == "dense":
+        K = rng.random((30, 250_000))
+        K[:, [5, 180_000]] = 0.0  # zero-mass columns in two blocks
+        m = CountMatrix.from_dense(K)
+    else:
+        m = gen_powerlaw_boolean(425, 25_000, seed=7)
+    assert len(list(column_blocks(m.n_rows, m.n_cols))) >= 3
+    fm = build_frequency_model(m)
+    ref_fd = decompose(fm, workers=1)
+    ref = concentration_report(fm, ref_fd, workers=1)
+    # Frequent thread switches make workers interleave inside their blocks.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 3):
+            fd = decompose(fm, workers=workers)
+            assert fd.eigenvalues.tobytes() == ref_fd.eigenvalues.tobytes()
+            assert fd.row_projections.tobytes() == ref_fd.row_projections.tobytes()
+            rep = concentration_report(fm, fd, workers=workers)
+            for name in REPORT_ARRAYS:
+                assert getattr(rep, name).tobytes() == \
+                    getattr(ref, name).tobytes(), name
+            assert rep.to_csv_row() == ref.to_csv_row()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_workers_below_one_rejected(rng):
+    fm, fd = analyze(rng.random((5, 40)))
+    for workers in (0, -3):
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            decompose(fm, workers=workers)
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            concentration_report(fm, fd, workers=workers)

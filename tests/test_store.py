@@ -60,6 +60,37 @@ def test_nan_rejected():
         CountMatrix.from_dense([[1.0, np.nan]])
 
 
+def _build(kind, dense):
+    dense = np.asarray(dense, dtype=np.float64)
+    if kind == "dense":
+        return CountMatrix.from_dense(dense)
+    rows, cols = np.nonzero(dense)
+    return CountMatrix.from_triplets(*dense.shape, rows, cols, dense[rows, cols])
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_value_rejected(kind, bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        _build(kind, [[1.0, 2.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_negative_value_names_cell_with_overflowing_row(kind):
+    with pytest.raises(ValidationError, match=r"negative value at \(row=0, col=2\)"):
+        _build(kind, [[1e308, 1e308, -1.0], [1.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("cells", [
+    np.full((3, 4), 1e308),              # every row sum overflows
+    [[1.5e308, 0.0], [0.0, 1.5e308]],    # rows finite, grand total overflows
+])
+def test_overflowing_totals_rejected(kind, cells):
+    with pytest.raises(ValidationError, match="matrix totals overflow float64"):
+        _build(kind, cells)
+
+
 def test_triplet_unsorted_rejected(tmp_path):
     p = tmp_path / "m.tpl"
     p.write_text("%2 2 2\n0 1 1\n0 0 1\n")
