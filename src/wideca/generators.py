@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .store import CountMatrix, SignalSeries
@@ -175,6 +174,8 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
     sums therefore equal the drawn sums exactly; values are presence flags,
     so a cell never exceeds 1.
     """
+    import scipy.sparse as sp  # deferred: dense-only commands never load scipy
+
     if n_rows < 1 or n_cols < 1:
         raise ValidationError("matrix dimensions must be at least 1")
     if marginals is None:

@@ -14,7 +14,14 @@ Two interchange formats are supported:
   row.
 
 Values are written with 17 significant digits so a save/load round trip is
-bit-exact for float64.
+bit-exact for float64. Writers render a chunk of lines with one ``%`` each,
+and loaders parse a whole file with one ``np.loadtxt`` call; only when that
+parse fails is the file scanned line by line, so that the ``ParseError``
+names the first bad line. A triplet header is checked before the body is
+read, and nothing is allocated from its ``nnz``.
+
+scipy is imported only where a sparse matrix is built, so commands that
+handle dense matrices only never load it.
 """
 
 from __future__ import annotations
@@ -22,13 +29,15 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_CSV = "dense-csv"
 TRIPLET = "triplet"
@@ -94,6 +103,7 @@ class CountMatrix:
                 j = int(np.flatnonzero(dup)[0])
                 raise ValidationError(
                     f"duplicate triplet for (row={rows[j]}, col={cols[j]})")
+        import scipy.sparse as sp  # deferred: dense-only commands never load scipy
         mat = sp.csc_matrix((values, (rows, cols)), shape=(n_rows, n_cols))
         return cls(sparse=mat)
 
@@ -286,6 +296,14 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
 
 
 # -- file I/O -----------------------------------------------------------------
+# The per-line rules live in the *_error functions, which run only after the
+# vectorised parse has failed, to name the first bad line.
+
+_REAL = "%.17g"  # 17 significant digits: float64 round-trips bit-exactly
+_CHUNK_VALUES = 65_536  # values formatted by one ``%``
+_TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
+                           ("value", np.float64)])
+
 
 def load_matrix(path: str, fmt: str = DENSE_CSV) -> CountMatrix:
     """Read a matrix file in the declared format, validating as it goes."""
@@ -299,101 +317,182 @@ def load_matrix(path: str, fmt: str = DENSE_CSV) -> CountMatrix:
 def save_matrix(m: CountMatrix, path: str, fmt: str = DENSE_CSV) -> None:
     if fmt == DENSE_CSV:
         dense = m.to_dense()
+        row = ",".join([_REAL] * m.n_cols) + "\n"
+        step = max(1, _CHUNK_VALUES // m.n_cols)
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(m.n_rows):
-                fh.write(",".join("%.17g" % v for v in dense[i]))
-                fh.write("\n")
+            for i0 in range(0, m.n_rows, step):
+                block = dense[i0:i0 + step]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
         return
     if fmt == TRIPLET:
-        coo = (m.sparse if m.is_sparse else sp.csc_matrix(m.dense)).tocoo()
-        order = np.lexsort((coo.row, coo.col))
+        if m.is_sparse:
+            coo = m.sparse.tocoo()
+            order = np.lexsort((coo.row, coo.col))
+            rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+        else:
+            cols, rows = np.nonzero(m.dense.T)  # column-major: sorted by (col, row)
+            vals = m.dense[rows, cols]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"%{m.n_rows} {m.n_cols} {coo.nnz}\n")
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write("%d %d %.17g\n" % (r, c, v))
+            fh.write(f"%{m.n_rows} {m.n_cols} {rows.size}\n")
+            _write_lines(fh, f"%d %d {_REAL}\n", (rows, cols, vals))
         return
     raise ValidationError(f"unknown matrix format {fmt!r}")
 
 
+def _write_lines(fh, line: str, columns: tuple[np.ndarray, ...]) -> None:
+    """Write ``line % (c[i] for c in columns)`` for every index i.
+
+    Each chunk of lines is rendered by a single ``%`` over its values,
+    interleaved from ``.tolist()``, so no value is formatted on its own.
+    """
+    width = len(columns)
+    n = len(columns[0])
+    step = max(1, _CHUNK_VALUES // width)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        args = [None] * ((i1 - i0) * width)
+        for k, col in enumerate(columns):
+            args[k::width] = col[i0:i1].tolist()
+        fh.write(line * (i1 - i0) % tuple(args))
+
+
+def _data_lines(fh) -> Iterator[str] | None:
+    """The non-blank lines of ``fh``, or None when there are none (on input
+    with no data np.loadtxt warns instead of raising)."""
+    lines = (line for line in fh if not line.isspace())
+    first = next(lines, None)
+    return None if first is None else chain([first], lines)
+
+
 def _load_dense_csv(path: str) -> CountMatrix:
-    rows: list[np.ndarray] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _data_lines(fh)
+        if lines is None:
+            raise ParseError("empty matrix file")
+        try:
+            dense = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _dense_csv_error(path, exc) from None
+    return CountMatrix.from_dense(dense)
+
+
+def _dense_csv_error(path: str, exc: ValueError) -> ParseError:
+    """The first line that breaks the dense-csv rules."""
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            fields = line.split(",")
             try:
-                row = np.array(line.split(","), dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"bad numeric field ({exc})", line=lineno) from None
+                np.array(fields, dtype=np.float64)
+            except ValueError as bad:
+                return ParseError(f"bad numeric field ({bad})", line=lineno)
             if width is None:
-                width = row.size
-            elif row.size != width:
-                raise ParseError(
-                    f"expected {width} fields, found {row.size}", line=lineno)
-            rows.append(row)
-    if not rows:
-        raise ParseError("empty matrix file")
-    return CountMatrix.from_dense(np.vstack(rows))
+                width = len(fields)
+            elif len(fields) != width:
+                return ParseError(
+                    f"expected {width} fields, found {len(fields)}", line=lineno)
+    return ParseError(f"bad numeric field ({exc})")
 
 
 def _load_triplet(path: str) -> CountMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("%"):
-            raise ParseError("expected header '%<n_rows> <n_cols> <nnz>'", line=1)
+        n_rows, n_cols, nnz = _triplet_header(fh.readline())
+        lines = islice(fh, nnz)
+        first = next(lines, "")
+        if not first.strip():  # np.loadtxt would warn that there is no data
+            raise _triplet_error(path, nnz)
         try:
-            n_rows, n_cols, nnz = (int(tok) for tok in header[1:].split())
-        except ValueError:
-            raise ParseError("malformed header", line=1) from None
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for i in range(nnz):
-            lineno = i + 2
-            line = fh.readline()
-            if not line:
-                raise ParseError(f"expected {nnz} triplets, file ended", line=lineno)
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError("expected '<row> <col> <value>'", line=lineno)
-            try:
-                rows[i], cols[i] = int(parts[0]), int(parts[1])
-                vals[i] = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad field ({exc})", line=lineno) from None
-            if i:
-                prev = (cols[i - 1], rows[i - 1])
-                cur = (cols[i], rows[i])
-                if cur == prev:
-                    raise ParseError(f"duplicate triplet for (row={rows[i]}, "
-                                     f"col={cols[i]})", line=lineno)
-                if cur < prev:
-                    raise ParseError("triplets must be sorted by column then row",
-                                     line=lineno)
+            body = np.loadtxt(chain([first], lines), dtype=_TRIPLET_DTYPE,
+                              comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _triplet_error(path, nnz, exc) from None
+    rows, cols = body["row"], body["col"]
+    dc = np.diff(cols)
+    if body.size < nnz or ((dc < 0) | ((dc == 0) & (np.diff(rows) <= 0))).any():
+        # A blank line, the end of the file, or a (col, row) pair that does
+        # not ascend strictly.
+        raise _triplet_error(path, nnz)
+    return CountMatrix.from_triplets(n_rows, n_cols, rows, cols, body["value"])
+
+
+def _triplet_header(header: str) -> tuple[int, int, int]:
+    """``%<n_rows> <n_cols> <nnz>``, checked before any body line is read."""
+    header = header.strip()
+    if not header.startswith("%"):
+        raise ParseError("expected header '%<n_rows> <n_cols> <nnz>'", line=1)
+    try:
+        n_rows, n_cols, nnz = (int(tok) for tok in header[1:].split())
+    except ValueError:
+        raise ParseError("malformed header", line=1) from None
+    if n_rows <= 0 or n_cols <= 0:
+        raise ParseError("matrix dimensions must be positive", line=1)
+    if nnz < 0:
+        raise ParseError(f"negative triplet count {nnz}", line=1)
     if nnz == 0:
         raise ParseError("empty matrix: no triplets")
-    return CountMatrix.from_triplets(n_rows, n_cols, rows, cols, vals)
+    return n_rows, n_cols, nnz
+
+
+def _triplet_error(path: str, nnz: int,
+                   exc: ValueError | None = None) -> ParseError:
+    """The first of the ``nnz`` body lines that breaks the triplet rules."""
+    prev = None
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        lineno = 1
+        for lineno, line in enumerate(islice(fh, nnz), start=2):
+            parts = line.split()
+            if len(parts) != 3:
+                return ParseError("expected '<row> <col> <value>'", line=lineno)
+            try:
+                row, col = int(parts[0]), int(parts[1])
+                float(parts[2])
+            except ValueError as bad:
+                return ParseError(f"bad field ({bad})", line=lineno)
+            if prev is not None:
+                if (col, row) == prev:
+                    return ParseError(f"duplicate triplet for (row={row}, "
+                                      f"col={col})", line=lineno)
+                if (col, row) < prev:
+                    return ParseError("triplets must be sorted by column then row",
+                                      line=lineno)
+            prev = (col, row)
+    if lineno - 1 < nnz:
+        return ParseError(f"expected {nnz} triplets, file ended", line=lineno + 1)
+    return ParseError(f"bad field ({exc})")
 
 
 def load_signal(path: str) -> SignalSeries:
-    values: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _data_lines(fh)
+        if lines is None:
+            raise ParseError("empty signal file")
+        try:
+            values = np.loadtxt(lines, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _signal_error(path, exc) from None
+    if values.shape[1] != 1:  # several values on one line
+        raise _signal_error(path)
+    return SignalSeries(values[:, 0])
+
+
+def _signal_error(path: str, exc: ValueError | None = None) -> ParseError:
+    """The first line that is not a single real."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                values.append(float(line))
+                float(line)
             except ValueError:
-                raise ParseError(f"bad signal value {line!r}", line=lineno) from None
-    if not values:
-        raise ParseError("empty signal file")
-    return SignalSeries(np.array(values))
+                return ParseError(f"bad signal value {line!r}", line=lineno)
+    return ParseError(f"bad signal value ({exc})")
 
 
 def save_signal(sig: SignalSeries, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for v in sig.values:
-            fh.write("%.17g\n" % v)
+        _write_lines(fh, f"{_REAL}\n", (sig.values,))

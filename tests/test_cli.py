@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import wideca
 
 from wideca.cli import main
 from wideca.contributions import REPORT_FIELDS
@@ -227,6 +233,38 @@ def test_exit_code_reproduce_zero_seeds(tmp_path, capsys):
                "-o", out) == 1
     assert capsys.readouterr().err.strip() == "error: seeds must be at least 1, got 0"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    ("%3 2 -1", "line 1: negative triplet count -1"),
+    ("%0 2 2", "line 1: matrix dimensions must be positive"),
+    ("%3 2 100000000000", "line 4: expected 100000000000 triplets, file ended"),
+], ids=["negative-nnz", "zero-rows", "huge-nnz"])
+def test_exit_code_bad_triplet_header(tmp_path, capsys, header, message):
+    mat = tmp_path / "m.tpl"
+    mat.write_text(header + "\n0 0 1\n1 0 1\n")
+    assert run("analyze", mat, "--format", "triplet", "-o", tmp_path / "r") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_dense_commands_do_not_load_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import wideca.cli\n"
+        "assert 'scipy' not in sys.modules, 'import loaded scipy'\n"
+        "assert wideca.cli.main(['gen', 'uniform', '--rows', '4', '--cols', '9',"
+        " '-o', 'u.csv']) == 0\n"
+        "assert wideca.cli.main(['analyze', 'u.csv', '-o', 'r']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'gen uniform + analyze loaded scipy'\n"
+    )
+    src = str(Path(wideca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "r.csv").exists()
 
 
 def test_exit_code_bad_flags():

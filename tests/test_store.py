@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,22 +37,31 @@ def test_negative_value_names_cell(tmp_path):
 def test_parse_error_carries_line_number(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,2\n1,x\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2") as info:
         load_matrix(str(p), DENSE_CSV)
+    assert str(info.value) == ("line 2: bad numeric field "
+                               "(could not convert string to float: 'x')")
+    assert info.value.line == 2
 
 
 def test_ragged_row_rejected(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,2\n1\n")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2") as info:
         load_matrix(str(p), DENSE_CSV)
+    assert str(info.value) == "line 2: expected 2 fields, found 1"
+    assert info.value.line == 2
 
 
 def test_empty_matrix_rejected(tmp_path):
     p = tmp_path / "empty.csv"
-    p.write_text("")
-    with pytest.raises(ParseError):
-        load_matrix(str(p), DENSE_CSV)
+    for text in ("", "\n\n  \n"):
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy "no data" warning
+            with pytest.raises(ParseError, match="^empty matrix file$") as info:
+                load_matrix(str(p), DENSE_CSV)
+        assert info.value.line is None
     with pytest.raises(ValidationError):
         CountMatrix.from_dense(np.zeros((2, 2)))
 
@@ -91,18 +102,171 @@ def test_overflowing_totals_rejected(kind, cells):
         _build(kind, cells)
 
 
+UNSORTED = "triplets must be sorted by column then row"
+
+
 def test_triplet_unsorted_rejected(tmp_path):
     p = tmp_path / "m.tpl"
     p.write_text("%2 2 2\n0 1 1\n0 0 1\n")
-    with pytest.raises(ParseError, match="sorted"):
+    with pytest.raises(ParseError, match="sorted") as info:
         load_matrix(str(p), TRIPLET)
+    assert str(info.value) == f"line 3: {UNSORTED}"
+    assert info.value.line == 3
 
 
 def test_triplet_duplicate_rejected(tmp_path):
     p = tmp_path / "m.tpl"
     p.write_text("%2 2 2\n0 0 1\n0 0 2\n")
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError, match="duplicate") as info:
         load_matrix(str(p), TRIPLET)
+    assert str(info.value) == "line 3: duplicate triplet for (row=0, col=0)"
+    assert info.value.line == 3
+
+
+# Malformed triplet files beyond the cases above: (body after the header
+# "%3 2 <nnz>", nnz, message pattern, line). Every error names the first bad
+# line.
+TRIPLET_CASES = {
+    "short-file": ("0 0 1\n1 0 1\n", 3, "expected 3 triplets, file ended", 4),
+    "no-body": ("", 2, "expected 2 triplets, file ended", 2),
+    "blank-line": ("0 0 1\n\n1 0 1\n", 3, "expected '<row> <col> <value>'", 3),
+    "blank-first-line": ("\n0 0 1\n", 1, "expected '<row> <col> <value>'", 2),
+    "whitespace-line": ("0 0 1\n  \t\n1 0 1\n", 3,
+                        "expected '<row> <col> <value>'", 3),
+    "blank-then-ended": ("0 0 1\n\n", 5, "expected '<row> <col> <value>'", 3),
+    "two-fields": ("0 0 1\n1 0\n", 2, "expected '<row> <col> <value>'", 3),
+    "four-fields": ("0 0 1\n1 0 1 5\n", 2, "expected '<row> <col> <value>'", 3),
+    "fractional-index": ("0 0 1\n1.5 0 1\n", 2, r"bad field \(invalid literal", 3),
+    "bad-value": ("0 0 1\n1 0 x\n", 2, r"bad field \(could not convert", 3),
+    "unsorted-rows": ("2 0 1\n1 0 1\n", 2, UNSORTED, 3),
+    "unsorted-before-bad-value": ("0 1 1\n0 0 1\n1 0 x\n", 3, UNSORTED, 3),
+    "bad-value-before-end": ("0 0 1\n1 x 1\n", 5, "bad field", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIPLET_CASES))
+def test_triplet_malformed_names_first_bad_line(tmp_path, case):
+    body, nnz, message, line = TRIPLET_CASES[case]
+    p = tmp_path / "m.tpl"
+    p.write_text(f"%3 2 {nnz}\n" + body)
+    with pytest.raises(ParseError, match=f"^line {line}: {message}") as info:
+        load_matrix(str(p), TRIPLET)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2 1\n0 0 1\n", "expected header"),
+    ("%3 2\n0 0 1\n", "malformed header"),
+    ("%3 2 1.0\n0 0 1\n", "malformed header"),
+    ("%a 2 1\n0 0 1\n", "malformed header"),
+])
+def test_triplet_bad_header_line_one(tmp_path, text, message):
+    p = tmp_path / "m.tpl"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"^line 1: {message}") as info:
+        load_matrix(str(p), TRIPLET)
+    assert info.value.line == 1
+
+
+def test_triplet_zero_nnz_rejected(tmp_path):
+    p = tmp_path / "m.tpl"
+    p.write_text("%3 2 0\n0 0 1\n")
+    with pytest.raises(ParseError, match="^empty matrix: no triplets$") as info:
+        load_matrix(str(p), TRIPLET)
+    assert info.value.line is None
+
+
+def test_triplet_lines_after_nnz_ignored(tmp_path):
+    p = tmp_path / "m.tpl"
+    p.write_text("%3 2 2\n0 0 1\n2 1 4\n1 0 x\n\n0 0 1 2 3\n")
+    m = load_matrix(str(p), TRIPLET)
+    assert m.is_sparse and m.nnz == 2
+    np.testing.assert_array_equal(m.to_dense(), [[1, 0], [0, 0], [0, 4]])
+
+
+# Malformed dense-csv files beyond the cases above: (text, message pattern,
+# line).
+DENSE_CSV_CASES = {
+    "empty-field": ("1,,2\n", "bad numeric field", 1),
+    "trailing-comma": ("1,2\n3,4,\n", "bad numeric field", 2),
+    "ragged-long": ("1,2\n3,4\n5,6,7\n", "expected 2 fields, found 3", 3),
+    "bad-after-blanks": ("\n\n1,2\n  \n3,y\n", "bad numeric field", 5),
+    "space-separated": ("1 2\n", "bad numeric field", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CSV_CASES))
+def test_dense_csv_malformed_names_first_bad_line(tmp_path, case):
+    text, message, line = DENSE_CSV_CASES[case]
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"^line {line}: {message}") as info:
+        load_matrix(str(p), DENSE_CSV)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\n1,2\n\n  \n3,4\n\n", [[1, 2], [3, 4]]),   # blank lines skipped
+    ("1,2,3\n", [[1, 2, 3]]),                        # 1 x n
+    ("1\n2\n3\n", [[1], [2], [3]]),                   # n x 1
+    ("1,2\r\n3,4", [[1, 2], [3, 4]]),                # CRLF, no final newline
+    (" 1 , 2 \n0,1\n", [[1, 2], [0, 1]]),            # spaces around fields
+])
+def test_dense_csv_shapes_and_blank_lines(tmp_path, text, expected):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode())
+    m = load_matrix(str(p), DENSE_CSV)
+    assert m.dense.shape == np.shape(expected)
+    np.testing.assert_array_equal(m.dense, expected)
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    (DENSE_CSV, "1,2\n1_0,3\n", "bad numeric field"),
+    (TRIPLET, "%3 2 2\n0 0 1\n1 0 1_0\n", "bad field"),
+    ("signal", "1\n1_0\n", "bad signal value"),
+], ids=["dense-csv", "triplet", "signal"])
+def test_digit_separators_rejected_without_line(tmp_path, fmt, text, message):
+    # Python's float() takes "1_0"; the vectorised parser does not, so the
+    # error cannot name a line the per-line rules would reject.
+    from wideca import load_signal
+    p = tmp_path / "m.dat"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"^{message} .*'1_0'") as info:
+        load_signal(str(p)) if fmt == "signal" else load_matrix(str(p), fmt)
+    assert info.value.line is None
+
+
+def test_signal_blank_lines_skipped_and_bad_value_line(tmp_path):
+    from wideca import load_signal
+    p = tmp_path / "s.txt"
+    p.write_text("\n1.5\n  \n2\n\n")
+    np.testing.assert_array_equal(load_signal(str(p)).values, [1.5, 2.0])
+    p.write_text("1\n\n2\n2 3\n4\n")
+    with pytest.raises(ParseError, match="^line 4: bad signal value '2 3'$") as info:
+        load_signal(str(p))
+    assert info.value.line == 4
+    p.write_text("1\nx\n")
+    with pytest.raises(ParseError, match="^line 2: bad signal value 'x'$"):
+        load_signal(str(p))
+    p.write_text("\n \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="^empty signal file$"):
+            load_signal(str(p))
+
+
+@pytest.mark.parametrize("header, line, message", [
+    ("%3 2 -1", 1, "negative triplet count -1"),
+    ("%0 2 1", 1, "matrix dimensions must be positive"),
+    ("%3 -2 1", 1, "matrix dimensions must be positive"),
+    ("%3 2 100000000000", 4, "expected 100000000000 triplets, file ended"),
+], ids=["negative-nnz", "zero-rows", "negative-cols", "huge-nnz"])
+def test_triplet_header_checked_before_reading(tmp_path, header, line, message):
+    p = tmp_path / "m.tpl"
+    p.write_text(header + "\n0 0 1\n1 0 1\n")
+    with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
+        load_matrix(str(p), TRIPLET)
+    assert info.value.line == line
 
 
 def test_triplet_out_of_range_rejected():
@@ -208,3 +372,58 @@ def test_stream_columns_reconstructs_matrix(rng, kind):
 
     stream_columns(m, visitor)
     assert (rebuilt == m.to_dense()).all()
+
+
+# -- writer golden tests ----------------------------------------------------
+# The reference writers render every value on its own with "%.17g", the way
+# files have always been written; the batched writers must match them byte
+# for byte.
+
+def _reference_dense_csv(dense):
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in dense)
+
+
+def _reference_triplet(dense):
+    cells = sorted((c, r) for r, c in zip(*np.nonzero(dense)))
+    lines = ["%%%d %d %d\n" % (*dense.shape, len(cells))]
+    lines += ["%d %d %.17g\n" % (r, c, dense[r, c]) for c, r in cells]
+    return "".join(lines)
+
+
+def _golden_matrices():
+    special = np.array([
+        [0.0, 3.0, 0.1, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        [1.0, 0.0, 2.5, 1e-300, 123456789.0, 0.0],
+    ])
+    # Random finite nonnegative bit patterns, kept below 1e300 so no total
+    # overflows; about a third of the cells are zero.
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**63, size=4 * 150, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits) & (bits < 1e300)][:450]
+    bits[rng.random(bits.size) < 0.3] = 0.0
+    bits[0] = 1.0
+    return {"special": special, "random-bits": bits.reshape(3, 150)}
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("fmt", [DENSE_CSV, TRIPLET])
+@pytest.mark.parametrize("name", ["special", "random-bits"])
+def test_writer_matches_per_value_rendering(tmp_path, name, fmt, storage):
+    dense = _golden_matrices()[name]
+    m = _build(storage, dense)
+    p = tmp_path / "m.dat"
+    save_matrix(m, str(p), fmt)
+    reference = (_reference_dense_csv if fmt == DENSE_CSV else _reference_triplet)
+    assert p.read_bytes() == reference(dense).encode()
+    back = load_matrix(str(p), fmt)
+    assert back.to_dense().tobytes() == dense.tobytes()
+
+
+def test_signal_writer_matches_per_value_rendering(tmp_path):
+    from wideca import SignalSeries, load_signal, save_signal
+    values = np.concatenate([_golden_matrices()["random-bits"].ravel(),
+                             [0.0, 3.0, 0.1, 5e-324, 1.7976931348623157e308]])
+    p = tmp_path / "s.txt"
+    save_signal(SignalSeries(values), str(p))
+    assert p.read_bytes() == "".join("%.17g\n" % v for v in values).encode()
+    assert load_signal(str(p)).values.tobytes() == values.tobytes()
