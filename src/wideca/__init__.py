@@ -16,7 +16,7 @@ from .generators import (EmpiricalMarginals, ParametricMarginals,
                          gen_randomwalk_signal, gen_uniform)
 from .powerlaw import PowerLawFit, ccdf, fit_exponent, fit_loglog
 from .store import (CountMatrix, SignalSeries, column_sums, load_matrix,
-                    load_signal, save_matrix, save_signal, stream_columns)
+                    load_signal, save_matrix, save_signal)
 
 __all__ = [
     "ContributionReport", "CountMatrix", "EmpiricalMarginals",
@@ -28,5 +28,4 @@ __all__ = [
     "embed_signal", "fit_exponent", "fit_loglog", "gen_powerlaw_boolean",
     "gen_randomwalk_signal", "gen_uniform", "load_matrix", "load_signal",
     "profile", "relative_contribution", "save_matrix", "save_signal",
-    "stream_columns",
 ]

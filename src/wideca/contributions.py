@@ -22,10 +22,13 @@ projection is identically 1 and carries no information), separately for the
 column cloud (the headline number for wide matrices) and the row cloud.
 
 The column statistics are reductions over the engine's column blocks
-(``map_projection_blocks``): each block's projections are squared in place
-inside the worker that computed them, the worker writes that block's slice
-of the per-column arrays, and only per-axis partial sums and the block's
-largest |projection| come back, merged in block order.
+(``map_projection_blocks``), which hand over standardized projections
+S = sqrt(f_j) G, so S^2 is exactly the contribution f_j G_a(j)^2. Each
+block's S is squared in place inside the worker that computed it; the worker
+writes that block's slice of the per-column arrays (column sums of S^2 for
+the absolute, inverse axis inertias times S^2 for the relative
+contributions), and only per-axis sums of S^2 and the block's largest
+|G| = sqrt(max_a S^2) / sqrt(f_j) come back, merged in block order.
 """
 
 from __future__ import annotations
@@ -106,17 +109,16 @@ def chi2_distance_to_centroid(fm: FrequencyModel, column: int) -> float:
     return float((((p - fi) ** 2)[live] / fi[live]).sum())
 
 
-def _square_in_place(G: np.ndarray) -> np.ndarray:
-    return np.multiply(G, G, out=G)
+def _square_in_place(S: np.ndarray) -> np.ndarray:
+    return np.multiply(S, S, out=S)
 
 
 def axis_column_inertias(fm: FrequencyModel, fd: FactorDecomposition,
                          workers: int = 1) -> np.ndarray:
     """Per-axis inertia sum_j f_j G_a(j)^2 over non-trivial axes."""
-    fj = fm.col_masses
     total = np.zeros(fd.n_nontrivial)
     for part in map_projection_blocks(
-            fm, fd, lambda j0, j1, G: _square_in_place(G) @ fj[j0:j1], workers):
+            fm, fd, lambda j0, j1, S: _square_in_place(S).sum(axis=1), workers):
         total += part
     return total
 
@@ -159,7 +161,7 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
     """All per-column metrics and summaries in two streaming passes.
 
     Pass one accumulates per-column absolute contributions, the per-axis
-    column inertias, and the projection extrema; pass two, which needs those
+    column inertias, and the largest |projection|; pass two, which needs those
     axis inertias as denominators, accumulates the relative contributions.
     """
     fj = fm.col_masses
@@ -169,12 +171,15 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
 
     abs_col = np.zeros(n_cols)
 
-    def absolute(j0: int, j1: int, G: np.ndarray) -> tuple[float, np.ndarray]:
-        # max |G| without forming |G|; an empty G leaves the running max alone
-        top = float(max(G.max(), -G.min())) if G.size else 0.0
-        g2 = _square_in_place(G)
-        abs_col[j0:j1] = fj[j0:j1] * (trivial + g2.sum(axis=0))
-        return top, g2 @ fj[j0:j1]
+    def absolute(j0: int, j1: int, S: np.ndarray) -> tuple[float, np.ndarray]:
+        f = fj[j0:j1]
+        S2 = _square_in_place(S)
+        abs_col[j0:j1] = trivial * f + S2.sum(axis=0)
+        # max |G| = sqrt(f_j G^2) / sqrt(f_j); an empty block leaves the
+        # running max alone
+        top = float((np.sqrt(S2.max(axis=0)) * _inv_pos(np.sqrt(f))).max()) \
+            if S2.size else 0.0
+        return top, S2.sum(axis=1)
 
     axis_inertia = np.zeros(fd.n_nontrivial)
     max_proj_cols = 0.0
@@ -185,8 +190,8 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
     rel_col = np.zeros(n_cols)
     inv_inertia = _inv_pos(axis_inertia)
 
-    def relative(j0: int, j1: int, G: np.ndarray) -> None:
-        rel_col[j0:j1] = fj[j0:j1] * (trivial + inv_inertia @ _square_in_place(G))
+    def relative(j0: int, j1: int, S: np.ndarray) -> None:
+        rel_col[j0:j1] = trivial * fj[j0:j1] + inv_inertia @ _square_in_place(S)
 
     for _ in map_projection_blocks(fm, fd, relative, workers):
         pass

@@ -17,13 +17,16 @@ coordinates are recovered afterwards by the transition formula
 in a second streaming pass, which keeps cost and memory linear in the number
 of columns. Row coordinates are F_a(i) = sqrt(lambda_a) u_a(i) / sqrt(f_i).
 
-Both passes run one block kernel over the fixed column-block grid. Each
-block is scaled, and its projections G computed, in scratch buffers of one
-block each that belong to the thread running it and are reused by that
-thread's next block. The caller's reduction runs on the block inside the
-same worker (``map_projection_blocks``), so only small per-block partials
-leave it, and they are merged in block order: outputs do not depend on the
-worker count.
+Both passes run one block kernel over the fixed column-block grid. The W
+pass scales each block of K into a scratch buffer. The projection pass folds
+the row scaling into the basis once, Ub = U^T diag(1/sqrt(f_i)) / k, so a
+block's projections come from one product Ub K[:, j0:j1] that reads K where
+it is stored, and one in-place column pass: G = (Ub K) / f_j, or the
+standardized S = sqrt(f_j) G that the contribution statistics reduce. Each
+thread has one scratch buffer of one block per pass, reused by its next
+block. The caller's reduction runs on the block inside the same worker
+(``map_projection_blocks``), so only small per-block partials leave it, and
+they are merged in block order: outputs do not depend on the worker count.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); it is rejected above ``MAX_DUAL_ROWS``.
@@ -165,73 +168,89 @@ def _inv_pos(x: np.ndarray) -> np.ndarray:
 
 
 class _Scratch(threading.local):
-    """Per-thread buffers, one block each, reused by the thread's next block."""
+    """Per-thread buffer of one block, reused by the thread's next block."""
 
-    def take(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+    buf: np.ndarray | None = None
+
+    def take(self, shape: tuple[int, int]) -> np.ndarray:
         size = shape[0] * shape[1]
-        buf = getattr(self, name, None)
-        if buf is None or buf.size < size:
-            buf = np.empty(size)
-            setattr(self, name, buf)
-        return buf[:size].reshape(shape)
+        if self.buf is None or self.buf.size < size:
+            self.buf = np.empty(size)
+        return self.buf[:size].reshape(shape)
 
 
 class _BlockKernel:
-    """Scaled column blocks of K and their projections G, one block at a time.
+    """Column blocks of K, scaled for W or projected on the basis, one at a time.
 
     In count units, with B = diag(1/sqrt(k_i)) K diag(1/sqrt(k_j)), the dual
-    operator is W = B B^T exactly, and the transition formula collapses to
+    operator is W = B B^T exactly (``scaled``). In mass units the transition
+    formula collapses to
 
-        G_a(j) = (sqrt(k) / k_j) sum_i u_a(i) k_ij / sqrt(k_i)
+        G_a(j) = (1 / f_j) sum_i u_a(i) f_ij / sqrt(f_i)
 
     since the sqrt(lambda_a) in F and the 1/sqrt(lambda_a) prefactor cancel.
-    Dense blocks and dense G live in per-thread scratch: a result is valid
-    until the same thread computes its next block.
+    The row scaling is folded into the basis once per pass,
+    Ub = U^T diag(1/sqrt(f_i)) / k, so the block product H = Ub K[:, j0:j1]
+    reads K where it is stored, with no scaled copy; one in-place column
+    pass then gives G = H / f_j, or the standardized S = H / sqrt(f_j) =
+    sqrt(f_j) G, whose square is exactly the contribution f_j G_a(j)^2.
+    S keeps the range that H^2 / f_j would lose for columns of relative
+    mass below about 1e-154.
+
+    Dense blocks live in per-thread scratch, one buffer per thread: a result
+    is valid until the same thread computes its next block. Sparse storage
+    gives a fresh F-ordered array, the transpose of a sparse-times-dense
+    product. The layout fixes the summation order of reductions over the
+    block, so it is part of the output contract.
     """
 
     def __init__(self, fm: FrequencyModel, basis: np.ndarray | None = None):
         m = fm.matrix
         self.m = m
-        self.inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
-        self.kj = column_sums(m)
-        self.sqrt_k = np.sqrt(fm.grand_total)
-        self.UT = None if basis is None else basis.T
         self.scratch = _Scratch()
+        if basis is None:
+            self.inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
+            self.kj = column_sums(m)
+        else:
+            self.fj = fm.col_masses
+            # Ub^T, C-ordered: scipy's sparse-times-dense product takes it
+            # as it is, and its transpose is the BLAS operand Ub.
+            inv_sqrt_fi = _inv_pos(np.sqrt(fm.row_masses))
+            self.UbT = basis * inv_sqrt_fi[:, None] / fm.grand_total
 
-    def scaled(self, j0: int, j1: int, scale_cols: bool):
-        """Columns [j0, j1) of diag(1/sqrt(k_i)) K, right-multiplied by
-        diag(1/sqrt(k_j)) when ``scale_cols``; dense or scipy sparse,
-        matching the matrix storage."""
+    def scaled(self, j0: int, j1: int):
+        """Columns [j0, j1) of B; dense or scipy sparse, matching the
+        matrix storage."""
         m = self.m
+        col_scale = np.sqrt(_inv_pos(self.kj[j0:j1]))
         if m.is_sparse:
             blk = m.sparse[:, j0:j1].astype(np.float64, copy=True)
             blk.data *= self.inv_sqrt_ki[blk.indices]
-            if scale_cols:
-                blk.data *= np.repeat(np.sqrt(_inv_pos(self.kj[j0:j1])),
-                                      np.diff(blk.indptr))
+            blk.data *= np.repeat(col_scale, np.diff(blk.indptr))
             return blk
-        buf = self.scratch.take("block", (m.n_rows, j1 - j0))
+        buf = self.scratch.take((m.n_rows, j1 - j0))
         np.multiply(m.dense[:, j0:j1], self.inv_sqrt_ki[:, None], out=buf)
-        if scale_cols:
-            np.multiply(buf, np.sqrt(_inv_pos(self.kj[j0:j1]))[None, :], out=buf)
+        np.multiply(buf, col_scale[None, :], out=buf)
         return buf
 
-    def projections(self, j0: int, j1: int) -> np.ndarray:
-        """Non-trivial projections G of columns [j0, j1), shape
-        (n_nontrivial, j1 - j0); zero-mass columns hold zeros.
-
-        Dense G is C-ordered scratch; sparse storage gives a fresh F-ordered
-        array, the transpose of a sparse-times-dense product. The layout
-        fixes the summation order of reductions over G, so it is part of
-        the output contract."""
-        blk = self.scaled(j0, j1, scale_cols=False)
-        if self.m.is_sparse:
-            G = (blk.T @ self.UT.T).T
+    def _product(self, j0: int, j1: int, col_scale: np.ndarray) -> np.ndarray:
+        """(Ub K[:, j0:j1]) diag(col_scale), shape (n_nontrivial, j1 - j0)."""
+        m = self.m
+        if m.is_sparse:
+            H = (m.sparse[:, j0:j1].T @ self.UbT).T
         else:
-            G = np.matmul(self.UT, blk,
-                          out=self.scratch.take("G", (self.UT.shape[0], j1 - j0)))
-        G *= (self.sqrt_k * _inv_pos(self.kj[j0:j1]))[None, :]
-        return G
+            H = np.matmul(self.UbT.T, m.dense[:, j0:j1],
+                          out=self.scratch.take((self.UbT.shape[1], j1 - j0)))
+        return np.multiply(H, col_scale[None, :], out=H)
+
+    def projections(self, j0: int, j1: int) -> np.ndarray:
+        """Non-trivial projections G of columns [j0, j1); zero-mass columns
+        hold zeros."""
+        return self._product(j0, j1, _inv_pos(self.fj[j0:j1]))
+
+    def standardized(self, j0: int, j1: int) -> np.ndarray:
+        """S = sqrt(f_j) G of columns [j0, j1); zero-mass columns hold zeros."""
+        return self._product(j0, j1, _inv_pos(np.sqrt(self.fj[j0:j1])))
 
 
 def decompose(fm: FrequencyModel, include_trivial: bool = True,
@@ -251,7 +270,7 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     kernel = _BlockKernel(fm)
 
     def block_gram(j0: int, j1: int) -> np.ndarray:
-        blk = kernel.scaled(j0, j1, scale_cols=True)
+        blk = kernel.scaled(j0, j1)
         if m.is_sparse:
             return (blk @ blk.T).toarray()
         return blk @ blk.T
@@ -312,18 +331,19 @@ def _canonical_signs(U: np.ndarray) -> None:
 
 def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
                           reduce: Callable, workers: int = 1) -> Iterator:
-    """Yield ``reduce(j0, j1, G)`` for every column block, in block order.
+    """Yield ``reduce(j0, j1, S)`` for every column block, in block order.
 
-    G is the block's non-trivial column projections (see
-    ``_BlockKernel.projections``). ``reduce`` runs inside the worker that
-    computed G and may overwrite it, but must not keep it: a dense G is
-    scratch that the worker's next block reuses. The block grid is fixed by
-    the matrix shape (see ``column_blocks``), so merging the results in the
-    order they come keeps every reduction independent of ``workers``.
+    S is the block's standardized non-trivial projections sqrt(f_j) G (see
+    ``_BlockKernel.standardized``), so S^2 holds the contributions
+    f_j G_a(j)^2. ``reduce`` runs inside the worker that computed S and may
+    overwrite it, but must not keep it: a dense S is scratch that the
+    worker's next block reuses. The block grid is fixed by the matrix shape
+    (see ``column_blocks``), so merging the results in the order they come
+    keeps every reduction independent of ``workers``.
     """
     kernel = _BlockKernel(fm, fd.basis)
     return ordered_block_map(
-        lambda j0, j1: reduce(j0, j1, kernel.projections(j0, j1)),
+        lambda j0, j1: reduce(j0, j1, kernel.standardized(j0, j1)),
         column_blocks(fm.n_rows, fm.n_cols), workers)
 
 
@@ -334,8 +354,10 @@ def projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     G has shape (n_nontrivial, j1 - j0); zero-mass columns hold zeros. Each
     G is a copy the caller may keep.
     """
-    return map_projection_blocks(
-        fm, fd, lambda j0, j1, G: (j0, j1, G.copy(order="K")), workers)
+    kernel = _BlockKernel(fm, fd.basis)
+    return ordered_block_map(
+        lambda j0, j1: (j0, j1, kernel.projections(j0, j1).copy(order="K")),
+        column_blocks(fm.n_rows, fm.n_cols), workers)
 
 
 def column_projection(fm: FrequencyModel, fd: FactorDecomposition,

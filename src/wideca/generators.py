@@ -188,8 +188,10 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
     indices = np.empty(indptr[-1], dtype=np.int64)
     # Key-threshold sampling: per column, the rows holding the s_j smallest
     # of n_rows i.i.d. uniform keys form a uniform subset of size s_j. Row
-    # indices come out of nonzero() already sorted within each column.
-    chunk = max(1, 4_000_000 // max(1, n_rows))
+    # indices come out of nonzero() already sorted within each column. A
+    # chunk of about 1M keys holds the keys, their sorted copy and a mask at
+    # once; the keys are drawn in column order whatever the chunk size.
+    chunk = max(1, 1_000_000 // max(1, n_rows))
     for c0 in range(0, n_cols, chunk):
         c1 = min(c0 + chunk, n_cols)
         s = sums[c0:c1]

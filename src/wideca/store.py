@@ -54,8 +54,8 @@ class CountMatrix:
     finite nonnegative values, row and grand totals that are finite (do not
     overflow float64), a positive grand total, in-range indices, and
     (for sparse storage) unique (row, col) pairs grouped by column. Zero
-    columns and zero rows are retained but their indices are exposed so
-    profile-based computations can exclude them.
+    columns and zero rows are retained; the frequency model records their
+    indices so profile-based computations can exclude them.
     """
 
     def __init__(self, dense: np.ndarray | None = None,
@@ -226,32 +226,6 @@ def column_sums(m: CountMatrix) -> np.ndarray:
         else:
             m._col_sums = m.dense.sum(axis=0)
     return m._col_sums
-
-
-def zero_columns(m: CountMatrix) -> np.ndarray:
-    return np.flatnonzero(column_sums(m) == 0.0)
-
-
-def zero_rows(m: CountMatrix) -> np.ndarray:
-    return np.flatnonzero(m.row_sums() == 0.0)
-
-
-def stream_columns(m: CountMatrix, visitor: Callable[[int, np.ndarray, np.ndarray], None]) -> None:
-    """Invoke ``visitor(j, rows, values)`` once per column, in ascending order.
-
-    Columns with no entries are still visited, with empty arrays.
-    """
-    for j0, j1 in column_blocks(m.n_rows, m.n_cols):
-        if m.is_sparse:
-            blk = m.sparse[:, j0:j1]
-            for j in range(j0, j1):
-                lo, hi = blk.indptr[j - j0], blk.indptr[j - j0 + 1]
-                visitor(j, blk.indices[lo:hi].astype(np.int64), blk.data[lo:hi])
-        else:
-            for j in range(j0, j1):
-                col = m.dense[:, j]
-                rows = np.flatnonzero(col)
-                visitor(j, rows, col[rows])
 
 
 def column_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:

@@ -309,3 +309,90 @@ def test_workers_below_one_rejected(rng):
             decompose(fm, workers=workers)
         with pytest.raises(ValidationError, match="workers must be at least 1"):
             concentration_report(fm, fd, workers=workers)
+
+
+# -- range and invariance -----------------------------------------------------
+# Small block grids make a 30 x 9,000 matrix span several column blocks, so
+# every reduction below merges more than one block.
+
+SMALL_BLOCK_ELEMS = 60_000  # 2,000 columns per block at 30 rows
+
+
+def _report_values(m):
+    fm = build_frequency_model(m)
+    fd = decompose(fm)
+    return fm, fd, concentration_report(fm, fd)
+
+
+def _assert_reports_close(rep, ref, rtol):
+    for name in REPORT_FIELDS:
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name),
+                                                   rel=rtol, abs=0), name
+    for name in REPORT_ARRAYS:
+        np.testing.assert_allclose(getattr(rep, name), getattr(ref, name),
+                                   rtol=rtol, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300, 2.0 ** -1000])
+def test_report_scale_invariant_at_extreme_range(rng, monkeypatch, scale):
+    from wideca.store import column_blocks
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    K = rng.random((30, 9_000))
+    assert len(list(column_blocks(*K.shape))) > 1
+    _, _, ref = _report_values(CountMatrix.from_dense(K))
+    _, _, rep = _report_values(CountMatrix.from_dense(K * scale))
+    _assert_reports_close(rep, ref, rtol=1e-12)
+
+
+def test_tiny_mass_column_keeps_contribution_and_max(rng, monkeypatch):
+    # One column holds a single 1e-200 entry: its relative mass is about
+    # 1e-205, and its projections are among the largest of the cloud.
+    from wideca.engine import projection_blocks
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    K = rng.random((30, 9_000))
+    j = 4_321
+    K[:, j] = 0.0
+    K[7, j] = 1e-200
+    fm, fd, rep = _report_values(CountMatrix.from_dense(K))
+    G = np.concatenate([G for _, _, G in projection_blocks(fm, fd)], axis=1)
+    fj = fm.col_masses[j]
+    assert 0 < fj < 1e-200
+    expected = fj * (1.0 + float((G[:, j] ** 2).sum()))
+    assert rep.per_column_absolute[j] == pytest.approx(expected, rel=1e-12)
+    top = float(np.abs(G).max())
+    assert float(np.abs(G[:, j]).max()) == top > 1.0
+    assert abs(rep.max_proj_cols - top) <= 4 * np.spacing(top)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_zero_mass_columns_raise_no_warning(rng, monkeypatch, sparse):
+    import warnings
+    from wideca.contributions import axis_column_inertias
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    K = np.where(rng.random((30, 9_000)) < 0.3, rng.random((30, 9_000)), 0.0)
+    K[:, [0, 2_500, 8_999]] = 0.0
+    K[3] = 0.0  # and a zero-mass row
+    m = CountMatrix.from_triplets(30, 9_000, *np.nonzero(K),
+                                  K[np.nonzero(K)]) if sparse \
+        else CountMatrix.from_dense(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fm, fd, rep = _report_values(m)
+        axis_column_inertias(fm, fd)
+        relative_contribution(fm, fd, 1, axis_inertia=rep.axis_column_inertia)
+    np.testing.assert_array_equal(rep.excluded_cols, [0, 2_500, 8_999])
+    assert (rep.per_column_absolute[rep.excluded_cols] == 0.0).all()
+    assert (rep.per_column_relative[rep.excluded_cols] == 0.0).all()
+    assert np.isfinite(rep.per_column_absolute).all()
+    assert np.isfinite(rep.per_column_relative).all()
+
+
+def test_sparse_and_dense_storage_agree(rng, monkeypatch):
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    K = np.where(rng.random((30, 9_000)) < 0.2, rng.random((30, 9_000)), 0.0)
+    K[:, [17, 6_000]] = 0.0
+    coo = np.nonzero(K)
+    _, _, dense = _report_values(CountMatrix.from_dense(K))
+    _, _, sparse = _report_values(
+        CountMatrix.from_triplets(30, 9_000, *coo, K[coo]))
+    _assert_reports_close(sparse, dense, rtol=1e-11)

@@ -174,6 +174,38 @@ def test_boolean_deterministic():
     assert (a.to_dense() == b.to_dense()).all()
 
 
+def _powerlaw_indices_in_4m_key_chunks(n_rows, n_cols, seed):
+    """Row indices of ``gen_powerlaw_boolean`` as first written, drawing the
+    keys in chunks of 4M: the reference for a change of chunk size."""
+    rng = rng_from_seed(seed)
+    sums = ParametricMarginals().sample(rng, n_cols, n_rows)
+    indptr = np.concatenate(([0], np.cumsum(sums)))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    chunk = max(1, 4_000_000 // n_rows)
+    for c0 in range(0, n_cols, chunk):
+        c1 = min(c0 + chunk, n_cols)
+        s = sums[c0:c1]
+        while True:
+            keys = rng.random((c1 - c0, n_rows))
+            kth = np.sort(keys, axis=1)[np.arange(c1 - c0), np.maximum(s, 1) - 1]
+            mask = keys <= kth[:, None]
+            mask[s == 0] = False
+            if (mask.sum(axis=1) == s).all():
+                break
+        _, rows = np.nonzero(mask)
+        indices[indptr[c0]: indptr[c1]] = rows
+    return indptr, indices
+
+
+def test_boolean_chunking_does_not_change_output():
+    # 425 x 10,520 spans several key chunks of any size up to 4M keys
+    indptr, indices = _powerlaw_indices_in_4m_key_chunks(425, 10_520, seed=1)
+    m = gen_powerlaw_boolean(425, 10_520, seed=1)
+    assert (m.sparse.indptr == indptr).all()
+    assert (m.sparse.indices == indices).all()
+    assert (m.sparse.data == 1.0).all()
+
+
 def test_boolean_empirical_validation():
     with pytest.raises(ValidationError, match="exceeds n_rows"):
         gen_powerlaw_boolean(4, 3, seed=1,

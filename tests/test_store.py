@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from wideca import CountMatrix, ParseError, ValidationError, column_sums
-from wideca.store import (DENSE_CSV, TRIPLET, load_matrix, save_matrix,
-                          stream_columns, zero_columns)
+from wideca import (CountMatrix, ParseError, ValidationError,
+                    build_frequency_model, column_sums)
+from wideca.store import (DENSE_CSV, TRIPLET, column_blocks, load_matrix,
+                          save_matrix)
 
 
 def test_load_dense_csv(tmp_path):
@@ -303,7 +304,8 @@ def test_column_sums_zero_column():
     m = CountMatrix.from_dense([[1, 0, 2], [1, 0, 1]])
     sums = column_sums(m)
     assert sums[1] == 0.0
-    np.testing.assert_array_equal(zero_columns(m), [1])
+    np.testing.assert_array_equal(np.flatnonzero(sums == 0), [1])
+    np.testing.assert_array_equal(build_frequency_model(m).excluded_cols, [1])
 
 
 def test_column_sums_sparse_dense_agree(rng):
@@ -331,19 +333,20 @@ def test_column_sums_boolean_total_equals_nnz(rng):
     assert column_sums(m).sum() == len(uniq)
 
 
-def test_stream_columns_visits_every_column():
+def test_column_entries_visits_every_column():
     m = CountMatrix.from_dense([[1, 2], [0, 1], [2, 0]])
-    seen = []
-    stream_columns(m, lambda j, rows, vals: seen.append((j, len(rows))))
+    seen = [(j, len(m.column_entries(j)[0])) for j in range(m.n_cols)]
     assert seen == [(0, 2), (1, 2)]
+    rows, vals = m.column_entries(0)
+    assert rows.tolist() == [0, 2] and vals.tolist() == [1.0, 2.0]
 
 
-def test_stream_columns_empty_column_still_visited():
+def test_column_entries_empty_column():
     m = CountMatrix.from_triplets(3, 7, [0, 1], [0, 6], [1.0, 2.0])
-    visited = []
-    stream_columns(m, lambda j, rows, vals: visited.append((j, rows.size)))
-    assert [j for j, _ in visited] == list(range(7))
-    assert visited[5] == (5, 0)
+    sizes = [m.column_entries(j)[0].size for j in range(7)]
+    assert sizes == [1, 0, 0, 0, 0, 0, 1]
+    rows, vals = m.column_entries(5)
+    assert rows.dtype == np.int64 and vals.size == 0
 
 
 def test_signal_roundtrip(tmp_path, rng):
@@ -362,16 +365,20 @@ def test_signal_rejects_nan():
 
 
 @pytest.mark.parametrize("kind", ["uniform", "sparse"])
-def test_stream_columns_reconstructs_matrix(rng, kind):
+def test_column_access_reconstructs_matrix(rng, kind, monkeypatch):
     from conftest import random_count_matrix
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 40)  # 5 columns a block
     m = random_count_matrix(rng, 8, 23, kind)
-    rebuilt = np.zeros((8, 23))
-
-    def visitor(j, rows, vals):
-        rebuilt[rows, j] = vals
-
-    stream_columns(m, visitor)
-    assert (rebuilt == m.to_dense()).all()
+    by_entries = np.zeros((8, 23))
+    for j in range(23):
+        rows, vals = m.column_entries(j)
+        by_entries[rows, j] = vals
+    assert (by_entries == m.to_dense()).all()
+    blocks = list(column_blocks(8, 23))
+    assert len(blocks) == 5
+    by_blocks = np.concatenate([m.column_block(j0, j1) for j0, j1 in blocks],
+                               axis=1)
+    assert (by_blocks == m.to_dense()).all()
 
 
 # -- writer golden tests ----------------------------------------------------
