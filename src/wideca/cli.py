@@ -168,18 +168,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    driver, default_dims = tables.TABLE_DRIVERS[args.table]
-    dims = args.dims if args.dims else default_dims
-    kwargs = dict(dims=dims, seeds=args.seeds, base_seed=args.seed,
-                  allow_large=args.allow_large)
-    if args.table == "3":
-        kwargs["exponent"] = args.exponent
-    else:
-        kwargs["include_trivial"] = args.include_trivial
-        kwargs["workers"] = args.workers
-        if args.table == "4":
-            kwargs["exponent"] = args.exponent
-    rows = driver(**kwargs)
+    rows = tables.sweep(args.table, args.dims, seeds=args.seeds,
+                        base_seed=args.seed, exponent=args.exponent,
+                        include_trivial=args.include_trivial,
+                        workers=args.workers, allow_large=args.allow_large)
     cols = list(rows[0].keys())
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
@@ -279,7 +271,7 @@ def build_parser() -> _Parser:
     fit.set_defaults(func=_cmd_fit)
 
     rep = sub.add_parser("reproduce", help="run an evaluation sweep")
-    rep.add_argument("--table", required=True, choices=sorted(tables.TABLE_DRIVERS),
+    rep.add_argument("--table", required=True, choices=sorted(tables.TABLE_DIMS),
                      help="1: uniform clouds; 2-synthetic: random-walk "
                           "embeddings; 3: power-law exponents; 4: power-law "
                           "concentration")

@@ -15,6 +15,12 @@ regime near-duplicate-column data lands in. With the trivial axis included,
 rho^2(j) = 1 + (centered chi-squared distance), and the mean relative
 contribution over columns is the exact identity nu / |J|.
 
+Per-column values come from the report's arrays: ``per_column_absolute[j]``
+is f_j rho^2(j), so with the trivial axis included the chi-squared distance
+of column j to the centroid is ``per_column_absolute[j] / f_j - 1``, and
+``per_column_relative[j]`` sums column j's relative contributions over the
+retained axes, whose denominators are ``axis_column_inertia``.
+
 Summary statistics: sample standard deviation (n-1 denominator); the median
 of an even-length vector is the mean of the two central order statistics.
 Maximum projections are reported over non-trivial axes only (the trivial
@@ -38,9 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (FactorDecomposition, FrequencyModel, _inv_pos,
-                     column_projection, map_projection_blocks)
-from .errors import ValidationError
-from .store import column_sums
+                     map_projection_blocks)
 
 REPORT_FIELDS = (
     "dim", "abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
@@ -89,71 +93,8 @@ class ContributionReport:
         return header, row
 
 
-def chi2_distance_to_centroid(fm: FrequencyModel, column: int) -> float:
-    """Centered chi-squared distance of a column profile from the centroid.
-
-    Returns sum_i (f_ij/f_j - f_i)^2 / f_i over nonzero-mass rows. The full
-    rho^2 used in contributions is this value plus 1 when the trivial axis
-    is included.
-    """
-    kj = column_sums(fm.matrix)
-    if not 0 <= column < fm.n_cols:
-        raise ValidationError(f"column index {column} out of range")
-    if kj[column] == 0.0:
-        raise ValidationError(f"column {column} has zero mass")
-    rows, vals = fm.matrix.column_entries(column)
-    p = np.zeros(fm.n_rows)
-    p[rows] = vals / kj[column]
-    fi = fm.row_masses
-    live = fi > 0
-    return float((((p - fi) ** 2)[live] / fi[live]).sum())
-
-
 def _square_in_place(S: np.ndarray) -> np.ndarray:
     return np.multiply(S, S, out=S)
-
-
-def axis_column_inertias(fm: FrequencyModel, fd: FactorDecomposition,
-                         workers: int = 1) -> np.ndarray:
-    """Per-axis inertia sum_j f_j G_a(j)^2 over non-trivial axes."""
-    total = np.zeros(fd.n_nontrivial)
-    for part in map_projection_blocks(
-            fm, fd, lambda j0, j1, S: _square_in_place(S).sum(axis=1), workers):
-        total += part
-    return total
-
-
-def absolute_contribution(fm: FrequencyModel, fd: FactorDecomposition,
-                          column: int) -> tuple[np.ndarray, float]:
-    """Per-axis absolute contributions f_j G_a(j)^2 of one column, and their sum."""
-    g = column_projection(fm, fd, column)
-    fj = fm.col_masses[column]
-    per_axis = fj * g * g
-    if fd.include_trivial:
-        per_axis = np.concatenate(([fj], per_axis))
-    return per_axis, float(per_axis.sum())
-
-
-def relative_contribution(fm: FrequencyModel, fd: FactorDecomposition,
-                          column: int, workers: int = 1, *,
-                          axis_inertia: np.ndarray | None = None
-                          ) -> tuple[np.ndarray, float]:
-    """Per-axis relative contributions of one column, and their sum.
-
-    Per axis these sum to 1 over all columns; summed over the nu retained
-    axes and averaged over columns they give exactly nu / |J|. The
-    denominators are the per-axis column inertias: pass
-    ``report.axis_column_inertia`` or ``axis_column_inertias(fm, fd)`` to
-    reuse them, otherwise they are computed here in one streaming pass.
-    """
-    g = column_projection(fm, fd, column)
-    fj = fm.col_masses[column]
-    if axis_inertia is None:
-        axis_inertia = axis_column_inertias(fm, fd, workers)
-    per_axis = fj * g * g * _inv_pos(axis_inertia)
-    if fd.include_trivial:
-        per_axis = np.concatenate(([fj], per_axis))
-    return per_axis, float(per_axis.sum())
 
 
 def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,

@@ -27,6 +27,9 @@ thread has one scratch buffer of one block per pass, reused by its next
 block. The caller's reduction runs on the block inside the same worker
 (``map_projection_blocks``), so only small per-block partials leave it, and
 they are merged in block order: outputs do not depend on the worker count.
+Column projections are public only block by block (``projection_blocks``);
+per-column contributions and chi-squared distances come from the
+contribution report.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); it is rejected above ``MAX_DUAL_ROWS``.
@@ -45,6 +48,9 @@ from .store import CountMatrix, column_blocks, column_sums, ordered_block_map
 
 MAX_DUAL_ROWS = 32768
 
+# Non-trivial axes below _REL_EIG_TOL times the largest non-trivial
+# eigenvalue are dropped.
+_REL_EIG_TOL = 1e-12
 # Eigenvalues below n_rows * eps are indistinguishable from the deflation
 # residual of the unit-norm trivial axis, whatever the data.
 _ABS_EIG_FLOOR_PER_ROW = np.finfo(np.float64).eps
@@ -83,15 +89,6 @@ class FrequencyModel:
         return self.n_rows - self.excluded_rows.size
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Conditional distribution of one row or column; coordinates sum to 1."""
-
-    axis: str
-    index: int
-    coordinates: np.ndarray
-
-
 @dataclass
 class FactorDecomposition:
     """Eigenvalues, row projections, and the basis needed to stream columns.
@@ -112,10 +109,6 @@ class FactorDecomposition:
     def n_nontrivial(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def nontrivial_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[1:] if self.include_trivial else self.eigenvalues
-
 
 def build_frequency_model(m: CountMatrix) -> FrequencyModel:
     """Convert counts to frequencies with row/column mass distributions."""
@@ -132,33 +125,6 @@ def build_frequency_model(m: CountMatrix) -> FrequencyModel:
         excluded_rows=np.flatnonzero(row_masses == 0.0),
         excluded_cols=np.flatnonzero(col_masses == 0.0),
     )
-
-
-def profile(fm: FrequencyModel, axis: str, index: int) -> Profile:
-    """Row profile f_ij / f_i or column profile f_ij / f_j."""
-    if axis not in ("row", "column"):
-        raise ValidationError(f"axis must be 'row' or 'column', got {axis!r}")
-    m = fm.matrix
-    if axis == "row":
-        if not 0 <= index < m.n_rows:
-            raise ValidationError(f"row index {index} out of range")
-        total = m.row_sums()[index]
-        if total == 0.0:
-            raise ValidationError(f"row {index} has zero mass, no profile")
-        if m.is_sparse:
-            coords = np.asarray(m.sparse[index, :].todense()).ravel() / total
-        else:
-            coords = m.dense[index] / total
-    else:
-        if not 0 <= index < m.n_cols:
-            raise ValidationError(f"column index {index} out of range")
-        total = column_sums(m)[index]
-        if total == 0.0:
-            raise ValidationError(f"column {index} has zero mass, no profile")
-        rows, vals = m.column_entries(index)
-        coords = np.zeros(m.n_rows)
-        coords[rows] = vals / total
-    return Profile(axis=axis, index=index, coordinates=coords)
 
 
 def _inv_pos(x: np.ndarray) -> np.ndarray:
@@ -254,12 +220,12 @@ class _BlockKernel:
 
 
 def decompose(fm: FrequencyModel, include_trivial: bool = True,
-              tol: float = 1e-12, workers: int = 1) -> FactorDecomposition:
+              workers: int = 1) -> FactorDecomposition:
     """Eigendecompose the dual-space operator and build row projections.
 
-    ``tol`` is the relative eigenvalue cutoff: non-trivial axes below
-    ``tol * max(non-trivial eigenvalue)`` are dropped, as are axes below the
-    absolute noise floor ``n_rows * eps``. The retained count never exceeds
+    Non-trivial axes below ``_REL_EIG_TOL * max(non-trivial eigenvalue)``
+    are dropped, as are axes below the absolute noise floor
+    ``n_rows * eps``. The retained count never exceeds
     min(effective rows, effective cols) - 1 non-trivial axes.
     """
     m = fm.matrix
@@ -292,7 +258,7 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
 
     order = np.argsort(-lams, kind="stable")
     lams, U = lams[order], U[:, order]
-    floor = max(float(lams[0]) * tol if lams.size else 0.0,
+    floor = max(float(lams[0]) * _REL_EIG_TOL if lams.size else 0.0,
                 m.n_rows * _ABS_EIG_FLOOR_PER_ROW)
     n_keep = int(np.searchsorted(-lams, -floor, side="right"))
     max_rank = max(0, min(fm.n_rows_effective, fm.n_cols_effective) - 1)
@@ -358,33 +324,3 @@ def projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     return ordered_block_map(
         lambda j0, j1: (j0, j1, kernel.projections(j0, j1).copy(order="K")),
         column_blocks(fm.n_rows, fm.n_cols), workers)
-
-
-def column_projection(fm: FrequencyModel, fd: FactorDecomposition,
-                      column: int) -> np.ndarray:
-    """Non-trivial projections G_a(column) of one nonzero-mass column."""
-    if not 0 <= column < fm.n_cols:
-        raise ValidationError(f"column index {column} out of range")
-    if column_sums(fm.matrix)[column] == 0.0:
-        raise ValidationError(f"column {column} has zero mass")
-    return _BlockKernel(fm, fd.basis).projections(column, column + 1)[:, 0].copy()
-
-
-def column_projections(fm: FrequencyModel, fd: FactorDecomposition,
-                       workers: int = 1):
-    """Iterate (j, projections) per nonzero-mass column, ascending j.
-
-    Each vector has ``fd.nu`` entries; when the trivial axis is included its
-    projection is the constant 1. Zero-mass columns are skipped (they are
-    listed in ``fm.excluded_cols``).
-    """
-    nonzero = column_sums(fm.matrix) > 0
-    for j0, j1, G in projection_blocks(fm, fd, workers):
-        for j in range(j0, j1):
-            if not nonzero[j]:
-                continue
-            g = G[:, j - j0]
-            if fd.include_trivial:
-                yield j, np.concatenate(([1.0], g))
-            else:
-                yield j, g.copy()

@@ -52,10 +52,11 @@ class CountMatrix:
 
     Construction enforces the invariants all downstream analysis relies on:
     finite nonnegative values, row and grand totals that are finite (do not
-    overflow float64), a positive grand total, in-range indices, and
-    (for sparse storage) unique (row, col) pairs grouped by column. Zero
-    columns and zero rows are retained; the frequency model records their
-    indices so profile-based computations can exclude them.
+    overflow float64), a positive grand total, in-range indices, and (for
+    sparse storage) a scipy CSC matrix in canonical format: row indices
+    sorted within each column, no duplicate (row, col) pairs. Zero columns
+    and zero rows are retained; the frequency model records their indices
+    so profile-based computations can exclude them.
     """
 
     def __init__(self, dense: np.ndarray | None = None,
@@ -67,6 +68,10 @@ class CountMatrix:
         if dense is not None:
             self.n_rows, self.n_cols = dense.shape
         else:
+            if getattr(sparse, "format", None) != "csc" \
+                    or not sparse.has_canonical_format:
+                raise ValidationError("sparse storage must be a CSC matrix "
+                                      "with sorted, unique row indices")
             self.n_rows, self.n_cols = sparse.shape
         self._row_sums: np.ndarray | None = None
         self._col_sums: np.ndarray | None = None
@@ -179,16 +184,6 @@ class CountMatrix:
             return self._sparse[:, j0:j1].toarray()
         return self._dense[:, j0:j1]
 
-    def column_entries(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero entries of column ``j`` as (row indices, values)."""
-        if self.is_sparse:
-            m = self._sparse
-            lo, hi = m.indptr[j], m.indptr[j + 1]
-            return m.indices[lo:hi].astype(np.int64), m.data[lo:hi]
-        col = self._dense[:, j]
-        rows = np.flatnonzero(col)
-        return rows, col[rows]
-
 
 @dataclass(frozen=True)
 class SignalSeries:
@@ -299,10 +294,10 @@ def save_matrix(m: CountMatrix, path: str, fmt: str = DENSE_CSV) -> None:
                 fh.write(row * len(block) % tuple(block.ravel().tolist()))
         return
     if fmt == TRIPLET:
-        if m.is_sparse:
-            coo = m.sparse.tocoo()
-            order = np.lexsort((coo.row, coo.col))
-            rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+        if m.is_sparse:  # canonical CSC: already sorted by (col, row)
+            csc = m.sparse
+            rows, vals = csc.indices, csc.data
+            cols = np.repeat(np.arange(m.n_cols), np.diff(csc.indptr))
         else:
             cols, rows = np.nonzero(m.dense.T)  # column-major: sorted by (col, row)
             vals = m.dense[rows, cols]

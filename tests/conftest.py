@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wideca import CountMatrix
+from wideca.engine import projection_blocks
 
 
 def svd_oracle(K: np.ndarray):
@@ -47,6 +48,20 @@ def oracle_rank(K: np.ndarray, tol: float = 1e-11) -> int:
     """Number of non-trivial axes the oracle considers genuine."""
     lam, _, _ = svd_oracle(K)
     return int((lam > tol * max(lam.max(), 1e-300)).sum())
+
+
+def column_projections(fm, fd) -> np.ndarray:
+    """Non-trivial column projections G of every column, (axes, n_cols)."""
+    return np.concatenate([G for _, _, G in projection_blocks(fm, fd)], axis=1)
+
+
+def chi2_distances(fm, rep) -> np.ndarray:
+    """chi^2 distance of each column profile to the centroid from a report
+    with the trivial axis included: abs_j / f_j - 1 (0 for zero-mass
+    columns)."""
+    fj = fm.col_masses
+    return np.divide(rep.per_column_absolute, fj, out=np.ones_like(fj),
+                     where=fj > 0) - 1.0
 
 
 def random_count_matrix(rng: np.random.Generator, n_rows: int, n_cols: int,

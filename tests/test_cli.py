@@ -235,6 +235,16 @@ def test_exit_code_reproduce_zero_seeds(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table", ["1", "2-synthetic", "3", "4"])
+@pytest.mark.parametrize("dims, bad", [("100,-1", -1), ("0", 0)])
+def test_exit_code_reproduce_dim_below_one(tmp_path, capsys, table, dims, bad):
+    out = tmp_path / "t.csv"
+    assert run("reproduce", "--table", table, "--dims", dims, "-o", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: dimension {bad} must be at least 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header, message", [
     ("%3 2 -1", "line 1: negative triplet count -1"),
     ("%0 2 2", "line 1: matrix dimensions must be positive"),

@@ -4,11 +4,11 @@ import sys
 import numpy as np
 import pytest
 from conftest import (K0, K0_CHI2_PER_COLUMN, K0_TOTAL_CENTERED_INERTIA,
-                      random_count_matrix, svd_oracle)
+                      chi2_distances, column_projections, random_count_matrix,
+                      svd_oracle)
 
-from wideca import (CountMatrix, ValidationError, absolute_contribution,
-                    build_frequency_model, chi2_distance_to_centroid,
-                    concentration_report, decompose, relative_contribution)
+from wideca import (CountMatrix, ValidationError, build_frequency_model,
+                    concentration_report, decompose)
 from wideca.contributions import REPORT_FIELDS
 
 
@@ -20,21 +20,31 @@ def analyze(m, include_trivial=True):
     return fm, fd
 
 
+def report(m, include_trivial=True):
+    fm, fd = analyze(m, include_trivial)
+    return fm, fd, concentration_report(fm, fd)
+
+
+def direct_absolute(K):
+    """abs_j = sum_i k_ij^2 / (k_i k_j), trivial axis included, computed
+    without any factorization."""
+    K = np.asarray(K, dtype=np.float64)
+    return (K ** 2 / K.sum(axis=1)[:, None]).sum(axis=0) / K.sum(axis=0)
+
+
 # -- chi-squared distances ------------------------------------------------------
 
 def test_chi2_uniform_matrix_is_zero():
-    fm, _ = analyze(np.ones((4, 5)))
-    for j in range(5):
-        assert chi2_distance_to_centroid(fm, j) == pytest.approx(0.0, abs=1e-14)
+    fm, _, rep = report(np.ones((4, 5)))
+    np.testing.assert_allclose(chi2_distances(fm, rep), 0.0, atol=1e-14)
 
 
 def test_chi2_k0_matches_projection_sum():
-    fm, fd = analyze(K0)
+    fm, _, rep = report(K0)
     _, _, G_o = svd_oracle(K0)
-    for j in range(4):
-        d = chi2_distance_to_centroid(fm, j)
-        assert d == pytest.approx(K0_CHI2_PER_COLUMN, abs=1e-12)
-        assert d == pytest.approx(float((G_o[:2, j] ** 2).sum()), abs=1e-10)
+    d = chi2_distances(fm, rep)
+    np.testing.assert_allclose(d, K0_CHI2_PER_COLUMN, atol=1e-12)
+    np.testing.assert_allclose(d, (G_o[:2] ** 2).sum(axis=0), atol=1e-10)
 
 
 def test_chi2_single_one_column():
@@ -42,25 +52,27 @@ def test_chi2_single_one_column():
     K = np.array([[1.0, 1, 1, 1],
                   [1.0, 1, 0, 1],
                   [1.0, 1, 0, 1]])
-    fm, _ = analyze(K)
+    fm, _, rep = report(K)
     fi = fm.row_masses[0]
-    assert chi2_distance_to_centroid(fm, 2) == pytest.approx(1 / fi - 1,
-                                                             rel=1e-12)
+    assert chi2_distances(fm, rep)[2] == pytest.approx(1 / fi - 1, rel=1e-12)
 
 
-def test_chi2_zero_mass_column_errors():
-    fm, _ = analyze(np.array([[1.0, 0], [2, 0]]))
-    with pytest.raises(ValidationError, match="zero mass"):
-        chi2_distance_to_centroid(fm, 1)
+def test_chi2_zero_mass_column_excluded():
+    # a zero-mass column has no profile: excluded, contributing nothing
+    fm, _, rep = report(np.array([[1.0, 0, 3], [2, 0, 1]]))
+    np.testing.assert_array_equal(rep.excluded_cols, [1])
+    assert rep.per_column_absolute[1] == rep.per_column_relative[1] == 0.0
+    np.testing.assert_allclose(chi2_distances(fm, rep)[[0, 2]],
+                               direct_absolute([[1.0, 3], [2, 1]])
+                               / fm.col_masses[[0, 2]] - 1.0, rtol=1e-12)
 
 
 def test_chi2_equals_nontrivial_projection_sum(rng):
     m = random_count_matrix(rng, 10, 24, "sparse")
-    fm, fd = analyze(m)
-    from wideca import column_projections
-    for j, g in column_projections(fm, fd):
-        assert chi2_distance_to_centroid(fm, j) == pytest.approx(
-            float((g[1:] ** 2).sum()), abs=1e-9)
+    fm, fd, rep = report(m)
+    G = column_projections(fm, fd)
+    np.testing.assert_allclose(chi2_distances(fm, rep), (G ** 2).sum(axis=0),
+                               atol=1e-9)
 
 
 # -- per-column contributions ---------------------------------------------------
@@ -68,48 +80,44 @@ def test_chi2_equals_nontrivial_projection_sum(rng):
 def test_absolute_contribution_identical_rows():
     # identical rows: only the trivial axis, total equals f_j
     K = np.vstack([np.array([1.0, 2, 3, 4])] * 3)
-    fm, fd = analyze(K)
+    fm, fd, rep = report(K)
     assert fd.nu == 1
-    for j in range(4):
-        per_axis, total = absolute_contribution(fm, fd, j)
-        assert total == pytest.approx(fm.col_masses[j], rel=1e-12)
-        assert per_axis.size == 1
+    np.testing.assert_allclose(rep.per_column_absolute, fm.col_masses,
+                               rtol=1e-12)
+    assert rep.axis_column_inertia.size == 0
 
 
 def test_relative_contribution_trivial_axis_is_mass(rng):
     m = random_count_matrix(rng, 6, 14, "counts")
-    fm, fd = analyze(m)
-    for j in (0, 5, 13):
-        per_axis, _ = relative_contribution(fm, fd, j)
-        assert per_axis[0] == pytest.approx(fm.col_masses[j], rel=1e-12)
+    fm = build_frequency_model(m)
+    with_t = concentration_report(fm, decompose(fm, include_trivial=True))
+    without = concentration_report(fm, decompose(fm, include_trivial=False))
+    np.testing.assert_allclose(
+        with_t.per_column_relative - without.per_column_relative,
+        fm.col_masses, rtol=1e-12, atol=1e-15)
 
 
 def test_absolute_contributions_sum_to_inertia(rng):
     m = random_count_matrix(rng, 9, 31, "uniform")
-    fm, fd = analyze(m)
-    totals = [absolute_contribution(fm, fd, j)[1] for j in range(31)]
-    assert sum(totals) == pytest.approx(fd.eigenvalues.sum(), abs=1e-8)
+    fm, fd, rep = report(m)
+    np.testing.assert_allclose(rep.per_column_absolute,
+                               direct_absolute(m.to_dense()), rtol=1e-10)
+    assert rep.per_column_absolute.sum() == pytest.approx(fd.eigenvalues.sum(),
+                                                          abs=1e-8)
 
 
 def test_per_axis_relative_sums_to_one(rng):
+    # f_j G_a(j)^2 / I_a over columns sums to 1 per axis, and summed over
+    # axes gives the report's per-column relative contributions
     m = random_count_matrix(rng, 8, 22, "boolean")
-    fm, fd = analyze(m)
-    per_axis = np.stack([relative_contribution(fm, fd, j)[0]
-                         for j in range(22)])
-    np.testing.assert_allclose(per_axis.sum(axis=0), 1.0, atol=1e-10)
-
-
-def test_relative_contribution_takes_report_inertia(rng):
-    from wideca.contributions import axis_column_inertias
-    m = random_count_matrix(rng, 7, 19, "counts")
-    fm, fd = analyze(m)
-    rep = concentration_report(fm, fd)
-    assert (axis_column_inertias(fm, fd) == rep.axis_column_inertia).all()
-    for j in (0, 9, 18):
-        given = relative_contribution(fm, fd, j,
-                                      axis_inertia=rep.axis_column_inertia)
-        computed = relative_contribution(fm, fd, j)
-        assert (given[0] == computed[0]).all() and given[1] == computed[1]
+    fm, fd, rep = report(m)
+    S2 = column_projections(fm, fd) ** 2 * fm.col_masses
+    np.testing.assert_allclose(S2.sum(axis=1), rep.axis_column_inertia,
+                               rtol=1e-12)
+    per_axis = S2 / rep.axis_column_inertia[:, None]
+    np.testing.assert_allclose(per_axis.sum(axis=1), 1.0, atol=1e-10)
+    np.testing.assert_allclose(fm.col_masses + per_axis.sum(axis=0),
+                               rep.per_column_relative, rtol=1e-12)
 
 
 # -- concentration report ---------------------------------------------------------
@@ -135,11 +143,10 @@ def test_axis_inertia_matches_eigenvalues(rng):
     rep = concentration_report(fm, fd)
     np.testing.assert_allclose(rep.axis_column_inertia,
                                fd.eigenvalues[1:], atol=1e-8)
-    # rho^2(j) = sum_a G_a^2(j): full-rank case
-    from wideca import column_projections
-    for j, g in column_projections(fm, fd):
-        rho2 = rep.per_column_absolute[j] / fm.col_masses[j]
-        assert rho2 == pytest.approx(float((g ** 2).sum()), abs=1e-8)
+    # rho^2(j) = 1 + sum_a G_a^2(j): full-rank case
+    rho2 = rep.per_column_absolute / fm.col_masses
+    np.testing.assert_allclose(
+        rho2, 1.0 + (column_projections(fm, fd) ** 2).sum(axis=0), atol=1e-8)
 
 
 def test_mean_relative_is_exact_identity(rng):
@@ -318,12 +325,6 @@ def test_workers_below_one_rejected(rng):
 SMALL_BLOCK_ELEMS = 60_000  # 2,000 columns per block at 30 rows
 
 
-def _report_values(m):
-    fm = build_frequency_model(m)
-    fd = decompose(fm)
-    return fm, fd, concentration_report(fm, fd)
-
-
 def _assert_reports_close(rep, ref, rtol):
     for name in REPORT_FIELDS:
         assert getattr(rep, name) == pytest.approx(getattr(ref, name),
@@ -339,22 +340,21 @@ def test_report_scale_invariant_at_extreme_range(rng, monkeypatch, scale):
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
     K = rng.random((30, 9_000))
     assert len(list(column_blocks(*K.shape))) > 1
-    _, _, ref = _report_values(CountMatrix.from_dense(K))
-    _, _, rep = _report_values(CountMatrix.from_dense(K * scale))
+    _, _, ref = report(CountMatrix.from_dense(K))
+    _, _, rep = report(CountMatrix.from_dense(K * scale))
     _assert_reports_close(rep, ref, rtol=1e-12)
 
 
 def test_tiny_mass_column_keeps_contribution_and_max(rng, monkeypatch):
     # One column holds a single 1e-200 entry: its relative mass is about
     # 1e-205, and its projections are among the largest of the cloud.
-    from wideca.engine import projection_blocks
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
     K = rng.random((30, 9_000))
     j = 4_321
     K[:, j] = 0.0
     K[7, j] = 1e-200
-    fm, fd, rep = _report_values(CountMatrix.from_dense(K))
-    G = np.concatenate([G for _, _, G in projection_blocks(fm, fd)], axis=1)
+    fm, fd, rep = report(CountMatrix.from_dense(K))
+    G = column_projections(fm, fd)
     fj = fm.col_masses[j]
     assert 0 < fj < 1e-200
     expected = fj * (1.0 + float((G[:, j] ** 2).sum()))
@@ -367,7 +367,6 @@ def test_tiny_mass_column_keeps_contribution_and_max(rng, monkeypatch):
 @pytest.mark.parametrize("sparse", [False, True])
 def test_zero_mass_columns_raise_no_warning(rng, monkeypatch, sparse):
     import warnings
-    from wideca.contributions import axis_column_inertias
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
     K = np.where(rng.random((30, 9_000)) < 0.3, rng.random((30, 9_000)), 0.0)
     K[:, [0, 2_500, 8_999]] = 0.0
@@ -377,9 +376,7 @@ def test_zero_mass_columns_raise_no_warning(rng, monkeypatch, sparse):
         else CountMatrix.from_dense(K)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fm, fd, rep = _report_values(m)
-        axis_column_inertias(fm, fd)
-        relative_contribution(fm, fd, 1, axis_inertia=rep.axis_column_inertia)
+        fm, fd, rep = report(m)
     np.testing.assert_array_equal(rep.excluded_cols, [0, 2_500, 8_999])
     assert (rep.per_column_absolute[rep.excluded_cols] == 0.0).all()
     assert (rep.per_column_relative[rep.excluded_cols] == 0.0).all()
@@ -392,7 +389,7 @@ def test_sparse_and_dense_storage_agree(rng, monkeypatch):
     K = np.where(rng.random((30, 9_000)) < 0.2, rng.random((30, 9_000)), 0.0)
     K[:, [17, 6_000]] = 0.0
     coo = np.nonzero(K)
-    _, _, dense = _report_values(CountMatrix.from_dense(K))
-    _, _, sparse = _report_values(
+    _, _, dense = report(CountMatrix.from_dense(K))
+    _, _, sparse = report(
         CountMatrix.from_triplets(30, 9_000, *coo, K[coo]))
     _assert_reports_close(sparse, dense, rtol=1e-11)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import K0, K0_EIGENVALUES, random_count_matrix, svd_oracle
+from conftest import (K0, K0_CHI2_PER_COLUMN, K0_EIGENVALUES, chi2_distances,
+                      column_projections, random_count_matrix, svd_oracle)
 
 from wideca import (CountMatrix, ValidationError, build_frequency_model,
-                    column_projections, decompose, profile)
+                    concentration_report, decompose)
 from wideca.engine import projection_blocks
 
 
@@ -56,32 +57,35 @@ def test_zero_column_recorded():
 
 
 # -- profiles ------------------------------------------------------------------
+# A profile's chi-squared distance to the centroid is its absolute
+# contribution over its mass, minus the trivial axis' 1.
 
 def test_profiles_uniform():
-    fm = build_frequency_model(CountMatrix.from_dense([[1, 1], [1, 1]]))
-    for axis in ("row", "column"):
-        p = profile(fm, axis, 0)
-        np.testing.assert_allclose(p.coordinates, [0.5, 0.5])
+    # every row and column profile is the centroid
+    fm, fd = analyze(np.ones((2, 2)))
+    rep = concentration_report(fm, fd)
+    np.testing.assert_allclose(chi2_distances(fm, rep), 0.0, atol=1e-15)
+    np.testing.assert_allclose(rep.per_row_absolute / fm.row_masses - 1.0, 0.0,
+                               atol=1e-15)
 
 
 def test_profile_k0_column0():
-    fm = build_frequency_model(CountMatrix.from_dense(K0))
-    p = profile(fm, "column", 0)
-    np.testing.assert_allclose(p.coordinates, [2 / 3, 1 / 3, 0.0])
-
-
-def test_profile_zero_mass_errors():
-    fm = build_frequency_model(CountMatrix.from_dense([[1, 0], [1, 0]]))
-    with pytest.raises(ValidationError, match="zero mass"):
-        profile(fm, "column", 1)
+    # profile (2/3, 1/3, 0) against row masses (1/3, 1/3, 1/3), by hand
+    fm, fd = analyze(K0)
+    chi2 = chi2_distances(fm, concentration_report(fm, fd))
+    by_hand = sum((p - 1 / 3) ** 2 / (1 / 3) for p in (2 / 3, 1 / 3, 0.0))
+    assert by_hand == pytest.approx(K0_CHI2_PER_COLUMN, rel=1e-15)
+    assert chi2[0] == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_profiles_sum_to_one(rng):
+    # profiles f_ij / f_j and f_ij / f_i of sparse storage sum to 1 under
+    # the model's masses
     fm = build_frequency_model(random_count_matrix(rng, 9, 21, "sparse"))
-    for j in (0, 7, 20):
-        assert abs(profile(fm, "column", j).coordinates.sum() - 1) < 1e-12
-    for i in (0, 8):
-        assert abs(profile(fm, "row", i).coordinates.sum() - 1) < 1e-12
+    F = fm.matrix.to_dense() / fm.grand_total
+    np.testing.assert_allclose((F / fm.col_masses).sum(axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose((F / fm.row_masses[:, None]).sum(axis=1), 1.0,
+                               atol=1e-12)
 
 
 # -- decomposition -------------------------------------------------------------
@@ -112,9 +116,9 @@ def test_k0_eigenvalues_match_frozen_oracle():
 def test_k0_projections_satisfy_axis_inertia():
     # lambda_a = sum_j f_j G_a(j)^2 to 1e-10 on the frozen example
     fm, fd = analyze(K0)
-    G = np.column_stack([g for _, g in column_projections(fm, fd)])
+    G = column_projections(fm, fd)
     lam_hat = (G * G) @ fm.col_masses
-    np.testing.assert_allclose(lam_hat, fd.eigenvalues, atol=1e-10)
+    np.testing.assert_allclose(lam_hat, fd.eigenvalues[1:], atol=1e-10)
 
 
 def test_trivial_axis_projections_are_one(rng):
@@ -171,15 +175,15 @@ def test_oracle_equivalence_small(rng):
         np.testing.assert_allclose(fd.eigenvalues[1:], lam_o[:n], atol=1e-11)
         np.testing.assert_allclose(fd.row_projections[:, 1:], F_o[:, :n],
                                    atol=1e-9)
-        G = np.column_stack([g for _, g in column_projections(fm, fd)])
-        np.testing.assert_allclose(G[1:], G_o[:n], atol=1e-9)
+        G = column_projections(fm, fd)
+        np.testing.assert_allclose(G, G_o[:n], atol=1e-9)
 
 
 def test_transition_duality(rng):
     # F_a(i) = (1/sqrt(lam_a)) sum_j (f_ij/f_i) G_a(j) for non-trivial axes
     K = rng.random((9, 17)) + 0.01
     fm, fd = analyze(K)
-    G = np.column_stack([g for _, g in column_projections(fm, fd)])[1:]
+    G = column_projections(fm, fd)
     prof = (K / K.sum(axis=1)[:, None])
     lam = fd.eigenvalues[1:]
     F_back = (prof @ G.T) / np.sqrt(lam)[None, :]
@@ -189,24 +193,29 @@ def test_transition_duality(rng):
 def test_column_projection_orthogonality(rng):
     K = rng.random((8, 30)) + 0.01
     fm, fd = analyze(K)
-    G = np.column_stack([g for _, g in column_projections(fm, fd)])
+    G = column_projections(fm, fd)
     fj = fm.col_masses
     gram = (G * fj[None, :]) @ G.T
-    np.testing.assert_allclose(gram, np.diag(fd.eigenvalues), atol=1e-8)
+    np.testing.assert_allclose(gram, np.diag(fd.eigenvalues[1:]), atol=1e-8)
 
 
 def test_trivial_column_projection_is_one(rng):
-    fm = build_frequency_model(random_count_matrix(rng, 7, 19, "counts"))
+    # transition formula on the trivial axis: G_0(j) = sum_i (f_ij/f_j) F_0(i)
+    m = random_count_matrix(rng, 7, 19, "counts")
+    fm = build_frequency_model(m)
     fd = decompose(fm)
-    for _, g in column_projections(fm, fd):
-        assert abs(g[0] - 1.0) < 1e-10
+    K = m.to_dense()
+    G0 = (K / K.sum(axis=0)).T @ fd.row_projections[:, 0]
+    np.testing.assert_allclose(G0, 1.0, atol=1e-10)
 
 
 def test_zero_mass_column_skipped():
     K = np.array([[1.0, 0, 2], [3, 0, 1]])
     fm, fd = analyze(K)
-    visited = [j for j, _ in column_projections(fm, fd)]
-    assert visited == [0, 2]
+    assert (column_projections(fm, fd)[:, 1] == 0.0).all()
+    rep = concentration_report(fm, fd)
+    np.testing.assert_array_equal(rep.excluded_cols, [1])
+    assert rep.n_cols_effective == 2
 
 
 def test_sparse_dense_same_decomposition(rng):

@@ -275,6 +275,36 @@ def test_triplet_out_of_range_rejected():
         CountMatrix.from_triplets(2, 2, [0, 2], [0, 1], [1.0, 1.0])
 
 
+NOT_CANONICAL = "^sparse storage must be a CSC matrix with sorted, unique row indices$"
+
+
+@pytest.mark.parametrize("indices", [[0, 0], [1, 0]], ids=["duplicate", "unsorted"])
+def test_non_canonical_csc_rejected(indices):
+    # 2 x 3, both stored entries in column 0
+    import scipy.sparse as sp
+    csc = sp.csc_matrix((np.array([1.0, 2.0]), np.array(indices),
+                         np.array([0, 2, 2, 2])), shape=(2, 3))
+    with pytest.raises(ValidationError, match=NOT_CANONICAL):
+        CountMatrix(sparse=csc)
+
+
+def test_csr_storage_rejected():
+    import scipy.sparse as sp
+    with pytest.raises(ValidationError, match=NOT_CANONICAL):
+        CountMatrix(sparse=sp.csr_matrix(np.eye(2)))
+
+
+def test_canonical_csc_sources_accepted(tmp_path):
+    from wideca import gen_powerlaw_boolean
+    unsorted = CountMatrix.from_triplets(3, 2, [2, 0, 1], [1, 1, 0],
+                                         [1.0, 2.0, 3.0])
+    for m in (unsorted, gen_powerlaw_boolean(40, 300, seed=3)):
+        again = CountMatrix(sparse=m.sparse)
+        p = tmp_path / "m.tpl"
+        save_matrix(again, str(p), TRIPLET)
+        assert (load_matrix(str(p), TRIPLET).to_dense() == m.to_dense()).all()
+
+
 @pytest.mark.parametrize("fmt", [DENSE_CSV, TRIPLET])
 def test_roundtrip_bit_exact(tmp_path, fmt, rng):
     dense = rng.random((5, 7))
@@ -333,20 +363,13 @@ def test_column_sums_boolean_total_equals_nnz(rng):
     assert column_sums(m).sum() == len(uniq)
 
 
-def test_column_entries_visits_every_column():
-    m = CountMatrix.from_dense([[1, 2], [0, 1], [2, 0]])
-    seen = [(j, len(m.column_entries(j)[0])) for j in range(m.n_cols)]
-    assert seen == [(0, 2), (1, 2)]
-    rows, vals = m.column_entries(0)
-    assert rows.tolist() == [0, 2] and vals.tolist() == [1.0, 2.0]
-
-
-def test_column_entries_empty_column():
+def test_column_block_empty_column():
     m = CountMatrix.from_triplets(3, 7, [0, 1], [0, 6], [1.0, 2.0])
-    sizes = [m.column_entries(j)[0].size for j in range(7)]
-    assert sizes == [1, 0, 0, 0, 0, 0, 1]
-    rows, vals = m.column_entries(5)
-    assert rows.dtype == np.int64 and vals.size == 0
+    expected = np.zeros((3, 7))
+    expected[0, 0], expected[1, 6] = 1.0, 2.0
+    np.testing.assert_array_equal(m.column_block(0, 7), expected)
+    np.testing.assert_array_equal(m.column_block(5, 6), np.zeros((3, 1)))
+    np.testing.assert_array_equal(column_sums(m), [1, 0, 0, 0, 0, 0, 2])
 
 
 def test_signal_roundtrip(tmp_path, rng):
@@ -369,11 +392,6 @@ def test_column_access_reconstructs_matrix(rng, kind, monkeypatch):
     from conftest import random_count_matrix
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 40)  # 5 columns a block
     m = random_count_matrix(rng, 8, 23, kind)
-    by_entries = np.zeros((8, 23))
-    for j in range(23):
-        rows, vals = m.column_entries(j)
-        by_entries[rows, j] = vals
-    assert (by_entries == m.to_dense()).all()
     blocks = list(column_blocks(8, 23))
     assert len(blocks) == 5
     by_blocks = np.concatenate([m.column_block(j0, j1) for j0, j1 in blocks],

@@ -1,13 +1,15 @@
 import pytest
 
 from wideca import ValidationError
-from wideca.tables import (LARGE_DIM_LIMIT, embedding_table,
-                           powerlaw_concentration_table,
-                           powerlaw_exponent_table, uniform_cloud_table)
+from wideca import tables
+from wideca.tables import LARGE_DIM_LIMIT, sweep
+
+STAT_COLS = ["abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
+             "rel_median", "max_proj_cols", "max_proj_rows"]
 
 
 def test_uniform_table_structure():
-    rows = uniform_cloud_table(dims=(50, 200), seeds=2, base_seed=3)
+    rows = sweep("1", dims=(50, 200), seeds=2, base_seed=3)
     assert [r["dim"] for r in rows] == [50, 200]
     for r in rows:
         assert r["seeds"] == 2
@@ -18,13 +20,13 @@ def test_uniform_table_structure():
 
 
 def test_uniform_table_concentration_trend():
-    rows = uniform_cloud_table(dims=(100, 1000), seeds=2, base_seed=1)
+    rows = sweep("1", dims=(100, 1000), seeds=2, base_seed=1)
     assert rows[0]["abs_mean"] > rows[1]["abs_mean"]
     assert rows[0]["abs_sd"] > rows[1]["abs_sd"]
 
 
 def test_embedding_table_regime():
-    rows = embedding_table(dims=(100, 1000), seeds=2, base_seed=1)
+    rows = sweep("2-synthetic", dims=(100, 1000), seeds=2, base_seed=1)
     for r in rows:
         assert abs(r["abs_mean"] - 1.0 / r["dim"]) <= 0.01 / r["dim"]
         assert r["abs_sd"] <= 1e-5
@@ -32,8 +34,30 @@ def test_embedding_table_regime():
     assert rows[0]["abs_sd"] > rows[1]["abs_sd"]
 
 
+def test_embedding_table_shares_one_signal_per_seed(monkeypatch):
+    drawn, embedded = [], []
+    gen, embed = tables.gen_randomwalk_signal, tables.embed_signal
+
+    def gen_spy(n, start, seed, **kw):
+        sig = gen(n, start, seed, **kw)
+        drawn.append((seed, sig))
+        return sig
+
+    def embed_spy(sig, *args):
+        embedded.append(sig)
+        return embed(sig, *args)
+
+    monkeypatch.setattr(tables, "gen_randomwalk_signal", gen_spy)
+    monkeypatch.setattr(tables, "embed_signal", embed_spy)
+    sweep("2-synthetic", dims=(100, 300), seeds=2, base_seed=5)
+    assert [seed for seed, _ in drawn] == [5, 6]
+    signals = [sig for _, sig in drawn]
+    # dims outer, seeds inner: every dim embeds the same two signals
+    assert [id(s) for s in embedded] == [id(s) for s in signals * 2]
+
+
 def test_exponent_table_signs_and_regime():
-    rows = powerlaw_exponent_table(dims=(1052,), seeds=3, base_seed=1)
+    rows = sweep("3", dims=(1052,), seeds=3, base_seed=1)
     r = rows[0]
     assert -2.0 <= r["exponent"] <= -1.3
     assert 0.9 <= r["r_squared"] <= 1.0
@@ -42,24 +66,54 @@ def test_exponent_table_signs_and_regime():
 def test_exponent_table_reference_value_at_1052():
     # seed-mean fitted exponent at 1052 columns stays within 0.15 of the
     # reference value 1.49 (individual seeds scatter wider)
-    rows = powerlaw_exponent_table(dims=(1052,), seeds=10, base_seed=1)
+    rows = sweep("3", dims=(1052,), seeds=10, base_seed=1)
     assert abs(-rows[0]["exponent"] - 1.49) <= 0.15
 
 
 def test_powerlaw_concentration_density_column():
-    rows = powerlaw_concentration_table(dims=(1052,), seeds=2, base_seed=1)
+    rows = sweep("4", dims=(1052,), seeds=2, base_seed=1)
     assert 0.044 <= rows[0]["density"] <= 0.074
+
+
+def _spread(cols):
+    return [f"{c}_{end}" for c in cols for end in ("min", "max")]
+
+
+@pytest.mark.parametrize("table, dim, stats", [
+    ("1", 100, STAT_COLS),
+    ("2-synthetic", 100, STAT_COLS),
+    ("3", 1052, ["exponent", "r_squared"]),
+    ("4", 1052, STAT_COLS + ["density"]),
+])
+def test_table_column_order(table, dim, stats):
+    (row,) = sweep(table, dims=(dim,), seeds=1)
+    assert list(row) == ["dim", "seeds", *stats, *_spread(stats)]
 
 
 def test_large_dims_gated():
     with pytest.raises(ValidationError, match="allow_large"):
-        uniform_cloud_table(dims=(LARGE_DIM_LIMIT + 1,), seeds=1)
+        sweep("1", dims=(LARGE_DIM_LIMIT + 1,), seeds=1)
     with pytest.raises(ValidationError, match="allow_large"):
-        powerlaw_exponent_table(dims=(1_052_000,), seeds=1)
+        sweep("3", dims=(1_052_000,), seeds=1)
+
+
+def test_dims_checked_before_any_matrix(monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("a matrix was built before the dims were checked")
+
+    for name in ("gen_uniform", "gen_randomwalk_signal", "gen_powerlaw_boolean"):
+        monkeypatch.setattr(tables, name, unreachable)
+    for table in tables.TABLE_DIMS:
+        for dims in ((100, -1), (0,)):
+            with pytest.raises(ValidationError,
+                               match=f"^dimension {dims[-1]} must be at least 1$"):
+                sweep(table, dims=dims, seeds=1)
+    with pytest.raises(ValidationError, match="^unknown table '5'$"):
+        sweep("5", seeds=1)
 
 
 def test_seeds_are_paired_across_dims():
-    rows = uniform_cloud_table(dims=(60, 120), seeds=1, base_seed=9)
+    rows = sweep("1", dims=(60, 120), seeds=1, base_seed=9)
     # single seed: min == max == mean
     for r in rows:
         assert r["abs_mean"] == r["abs_mean_min"] == r["abs_mean_max"]
