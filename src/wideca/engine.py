@@ -17,18 +17,17 @@ coordinates are recovered afterwards by the transition formula
 in a second streaming pass, which keeps cost and memory linear in the number
 of columns. Row coordinates are F_a(i) = sqrt(lambda_a) u_a(i) / sqrt(f_i).
 
-Both passes run one block kernel over the fixed column-block grid. The W
-pass scales each block of K into a scratch buffer. The projection pass folds
-the row scaling into the basis once, Ub = U^T diag(1/sqrt(f_i)) / k, so a
-block's projections come from one product Ub K[:, j0:j1] that reads K where
-it is stored, and one in-place column pass: G = (Ub K) / f_j, or the
-standardized S = sqrt(f_j) G that the contribution statistics reduce. Each
-thread has one scratch buffer of one block per pass, reused by its next
-block. The caller's reduction runs on the block inside the same worker
-(``map_projection_blocks``), so only small per-block partials leave it, and
+Each pass is one block function over the fixed column-block grid, with its
+row and column scale vectors computed once per pass. The W pass
+(``block_gram`` in ``decompose``) scales each block of K into a scratch
+buffer and returns its Gram matrix. The projection pass
+(``map_projection_blocks``) folds the row scaling into the basis, so a
+block's projections come from one product that reads K where it is stored,
+and hands the standardized S = sqrt(f_j) G to the caller's reduction inside
+the same worker. Each thread has one scratch buffer of one block per pass,
+reused by its next block. Only small per-block partials leave a worker, and
 they are merged in block order: outputs do not depend on the worker count.
-Column projections are public only block by block (``projection_blocks``);
-per-column contributions and chi-squared distances come from the
+Per-column contributions and chi-squared distances come from the
 contribution report.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
@@ -145,80 +144,6 @@ class _Scratch(threading.local):
         return self.buf[:size].reshape(shape)
 
 
-class _BlockKernel:
-    """Column blocks of K, scaled for W or projected on the basis, one at a time.
-
-    In count units, with B = diag(1/sqrt(k_i)) K diag(1/sqrt(k_j)), the dual
-    operator is W = B B^T exactly (``scaled``). In mass units the transition
-    formula collapses to
-
-        G_a(j) = (1 / f_j) sum_i u_a(i) f_ij / sqrt(f_i)
-
-    since the sqrt(lambda_a) in F and the 1/sqrt(lambda_a) prefactor cancel.
-    The row scaling is folded into the basis once per pass,
-    Ub = U^T diag(1/sqrt(f_i)) / k, so the block product H = Ub K[:, j0:j1]
-    reads K where it is stored, with no scaled copy; one in-place column
-    pass then gives G = H / f_j, or the standardized S = H / sqrt(f_j) =
-    sqrt(f_j) G, whose square is exactly the contribution f_j G_a(j)^2.
-    S keeps the range that H^2 / f_j would lose for columns of relative
-    mass below about 1e-154.
-
-    Dense blocks live in per-thread scratch, one buffer per thread: a result
-    is valid until the same thread computes its next block. Sparse storage
-    gives a fresh F-ordered array, the transpose of a sparse-times-dense
-    product. The layout fixes the summation order of reductions over the
-    block, so it is part of the output contract.
-    """
-
-    def __init__(self, fm: FrequencyModel, basis: np.ndarray | None = None):
-        m = fm.matrix
-        self.m = m
-        self.scratch = _Scratch()
-        if basis is None:
-            self.inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
-            self.kj = column_sums(m)
-        else:
-            self.fj = fm.col_masses
-            # Ub^T, C-ordered: scipy's sparse-times-dense product takes it
-            # as it is, and its transpose is the BLAS operand Ub.
-            inv_sqrt_fi = _inv_pos(np.sqrt(fm.row_masses))
-            self.UbT = basis * inv_sqrt_fi[:, None] / fm.grand_total
-
-    def scaled(self, j0: int, j1: int):
-        """Columns [j0, j1) of B; dense or scipy sparse, matching the
-        matrix storage."""
-        m = self.m
-        col_scale = np.sqrt(_inv_pos(self.kj[j0:j1]))
-        if m.is_sparse:
-            blk = m.sparse[:, j0:j1].astype(np.float64, copy=True)
-            blk.data *= self.inv_sqrt_ki[blk.indices]
-            blk.data *= np.repeat(col_scale, np.diff(blk.indptr))
-            return blk
-        buf = self.scratch.take((m.n_rows, j1 - j0))
-        np.multiply(m.dense[:, j0:j1], self.inv_sqrt_ki[:, None], out=buf)
-        np.multiply(buf, col_scale[None, :], out=buf)
-        return buf
-
-    def _product(self, j0: int, j1: int, col_scale: np.ndarray) -> np.ndarray:
-        """(Ub K[:, j0:j1]) diag(col_scale), shape (n_nontrivial, j1 - j0)."""
-        m = self.m
-        if m.is_sparse:
-            H = (m.sparse[:, j0:j1].T @ self.UbT).T
-        else:
-            H = np.matmul(self.UbT.T, m.dense[:, j0:j1],
-                          out=self.scratch.take((self.UbT.shape[1], j1 - j0)))
-        return np.multiply(H, col_scale[None, :], out=H)
-
-    def projections(self, j0: int, j1: int) -> np.ndarray:
-        """Non-trivial projections G of columns [j0, j1); zero-mass columns
-        hold zeros."""
-        return self._product(j0, j1, _inv_pos(self.fj[j0:j1]))
-
-    def standardized(self, j0: int, j1: int) -> np.ndarray:
-        """S = sqrt(f_j) G of columns [j0, j1); zero-mass columns hold zeros."""
-        return self._product(j0, j1, _inv_pos(np.sqrt(self.fj[j0:j1])))
-
-
 def decompose(fm: FrequencyModel, include_trivial: bool = True,
               workers: int = 1) -> FactorDecomposition:
     """Eigendecompose the dual-space operator and build row projections.
@@ -233,13 +158,25 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
         raise ValidationError(
             f"dual-space route is designed for at most {MAX_DUAL_ROWS} rows; "
             f"got {m.n_rows}")
-    kernel = _BlockKernel(fm)
+    inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
+    inv_sqrt_kj = np.sqrt(_inv_pos(column_sums(m)))
+    scratch = _Scratch()
 
     def block_gram(j0: int, j1: int) -> np.ndarray:
-        blk = kernel.scaled(j0, j1)
+        """Gram matrix of columns [j0, j1) of B = diag(1/sqrt(k_i)) K
+        diag(1/sqrt(k_j)); in count units W = B B^T exactly. A dense block
+        is scaled into the thread's scratch buffer, a sparse one in a fresh
+        CSC copy."""
+        col_scale = inv_sqrt_kj[j0:j1]
         if m.is_sparse:
+            blk = m.sparse[:, j0:j1].astype(np.float64, copy=True)
+            blk.data *= inv_sqrt_ki[blk.indices]
+            blk.data *= np.repeat(col_scale, np.diff(blk.indptr))
             return (blk @ blk.T).toarray()
-        return blk @ blk.T
+        buf = scratch.take((m.n_rows, j1 - j0))
+        np.multiply(m.dense[:, j0:j1], inv_sqrt_ki[:, None], out=buf)
+        np.multiply(buf, col_scale[None, :], out=buf)
+        return buf @ buf.T
 
     W = np.zeros((m.n_rows, m.n_rows))
     for part in ordered_block_map(block_gram,
@@ -299,28 +236,43 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
                           reduce: Callable, workers: int = 1) -> Iterator:
     """Yield ``reduce(j0, j1, S)`` for every column block, in block order.
 
-    S is the block's standardized non-trivial projections sqrt(f_j) G (see
-    ``_BlockKernel.standardized``), so S^2 holds the contributions
-    f_j G_a(j)^2. ``reduce`` runs inside the worker that computed S and may
-    overwrite it, but must not keep it: a dense S is scratch that the
-    worker's next block reuses. The block grid is fixed by the matrix shape
-    (see ``column_blocks``), so merging the results in the order they come
-    keeps every reduction independent of ``workers``.
+    S, of shape (n_nontrivial, j1 - j0), holds the block's standardized
+    non-trivial projections S = sqrt(f_j) G, so S^2 is exactly the
+    contribution f_j G_a(j)^2; zero-mass columns hold zeros. In mass units
+    the transition formula collapses to
+
+        G_a(j) = (1 / f_j) sum_i u_a(i) f_ij / sqrt(f_i)
+
+    since the sqrt(lambda_a) in F and the 1/sqrt(lambda_a) prefactor cancel.
+    The row scaling is folded into the basis once per pass,
+    Ub = U^T diag(1/sqrt(f_i)) / k, so the block product H = Ub K[:, j0:j1]
+    reads K where it is stored, with no scaled copy, and one in-place column
+    pass gives S = H / sqrt(f_j). S keeps the range that H^2 / f_j would
+    lose for columns of relative mass below about 1e-154.
+
+    ``reduce`` runs inside the worker that computed S and may overwrite it,
+    but must not keep it: a dense S is the worker's scratch buffer, reused by
+    its next block. Sparse storage gives a fresh F-ordered S, the transpose
+    of a sparse-times-dense product. That layout fixes the summation order
+    of reductions over S, so it is part of the output contract. The block
+    grid is fixed by the matrix shape (see ``column_blocks``), so merging the
+    results in the order they come keeps every reduction independent of
+    ``workers``.
     """
-    kernel = _BlockKernel(fm, fd.basis)
-    return ordered_block_map(
-        lambda j0, j1: reduce(j0, j1, kernel.standardized(j0, j1)),
-        column_blocks(fm.n_rows, fm.n_cols), workers)
+    m = fm.matrix
+    # Ub^T, C-ordered: scipy's sparse-times-dense product takes it as it
+    # is, and its transpose is the BLAS operand Ub.
+    UbT = fd.basis * _inv_pos(np.sqrt(fm.row_masses))[:, None] / fm.grand_total
+    col_scale = _inv_pos(np.sqrt(fm.col_masses))
+    scratch = _Scratch()
 
+    def block(j0: int, j1: int):
+        if m.is_sparse:
+            S = (m.sparse[:, j0:j1].T @ UbT).T
+        else:
+            S = np.matmul(UbT.T, m.dense[:, j0:j1],
+                          out=scratch.take((UbT.shape[1], j1 - j0)))
+        np.multiply(S, col_scale[None, j0:j1], out=S)
+        return reduce(j0, j1, S)
 
-def projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
-                      workers: int = 1) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (j0, j1, G) with G the non-trivial column projections of a block.
-
-    G has shape (n_nontrivial, j1 - j0); zero-mass columns hold zeros. Each
-    G is a copy the caller may keep.
-    """
-    kernel = _BlockKernel(fm, fd.basis)
-    return ordered_block_map(
-        lambda j0, j1: (j0, j1, kernel.projections(j0, j1).copy(order="K")),
-        column_blocks(fm.n_rows, fm.n_cols), workers)
+    return ordered_block_map(block, column_blocks(fm.n_rows, fm.n_cols), workers)

@@ -18,7 +18,10 @@ bit-exact for float64. Writers render a chunk of lines with one ``%`` each,
 and loaders parse a whole file with one ``np.loadtxt`` call; only when that
 parse fails is the file scanned line by line, so that the ``ParseError``
 names the first bad line. A triplet header is checked before the body is
-read, and nothing is allocated from its ``nnz``.
+read, and nothing is allocated from its ``nnz``. A body that passes its
+checks (in range, sorted by column then row, no duplicates) already is CSC
+storage: its rows and values become the row indices and data, and only the
+column pointers are computed.
 
 scipy is imported only where a sparse matrix is built, so commands that
 handle dense matrices only never load it.
@@ -52,11 +55,12 @@ class CountMatrix:
 
     Construction enforces the invariants all downstream analysis relies on:
     finite nonnegative values, row and grand totals that are finite (do not
-    overflow float64), a positive grand total, in-range indices, and (for
-    sparse storage) a scipy CSC matrix in canonical format: row indices
-    sorted within each column, no duplicate (row, col) pairs. Zero columns
-    and zero rows are retained; the frequency model records their indices
-    so profile-based computations can exclude them.
+    overflow float64), a positive grand total, and (for sparse storage) a
+    scipy CSC matrix with non-decreasing column pointers, in canonical
+    format (row indices sorted within each column, no duplicate (row, col)
+    pairs) and with every row index in [0, n_rows). Zero columns and zero
+    rows are retained; the frequency model records their indices so
+    profile-based computations can exclude them.
     """
 
     def __init__(self, dense: np.ndarray | None = None,
@@ -68,10 +72,8 @@ class CountMatrix:
         if dense is not None:
             self.n_rows, self.n_cols = dense.shape
         else:
-            if getattr(sparse, "format", None) != "csc" \
-                    or not sparse.has_canonical_format:
-                raise ValidationError("sparse storage must be a CSC matrix "
-                                      "with sorted, unique row indices")
+            if getattr(sparse, "format", None) != "csc":
+                raise ValidationError(_NOT_CANONICAL)
             self.n_rows, self.n_cols = sparse.shape
         self._row_sums: np.ndarray | None = None
         self._col_sums: np.ndarray | None = None
@@ -108,13 +110,24 @@ class CountMatrix:
                 j = int(np.flatnonzero(dup)[0])
                 raise ValidationError(
                     f"duplicate triplet for (row={rows[j]}, col={cols[j]})")
+        return cls._from_sorted_triplets(n_rows, n_cols, rows, cols, values)
+
+    @classmethod
+    def _from_sorted_triplets(cls, n_rows: int, n_cols: int, rows: np.ndarray,
+                              cols: np.ndarray, values: np.ndarray) -> "CountMatrix":
+        """CSC storage of in-range triplets sorted by column then row, with
+        no duplicates: the arrays are the CSC row indices and data as they
+        are, and column j's entries start at the first index with col >= j."""
         import scipy.sparse as sp  # deferred: dense-only commands never load scipy
-        mat = sp.csc_matrix((values, (rows, cols)), shape=(n_rows, n_cols))
-        return cls(sparse=mat)
+        indptr = np.searchsorted(cols, np.arange(n_cols + 1))
+        return cls(sparse=sp.csc_matrix((values, rows, indptr),
+                                        shape=(n_rows, n_cols)))
 
     def _validate(self) -> None:
         if self.n_rows <= 0 or self.n_cols <= 0:
             raise ValidationError("matrix dimensions must be positive")
+        if self._sparse is not None:
+            _check_csc(self._sparse)
         vals = self._dense if self._dense is not None else self._sparse.data
         # A NaN or infinite entry makes its row sum non-finite, so the values
         # are scanned for one only when a row sum is. Overflow is reported
@@ -129,8 +142,8 @@ class CountMatrix:
                 i, j = np.unravel_index(int(np.argmin(self._dense)), self._dense.shape)
             else:
                 nz = int(np.argmin(self._sparse.data))
-                coo = self._sparse.tocoo()
-                i, j = int(coo.row[nz]), int(coo.col[nz])
+                i = int(self._sparse.indices[nz])
+                j = int(np.searchsorted(self._sparse.indptr, nz, side="right")) - 1
             raise ValidationError(f"negative value at (row={i}, col={j})")
         if not np.isfinite(total):
             raise ValidationError("matrix totals overflow float64")
@@ -178,11 +191,24 @@ class CountMatrix:
             return self._sparse.toarray()
         return self._dense
 
-    def column_block(self, j0: int, j1: int) -> np.ndarray:
-        """Dense (n_rows, j1-j0) slice of columns [j0, j1)."""
-        if self.is_sparse:
-            return self._sparse[:, j0:j1].toarray()
-        return self._dense[:, j0:j1]
+
+_NOT_CANONICAL = "sparse storage must be a CSC matrix with sorted, unique row indices"
+
+
+def _check_csc(csc: sp.csc_matrix) -> None:
+    """Column pointers, then row order and range, of CSC storage.
+
+    The pointers go first: scipy's canonical-format scan trusts them. The
+    arrays are only read, never pruned or recast.
+    """
+    if (np.diff(csc.indptr) < 0).any():
+        raise ValidationError("sparse column pointers must be non-decreasing")
+    if not csc.has_canonical_format:
+        raise ValidationError(_NOT_CANONICAL)
+    rows = csc.indices
+    if rows.size and (rows.min() < 0 or rows.max() >= csc.shape[0]):
+        raise ValidationError(
+            f"sparse row index out of range for {csc.shape[0]} rows")
 
 
 @dataclass(frozen=True)
@@ -209,18 +235,25 @@ class SignalSeries:
 def column_sums(m: CountMatrix) -> np.ndarray:
     """Per-column totals; their sum equals the grand total.
 
-    Sparse columns are summed through dense blocks so the reduction tree per
-    column matches the dense representation bit for bit.
+    Both storage forms add each column's entries one at a time in row order:
+    numpy sums a C-ordered array down its rows that way, and ``np.bincount``
+    adds the CSC entries in stored order. So sparse and dense storage of a
+    matrix with two or more columns give the same sums bit for bit. (Dense
+    storage of a single column is contiguous, and numpy sums it pairwise.)
     """
     if m._col_sums is None:
         if m.is_sparse:
-            sums = np.empty(m.n_cols)
-            for j0, j1 in column_blocks(m.n_rows, m.n_cols):
-                sums[j0:j1] = m.column_block(j0, j1).sum(axis=0)
-            m._col_sums = sums
+            csc = m.sparse
+            m._col_sums = np.bincount(_csc_columns(csc), weights=csc.data,
+                                      minlength=m.n_cols)
         else:
             m._col_sums = m.dense.sum(axis=0)
     return m._col_sums
+
+
+def _csc_columns(csc: sp.csc_matrix) -> np.ndarray:
+    """Column index of each stored entry of CSC storage."""
+    return np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
 
 
 def column_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
@@ -296,8 +329,7 @@ def save_matrix(m: CountMatrix, path: str, fmt: str = DENSE_CSV) -> None:
     if fmt == TRIPLET:
         if m.is_sparse:  # canonical CSC: already sorted by (col, row)
             csc = m.sparse
-            rows, vals = csc.indices, csc.data
-            cols = np.repeat(np.arange(m.n_cols), np.diff(csc.indptr))
+            rows, vals, cols = csc.indices, csc.data, _csc_columns(csc)
         else:
             cols, rows = np.nonzero(m.dense.T)  # column-major: sorted by (col, row)
             vals = m.dense[rows, cols]
@@ -372,19 +404,22 @@ def _load_triplet(path: str) -> CountMatrix:
         lines = islice(fh, nnz)
         first = next(lines, "")
         if not first.strip():  # np.loadtxt would warn that there is no data
-            raise _triplet_error(path, nnz)
+            raise _triplet_error(path, (n_rows, n_cols, nnz))
         try:
             body = np.loadtxt(chain([first], lines), dtype=_TRIPLET_DTYPE,
                               comments=None, ndmin=1)
         except ValueError as exc:
-            raise _triplet_error(path, nnz, exc) from None
+            raise _triplet_error(path, (n_rows, n_cols, nnz), exc) from None
     rows, cols = body["row"], body["col"]
     dc = np.diff(cols)
-    if body.size < nnz or ((dc < 0) | ((dc == 0) & (np.diff(rows) <= 0))).any():
-        # A blank line, the end of the file, or a (col, row) pair that does
-        # not ascend strictly.
-        raise _triplet_error(path, nnz)
-    return CountMatrix.from_triplets(n_rows, n_cols, rows, cols, body["value"])
+    if body.size < nnz or ((dc < 0) | ((dc == 0) & (np.diff(rows) <= 0))).any() \
+            or rows.min() < 0 or rows.max() >= n_rows \
+            or cols.min() < 0 or cols.max() >= n_cols:
+        # A blank line, the end of the file, a (col, row) pair that does not
+        # ascend strictly, or an index out of range.
+        raise _triplet_error(path, (n_rows, n_cols, nnz))
+    return CountMatrix._from_sorted_triplets(
+        n_rows, n_cols, rows, cols, np.ascontiguousarray(body["value"]))
 
 
 def _triplet_header(header: str) -> tuple[int, int, int]:
@@ -405,9 +440,10 @@ def _triplet_header(header: str) -> tuple[int, int, int]:
     return n_rows, n_cols, nnz
 
 
-def _triplet_error(path: str, nnz: int,
+def _triplet_error(path: str, header: tuple[int, int, int],
                    exc: ValueError | None = None) -> ParseError:
     """The first of the ``nnz`` body lines that breaks the triplet rules."""
+    n_rows, n_cols, nnz = header
     prev = None
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
@@ -421,6 +457,10 @@ def _triplet_error(path: str, nnz: int,
                 float(parts[2])
             except ValueError as bad:
                 return ParseError(f"bad field ({bad})", line=lineno)
+            if not (0 <= row < n_rows and 0 <= col < n_cols):
+                return ParseError(f"triplet index out of range (row={row}, "
+                                  f"col={col}) for a {n_rows} x {n_cols} "
+                                  "matrix", line=lineno)
             if prev is not None:
                 if (col, row) == prev:
                     return ParseError(f"duplicate triplet for (row={row}, "

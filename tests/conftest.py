@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wideca import CountMatrix
-from wideca.engine import projection_blocks
+from wideca.engine import map_projection_blocks
 
 
 def svd_oracle(K: np.ndarray):
@@ -50,9 +50,15 @@ def oracle_rank(K: np.ndarray, tol: float = 1e-11) -> int:
     return int((lam > tol * max(lam.max(), 1e-300)).sum())
 
 
-def column_projections(fm, fd) -> np.ndarray:
-    """Non-trivial column projections G of every column, (axes, n_cols)."""
-    return np.concatenate([G for _, _, G in projection_blocks(fm, fd)], axis=1)
+def column_projections(fm, fd, workers: int = 1) -> np.ndarray:
+    """Non-trivial column projections G of every column, (axes, n_cols),
+    from the report's kernel: G = S / sqrt(f_j), 0 for zero-mass columns.
+    Each block's G is a new array, since S is the kernel's scratch."""
+    def projections(j0, j1, S):
+        sqrt_f = np.sqrt(fm.col_masses[j0:j1])
+        return np.divide(S, sqrt_f, out=np.zeros_like(S), where=sqrt_f > 0)
+    return np.concatenate(list(map_projection_blocks(fm, fd, projections,
+                                                     workers)), axis=1)
 
 
 def chi2_distances(fm, rep) -> np.ndarray:

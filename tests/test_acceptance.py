@@ -79,7 +79,7 @@ def test_criterion_2_oracle_equivalence():
         n = fd.nu - 1
         assert np.abs(fd.eigenvalues[1:] - lam_o[:n]).max() < 1e-9
         assert np.abs(fd.row_projections[:, 1:] - F_o[:, :n]).max() < 1e-9
-        G = column_projections(fm, fd)  # through engine.projection_blocks
+        G = column_projections(fm, fd)  # the report's kernel, S / sqrt(f_j)
         assert np.abs(G - G_o[:n]).max() < 1e-9
     _elapsed_guard(t0, 5.0, "criterion 2")
     print("PASS criterion 2: oracle equivalence on 20 random matrices")

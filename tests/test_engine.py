@@ -5,7 +5,6 @@ from conftest import (K0, K0_CHI2_PER_COLUMN, K0_EIGENVALUES, chi2_distances,
 
 from wideca import (CountMatrix, ValidationError, build_frequency_model,
                     concentration_report, decompose)
-from wideca.engine import projection_blocks
 
 
 def analyze(K, include_trivial=True, workers=1):
@@ -240,11 +239,8 @@ def test_worker_count_does_not_change_bits(rng):
         fd = decompose(fm, workers=workers)
         assert (fd.eigenvalues == ref.eigenvalues).all()
         assert (fd.row_projections == ref.row_projections).all()
-        G_ref = np.concatenate([G for _, _, G in projection_blocks(fm, ref, 1)],
-                               axis=1)
-        G_w = np.concatenate([G for _, _, G in projection_blocks(fm, fd, workers)],
-                             axis=1)
-        assert (G_ref == G_w).all()
+        G_w = column_projections(fm, fd, workers)
+        assert (column_projections(fm, ref) == G_w).all()
 
 
 def test_row_limit_rejected():

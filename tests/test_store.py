@@ -5,8 +5,7 @@ import pytest
 
 from wideca import (CountMatrix, ParseError, ValidationError,
                     build_frequency_model, column_sums)
-from wideca.store import (DENSE_CSV, TRIPLET, column_blocks, load_matrix,
-                          save_matrix)
+from wideca.store import DENSE_CSV, TRIPLET, load_matrix, save_matrix
 
 
 def test_load_dense_csv(tmp_path):
@@ -270,6 +269,19 @@ def test_triplet_header_checked_before_reading(tmp_path, header, line, message):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("body, line", [
+    ("0 0 1\n5 1 1\n", 3), ("0 0 1\n1 2 1\n", 3), ("-1 0 1\n0 1 1\n", 2),
+], ids=["row", "col", "negative-row"])
+def test_triplet_index_out_of_range_names_line(tmp_path, body, line):
+    p = tmp_path / "m.tpl"
+    p.write_text("%3 2 2\n" + body)
+    with pytest.raises(ParseError, match=f"^line {line}: triplet index out of "
+                                         r"range \(row=-?\d, col=\d\) for a "
+                                         "3 x 2 matrix$") as info:
+        load_matrix(str(p), TRIPLET)
+    assert info.value.line == line
+
+
 def test_triplet_out_of_range_rejected():
     with pytest.raises(ValidationError, match="out of range"):
         CountMatrix.from_triplets(2, 2, [0, 2], [0, 1], [1.0, 1.0])
@@ -286,6 +298,44 @@ def test_non_canonical_csc_rejected(indices):
                          np.array([0, 2, 2, 2])), shape=(2, 3))
     with pytest.raises(ValidationError, match=NOT_CANONICAL):
         CountMatrix(sparse=csc)
+
+
+def _csc(indices, indptr, n_rows=3):
+    import scipy.sparse as sp
+    return sp.csc_matrix((np.ones(len(indices)), np.array(indices),
+                          np.array(indptr)), shape=(n_rows, len(indptr) - 1))
+
+
+@pytest.mark.parametrize("indices, indptr", [
+    ([0, 1, 5], [0, 1, 3]),    # row 5 of 3: row sums would drop it
+    ([0, 1, 3], [0, 1, 3]),
+    ([-1, 0, 1], [0, 1, 3]),
+])
+def test_csc_row_index_out_of_range_rejected(indices, indptr):
+    with pytest.raises(ValidationError,
+                       match="^sparse row index out of range for 3 rows$"):
+        CountMatrix(sparse=_csc(indices, indptr))
+
+
+def test_csc_decreasing_column_pointers_rejected():
+    with pytest.raises(ValidationError,
+                       match="^sparse column pointers must be non-decreasing$"):
+        CountMatrix(sparse=_csc([0, 1, 2], [0, 2, 1, 3]))
+
+
+def test_csc_checks_leave_arrays_alone():
+    csc = _csc([0, 2, 1], [0, 2, 3])
+    data, indices = csc.data, csc.indices
+    m = CountMatrix(sparse=csc)
+    assert m.sparse.data is data and m.sparse.indices is indices
+    np.testing.assert_array_equal(column_sums(m), [2.0, 1.0])
+
+
+def test_negative_sparse_value_named_past_empty_columns():
+    import scipy.sparse as sp
+    dense = np.array([[1.0, 0, 0, 2, 0], [1, 0, -1, 0, 1]])
+    with pytest.raises(ValidationError, match=r"^negative value at \(row=1, col=2\)$"):
+        CountMatrix(sparse=sp.csc_matrix(dense))
 
 
 def test_csr_storage_rejected():
@@ -363,13 +413,24 @@ def test_column_sums_boolean_total_equals_nnz(rng):
     assert column_sums(m).sum() == len(uniq)
 
 
-def test_column_block_empty_column():
+def test_column_sums_sparse_empty_column():
     m = CountMatrix.from_triplets(3, 7, [0, 1], [0, 6], [1.0, 2.0])
-    expected = np.zeros((3, 7))
-    expected[0, 0], expected[1, 6] = 1.0, 2.0
-    np.testing.assert_array_equal(m.column_block(0, 7), expected)
-    np.testing.assert_array_equal(m.column_block(5, 6), np.zeros((3, 1)))
     np.testing.assert_array_equal(column_sums(m), [1, 0, 0, 0, 0, 0, 2])
+
+
+@pytest.mark.parametrize("shape, density", [
+    ((8, 2), 1.0), ((8, 2), 0.6), ((300, 40), 0.3), ((3000, 7), 1.0),
+    ((1000, 400), 0.05),
+])
+def test_column_sums_sparse_dense_bit_identical(rng, shape, density):
+    # From 8 rows up a pairwise sum of a column differs from the row-order
+    # sum in the last bits for most float columns.
+    dense = np.where(rng.random(shape) < density, rng.random(shape), 0.0)
+    dense[0] = 1.0
+    coo = np.nonzero(dense)
+    ms = CountMatrix.from_triplets(*shape, coo[0], coo[1], dense[coo])
+    md = CountMatrix.from_dense(dense)
+    assert column_sums(ms).tobytes() == column_sums(md).tobytes()
 
 
 def test_signal_roundtrip(tmp_path, rng):
@@ -385,18 +446,6 @@ def test_signal_rejects_nan():
     from wideca import SignalSeries
     with pytest.raises(ValidationError):
         SignalSeries(np.array([1.0, np.nan]))
-
-
-@pytest.mark.parametrize("kind", ["uniform", "sparse"])
-def test_column_access_reconstructs_matrix(rng, kind, monkeypatch):
-    from conftest import random_count_matrix
-    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 40)  # 5 columns a block
-    m = random_count_matrix(rng, 8, 23, kind)
-    blocks = list(column_blocks(8, 23))
-    assert len(blocks) == 5
-    by_blocks = np.concatenate([m.column_block(j0, j1) for j0, j1 in blocks],
-                               axis=1)
-    assert (by_blocks == m.to_dense()).all()
 
 
 # -- writer golden tests ----------------------------------------------------
