@@ -7,14 +7,15 @@ configuration: JSON reports embed it under "config", CSV outputs get a
 identical numeric payloads; the CSV files are the canonical payload (JSON
 reports additionally carry wall-clock timings, which naturally vary).
 
-Exit codes: 0 success, 1 validation error (including bad flags), 2 numerical
-failure, 3 I/O failure.
+Exit codes: 0 success, 1 validation error (including bad flags) or not
+enough memory, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -138,6 +139,12 @@ def _cmd_analyze(args) -> int:
         "elapsed_seconds": elapsed,
         "excluded_cols": [int(j) for j in report.excluded_cols],
         "report": report.to_dict(),
+        # a non-finite gap serializes as null (strict JSON has no inf/nan)
+        "diagnostics": {
+            "relative_denominator": report.relative_denominator,
+            "inertia_gap": report.inertia_gap
+            if math.isfinite(report.inertia_gap) else None,
+        },
     }
     _write_json(base + ".json", doc)
     header, row = report.to_csv_row()
@@ -293,6 +300,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -5,21 +5,25 @@ and column projection G_a(j):
 
 * absolute contribution to axis a:  f_j G_a(j)^2
 * absolute contribution of j:       f_j rho^2(j), rho^2(j) = sum_a G_a(j)^2
-* relative contribution to axis a:  f_j G_a(j)^2 / sum_j f_j G_a(j)^2
+* relative contribution to axis a:  f_j G_a(j)^2 / lambda_a
 
-The relative denominator is the axis inertia accumulated from the
-projections themselves. Analytically it equals lambda_a; computing it
-empirically keeps the per-axis relative total at exactly 1 even for axes
-whose eigenvalue sits at the numerical noise floor, which is precisely the
-regime near-duplicate-column data lands in. With the trivial axis included,
-rho^2(j) = 1 + (centered chi-squared distance), and the mean relative
-contribution over columns is the exact identity nu / |J|.
+Analytically the axis inertia I_a = sum_j f_j G_a(j)^2 equals lambda_a. The
+report accumulates I_a from the projections themselves and measures
+gap = max_a |lambda_a / I_a - 1|. When gap <= ``_EIG_INERTIA_TOL`` (1e-12)
+the relative denominators are the eigenvalues: each relative contribution is
+then within gap of the one divided by I_a, since every term is scaled by
+I_a / lambda_a. Otherwise (axes whose eigenvalue sits at the numerical noise
+floor, the regime near-duplicate-column data lands in) they are the
+empirical I_a, which keep the per-axis relative total at exactly 1. Either
+way, with the trivial axis included, rho^2(j) = 1 + (centered chi-squared
+distance), and the mean relative contribution over columns is the identity
+nu / |J|. The report records the gap and the denominator it used.
 
 Per-column values come from the report's arrays: ``per_column_absolute[j]``
 is f_j rho^2(j), so with the trivial axis included the chi-squared distance
 of column j to the centroid is ``per_column_absolute[j] / f_j - 1``, and
 ``per_column_relative[j]`` sums column j's relative contributions over the
-retained axes, whose denominators are ``axis_column_inertia``.
+retained axes; ``axis_column_inertia`` holds the empirical I_a.
 
 Summary statistics: sample standard deviation (n-1 denominator); the median
 of an even-length vector is the mean of the two central order statistics.
@@ -32,9 +36,11 @@ The column statistics are reductions over the engine's column blocks
 S = sqrt(f_j) G, so S^2 is exactly the contribution f_j G_a(j)^2. Each
 block's S is squared in place inside the worker that computed it; the worker
 writes that block's slice of the per-column arrays (column sums of S^2 for
-the absolute, inverse axis inertias times S^2 for the relative
-contributions), and only per-axis sums of S^2 and the block's largest
-|G| = sqrt(max_a S^2) / sqrt(f_j) come back, merged in block order.
+the absolute, inverse eigenvalues times S^2 for the relative contributions),
+and only per-axis sums of S^2 and the block's largest
+|G| = sqrt(max_a S^2) / sqrt(f_j) come back, merged in block order. Only
+when the gap check fails does a second pass recompute the relative
+contributions with the inverse axis inertias.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (FactorDecomposition, FrequencyModel, _inv_pos,
-                     map_projection_blocks)
+from .engine import (_EIG_INERTIA_TOL, FactorDecomposition, FrequencyModel,
+                     _inv_pos, map_projection_blocks)
 
 REPORT_FIELDS = (
     "dim", "abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
@@ -75,6 +81,10 @@ class ContributionReport:
     per_row_relative: np.ndarray
     axis_column_inertia: np.ndarray
     excluded_cols: np.ndarray
+    # max_a |lambda_a / I_a - 1| (0.0 with no non-trivial axis), and the
+    # relative denominators it chose: "eigenvalues" or "axis_inertia"
+    inertia_gap: float
+    relative_denominator: str
 
     def to_dict(self) -> dict:
         """Scalar summary with the exact serialization field set."""
@@ -99,23 +109,31 @@ def _square_in_place(S: np.ndarray) -> np.ndarray:
 
 def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
                          workers: int = 1) -> ContributionReport:
-    """All per-column metrics and summaries in two streaming passes.
+    """All per-column metrics and summaries, in one streaming pass when the
+    eigenvalues can serve as relative denominators.
 
-    Pass one accumulates per-column absolute contributions, the per-axis
-    column inertias, and the largest |projection|; pass two, which needs those
-    axis inertias as denominators, accumulates the relative contributions.
+    The pass accumulates per-column absolute contributions, the per-axis
+    column inertias I_a, the largest |projection|, and the relative
+    contributions divided by the eigenvalues. Those are kept when every
+    |lambda_a / I_a - 1| <= 1e-12; otherwise, or when an I_a is zero or not
+    a number, a second pass recomputes them divided by I_a.
     """
     fj = fm.col_masses
     n_cols = fm.n_cols
     live = fj > 0
     trivial = 1.0 if fd.include_trivial else 0.0
+    eigenvalues = fd.eigenvalues[1:] if fd.include_trivial else fd.eigenvalues
+    inv_eigenvalues = 1.0 / eigenvalues
 
     abs_col = np.zeros(n_cols)
+    rel_col = np.zeros(n_cols)
 
-    def absolute(j0: int, j1: int, S: np.ndarray) -> tuple[float, np.ndarray]:
+    def block_stats(j0: int, j1: int,
+                    S: np.ndarray) -> tuple[float, np.ndarray]:
         f = fj[j0:j1]
         S2 = _square_in_place(S)
         abs_col[j0:j1] = trivial * f + S2.sum(axis=0)
+        rel_col[j0:j1] = trivial * f + inv_eigenvalues @ S2
         # max |G| = sqrt(f_j G^2) / sqrt(f_j); an empty block leaves the
         # running max alone
         top = float((np.sqrt(S2.max(axis=0)) * _inv_pos(np.sqrt(f))).max()) \
@@ -124,18 +142,27 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
 
     axis_inertia = np.zeros(fd.n_nontrivial)
     max_proj_cols = 0.0
-    for top, part in map_projection_blocks(fm, fd, absolute, workers):
+    for top, part in map_projection_blocks(fm, fd, block_stats, workers):
         axis_inertia += part
         max_proj_cols = max(max_proj_cols, top)
 
-    rel_col = np.zeros(n_cols)
-    inv_inertia = _inv_pos(axis_inertia)
+    # A zero I_a gives an infinite gap and a NaN one a NaN gap: both fail
+    # the check below and take the second pass.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inertia_gap = float(np.abs(eigenvalues / axis_inertia - 1.0).max()) \
+            if axis_inertia.size else 0.0
+    if inertia_gap <= _EIG_INERTIA_TOL:
+        relative_denominator = "eigenvalues"
+    else:
+        relative_denominator = "axis_inertia"
+        inv_inertia = _inv_pos(axis_inertia)
 
-    def relative(j0: int, j1: int, S: np.ndarray) -> None:
-        rel_col[j0:j1] = trivial * fj[j0:j1] + inv_inertia @ _square_in_place(S)
+        def relative(j0: int, j1: int, S: np.ndarray) -> None:
+            rel_col[j0:j1] = trivial * fj[j0:j1] \
+                + inv_inertia @ _square_in_place(S)
 
-    for _ in map_projection_blocks(fm, fd, relative, workers):
-        pass
+        for _ in map_projection_blocks(fm, fd, relative, workers):
+            pass
 
     # Row cloud: small by design, computed densely.
     F = fd.row_projections
@@ -169,4 +196,6 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
         per_row_relative=row_rel,
         axis_column_inertia=axis_inertia,
         excluded_cols=fm.excluded_cols,
+        inertia_gap=inertia_gap,
+        relative_denominator=relative_denominator,
     )

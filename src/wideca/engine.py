@@ -50,6 +50,10 @@ MAX_DUAL_ROWS = 32768
 # Non-trivial axes below _REL_EIG_TOL times the largest non-trivial
 # eigenvalue are dropped.
 _REL_EIG_TOL = 1e-12
+# The contribution report divides by the eigenvalues instead of the axis
+# inertias sum_j f_j G_a(j)^2 when max_a |lambda_a / I_a - 1| is at most
+# this; each relative contribution then stays within that gap.
+_EIG_INERTIA_TOL = 1e-12
 # Eigenvalues below n_rows * eps are indistinguishable from the deflation
 # residual of the unit-norm trivial axis, whatever the data.
 _ABS_EIG_FLOOR_PER_ROW = np.finfo(np.float64).eps

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes: validation problems exit 1,
-numerical failures exit 2, and I/O failures (OSError) exit 3.
+numerical failures exit 2, and I/O failures (OSError) exit 3. A
+MemoryError (an input too large to hold) also exits 1.
 """
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wideca import CountMatrix
-from wideca.engine import map_projection_blocks
+from wideca.engine import _inv_pos, map_projection_blocks
 
 
 def svd_oracle(K: np.ndarray):
@@ -59,6 +59,25 @@ def column_projections(fm, fd, workers: int = 1) -> np.ndarray:
         return np.divide(S, sqrt_f, out=np.zeros_like(S), where=sqrt_f > 0)
     return np.concatenate(list(map_projection_blocks(fm, fd, projections,
                                                      workers)), axis=1)
+
+
+def two_pass_relative(fm, fd) -> tuple[np.ndarray, np.ndarray]:
+    """(relative contributions, axis inertias) with the empirical axis
+    inertias I_a = sum_j f_j G_a(j)^2 as denominators: trivial * f_j +
+    sum_a f_j G_a(j)^2 / I_a, the two-pass computation. It keeps the
+    kernel's blocks of S^2 = f_j G^2 (see ``column_projections``) and merges
+    them in block order, so its bits are those of a second report pass."""
+    blocks = list(map_projection_blocks(
+        fm, fd, lambda j0, j1, S: (j0, j1, S * S)))
+    inertia = np.zeros(fd.n_nontrivial)
+    for _, _, S2 in blocks:
+        inertia += S2.sum(axis=1)
+    inv = _inv_pos(inertia)
+    trivial = 1.0 if fd.include_trivial else 0.0
+    f = fm.col_masses
+    rel = np.concatenate([trivial * f[j0:j1] + inv @ S2
+                          for j0, j1, S2 in blocks])
+    return rel, inertia
 
 
 def chi2_distances(fm, rep) -> np.ndarray:

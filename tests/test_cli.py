@@ -259,6 +259,51 @@ def test_exit_code_bad_triplet_header(tmp_path, capsys, header, message):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_exit_code_out_of_memory(tmp_path):
+    # A column count of 10^12 needs 7.28 TiB of CSC column pointers. The
+    # command runs under a 4 GiB address-space limit, so the allocation
+    # fails at once whatever the host's overcommit policy.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    mat = tmp_path / "m.tpl"
+    mat.write_text("%3 1000000000000 1\n0 0 1\n")
+    src = str(Path(wideca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wideca.cli", "analyze", str(mat),
+         "--format", "triplet", "-o", str(tmp_path / "r")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_memory)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: not enough memory: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("kind, denominator", [
+    ("uniform", "eigenvalues"), ("embedding", "axis_inertia")])
+def test_analyze_diagnostics(tmp_path, kind, denominator):
+    mat = tmp_path / "m.csv"
+    if kind == "uniform":
+        run("gen", "uniform", "--rows", 86, "--cols", 100, "--seed", 1,
+            "-o", mat)
+    else:
+        sig = tmp_path / "s.txt"
+        run("gen", "signal", "--len", 95_011, "--seed", 1, "-o", sig)
+        run("embed", "--signal", sig, "--windows", 86, "--stride", 1000,
+            "--length", 100, "-o", mat)
+    out = tmp_path / "report"
+    assert run("analyze", mat, "-o", out) == 0
+    doc = read_json(str(out) + ".json")
+    diag = doc["diagnostics"]
+    assert diag["relative_denominator"] == denominator
+    assert (diag["inertia_gap"] <= 1e-12) == (denominator == "eigenvalues")
+    assert tuple(doc["report"].keys()) == REPORT_FIELDS
+
+
 def test_dense_commands_do_not_load_scipy(tmp_path):
     script = (
         "import sys\n"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import (K0, K0_CHI2_PER_COLUMN, K0_TOTAL_CENTERED_INERTIA,
                       chi2_distances, column_projections, random_count_matrix,
-                      svd_oracle)
+                      svd_oracle, two_pass_relative)
 
 from wideca import (CountMatrix, ValidationError, build_frequency_model,
                     concentration_report, decompose)
@@ -393,3 +393,110 @@ def test_sparse_and_dense_storage_agree(rng, monkeypatch):
     _, _, sparse = report(
         CountMatrix.from_triplets(30, 9_000, *coo, K[coo]))
     _assert_reports_close(sparse, dense, rtol=1e-11)
+
+
+# -- relative denominators ------------------------------------------------------
+# The report divides by the eigenvalues when max_a |lambda_a / I_a - 1| is
+# at most 1e-12, and by the empirical axis inertias I_a otherwise.
+
+def _embedding(n_cols):
+    from wideca import embed_signal, gen_randomwalk_signal
+    sig = gen_randomwalk_signal(95_011, 6800.0, seed=1, p_repeat=0.9)
+    return embed_signal(sig, 86, 1000, n_cols)
+
+
+def test_relative_fast_path_within_gap_of_two_pass():
+    from wideca import gen_uniform
+    fm, fd, rep = report(gen_uniform(86, 10_000, seed=1))
+    assert rep.relative_denominator == "eigenvalues"
+    assert 0.0 <= rep.inertia_gap <= 1e-12
+    rel, inertia = two_pass_relative(fm, fd)
+    assert rep.axis_column_inertia.tobytes() == inertia.tobytes()
+    live = rel[fm.col_masses > 0]
+    for name, want in (("rel_mean", live.mean()),
+                       ("rel_sd", live.std(ddof=1)),
+                       ("rel_median", np.median(live))):
+        assert getattr(rep, name) == pytest.approx(want, rel=1e-12, abs=0)
+    np.testing.assert_allclose(rep.per_column_relative, rel, rtol=1e-10,
+                               atol=0)
+    # every term is scaled by I_a / lambda_a, so the whole sum is within
+    # the gap, up to the rounding of the two sums
+    err = np.abs(rep.per_column_relative - rel)
+    assert (err <= rep.inertia_gap * rel + 4 * np.spacing(rel)).all()
+
+
+def test_relative_fallback_bit_identical_to_two_pass():
+    fm, fd, rep = report(_embedding(100))
+    assert rep.relative_denominator == "axis_inertia"
+    assert rep.inertia_gap > 1e-12
+    rel, inertia = two_pass_relative(fm, fd)
+    assert rep.axis_column_inertia.tobytes() == inertia.tobytes()
+    assert rep.per_column_relative.tobytes() == rel.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "embedding"])
+def test_relative_denominator_workers_bit_identical(monkeypatch, kind):
+    from wideca import gen_uniform
+    from wideca.store import column_blocks
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    m = gen_uniform(86, 10_000, seed=1) if kind == "uniform" \
+        else _embedding(10_000)
+    assert len(list(column_blocks(m.n_rows, m.n_cols))) > 1
+    fm, fd = analyze(m)
+    ref = concentration_report(fm, fd, workers=1)
+    assert ref.relative_denominator == \
+        ("eigenvalues" if kind == "uniform" else "axis_inertia")
+    for workers in (2, 3):
+        rep = concentration_report(fm, fd, workers=workers)
+        assert rep.relative_denominator == ref.relative_denominator
+        assert rep.inertia_gap == ref.inertia_gap
+        for name in REPORT_ARRAYS:
+            assert getattr(rep, name).tobytes() == \
+                getattr(ref, name).tobytes(), name
+
+
+def test_relative_denominator_without_nontrivial_axis():
+    import warnings
+    K = np.vstack([np.array([1.0, 0, 2, 3])] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fm, fd, rep = report(K)
+    assert fd.n_nontrivial == 0
+    assert rep.inertia_gap == 0.0
+    assert rep.relative_denominator == "eigenvalues"
+    np.testing.assert_array_equal(rep.per_column_relative, fm.col_masses)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "embedding"])
+def test_relative_denominator_zero_mass_columns(kind):
+    import warnings
+    from wideca import gen_uniform
+    m = gen_uniform(86, 100, seed=1) if kind == "uniform" else _embedding(100)
+    K = m.to_dense()
+    K[:, [0, 57]] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fm, fd, rep = report(K)
+    assert rep.relative_denominator == \
+        ("eigenvalues" if kind == "uniform" else "axis_inertia")
+    assert (rep.per_column_relative[[0, 57]] == 0.0).all()
+    assert rep.rel_mean == pytest.approx(fd.nu / 98, abs=1e-10)
+
+
+def test_zero_axis_inertia_falls_back_without_warning(rng):
+    # an axis no column projects onto has I_a = 0: the gap is infinite and
+    # the report divides by the axis inertias, giving that axis nothing
+    import dataclasses
+    import warnings
+    fm, fd = analyze(rng.random((6, 30)))
+    fd = dataclasses.replace(
+        fd, basis=np.column_stack([fd.basis, np.zeros(6)]),
+        eigenvalues=np.append(fd.eigenvalues, fd.eigenvalues[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = concentration_report(fm, fd)
+    assert rep.axis_column_inertia[-1] == 0.0
+    assert rep.inertia_gap == np.inf
+    assert rep.relative_denominator == "axis_inertia"
+    rel, _ = two_pass_relative(fm, fd)
+    assert rep.per_column_relative.tobytes() == rel.tobytes()
