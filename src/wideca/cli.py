@@ -27,10 +27,10 @@ from .generators import (DEFAULT_BODY_START, DEFAULT_EXPONENT,
                          DEFAULT_HEAD_MASS, EmpiricalMarginals,
                          ParametricMarginals, embed_signal,
                          gen_powerlaw_boolean, gen_randomwalk_signal,
-                         gen_uniform, load_marginals)
+                         gen_uniform)
 from .powerlaw import ccdf, fit_exponent
-from .store import (DENSE_CSV, FORMATS, TRIPLET, column_sums, load_matrix,
-                    load_signal, save_matrix, save_signal)
+from .store import (DENSE_CSV, FORMATS, TRIPLET, column_sums, load_marginals,
+                    load_matrix, load_signal, save_matrix, save_signal)
 from . import tables
 
 
@@ -91,7 +91,7 @@ def _cmd_gen_uniform(args) -> int:
 def _cmd_gen_powerlaw(args) -> int:
     if args.marginals is not None:
         source: EmpiricalMarginals | ParametricMarginals = \
-            load_marginals(args.marginals)
+            EmpiricalMarginals(load_marginals(args.marginals))
     else:
         source = ParametricMarginals(exponent=args.exponent,
                                      body_start=args.body_start,
@@ -232,14 +232,15 @@ def build_parser() -> _Parser:
     g_pl.add_argument("--rows", type=int, required=True)
     g_pl.add_argument("--cols", type=int, required=True)
     g_pl.add_argument("--exponent", type=float, default=DEFAULT_EXPONENT,
-                      help="density exponent of the marginal law")
+                      help="density exponent of the marginal law (finite, "
+                           "above 1)")
     g_pl.add_argument("--body-start", type=int, default=DEFAULT_BODY_START,
                       help="smallest column sum of the power-law body")
     g_pl.add_argument("--head-mass", type=float, default=DEFAULT_HEAD_MASS,
                       help="probability mass of sums below the body")
     g_pl.add_argument("--marginals", default=None,
-                      help="file of empirical column sums (one per line); "
-                           "overrides the parametric law")
+                      help="file of empirical column sums (one whole number "
+                           "per line); overrides the parametric law")
     common(g_pl, fmt=TRIPLET)
     g_pl.set_defaults(func=_cmd_gen_powerlaw)
 

@@ -33,14 +33,16 @@ column cloud (the headline number for wide matrices) and the row cloud.
 
 The column statistics are reductions over the engine's column blocks
 (``map_projection_blocks``), which hand over standardized projections
-S = sqrt(f_j) G, so S^2 is exactly the contribution f_j G_a(j)^2. Each
-block's S is squared in place inside the worker that computed it; the worker
-writes that block's slice of the per-column arrays (column sums of S^2 for
-the absolute, inverse eigenvalues times S^2 for the relative contributions),
-and only per-axis sums of S^2 and the block's largest
-|G| = sqrt(max_a S^2) / sqrt(f_j) come back, merged in block order. Only
-when the gap check fails does a second pass recompute the relative
-contributions with the inverse axis inertias.
+S = sqrt(f_j) G, so S^2 is exactly the contribution f_j G_a(j)^2. One
+column-pass function does the whole reduction: each block's S is squared in
+place inside the worker that computed it; the worker writes that block's
+slice of the per-column arrays (column sums of S^2 for the absolute, the
+inverse denominators times S^2 for the relative contributions), and only
+per-axis sums of S^2 and the block's largest |G| = sqrt(max_a S^2) / sqrt(f_j)
+come back, merged in block order. The pass runs once with the inverse
+eigenvalues, and again with the inverse axis inertias only when the gap check
+fails; the rerun rewrites the absolute contributions with the same bits and
+its sums are discarded.
 """
 
 from __future__ import annotations
@@ -81,10 +83,16 @@ class ContributionReport:
     per_row_relative: np.ndarray
     axis_column_inertia: np.ndarray
     excluded_cols: np.ndarray
-    # max_a |lambda_a / I_a - 1| (0.0 with no non-trivial axis), and the
-    # relative denominators it chose: "eigenvalues" or "axis_inertia"
+    # max_a |lambda_a / I_a - 1|; 0.0 with no non-trivial axis
     inertia_gap: float
-    relative_denominator: str
+
+    @property
+    def relative_denominator(self) -> str:
+        """The relative denominators the gap chose: "eigenvalues" when the
+        gap is at most 1e-12, else (a NaN or infinite gap included)
+        "axis_inertia"."""
+        return "eigenvalues" if self.inertia_gap <= _EIG_INERTIA_TOL \
+            else "axis_inertia"
 
     def to_dict(self) -> dict:
         """Scalar summary with the exact serialization field set."""
@@ -103,8 +111,10 @@ class ContributionReport:
         return header, row
 
 
-def _square_in_place(S: np.ndarray) -> np.ndarray:
-    return np.multiply(S, S, out=S)
+def _summary(x: np.ndarray) -> tuple[float, float, float]:
+    """(mean, sample sd, median); the sd of a single value is 0."""
+    sd = float(x.std(ddof=1)) if x.size > 1 else 0.0
+    return float(x.mean()), sd, float(np.median(x))
 
 
 def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
@@ -116,53 +126,46 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
     column inertias I_a, the largest |projection|, and the relative
     contributions divided by the eigenvalues. Those are kept when every
     |lambda_a / I_a - 1| <= 1e-12; otherwise, or when an I_a is zero or not
-    a number, a second pass recomputes them divided by I_a.
+    a number, the same pass runs again dividing by I_a.
     """
     fj = fm.col_masses
     n_cols = fm.n_cols
     live = fj > 0
     trivial = 1.0 if fd.include_trivial else 0.0
     eigenvalues = fd.eigenvalues[1:] if fd.include_trivial else fd.eigenvalues
-    inv_eigenvalues = 1.0 / eigenvalues
 
     abs_col = np.zeros(n_cols)
     rel_col = np.zeros(n_cols)
 
-    def block_stats(j0: int, j1: int,
-                    S: np.ndarray) -> tuple[float, np.ndarray]:
-        f = fj[j0:j1]
-        S2 = _square_in_place(S)
-        abs_col[j0:j1] = trivial * f + S2.sum(axis=0)
-        rel_col[j0:j1] = trivial * f + inv_eigenvalues @ S2
-        # max |G| = sqrt(f_j G^2) / sqrt(f_j); an empty block leaves the
-        # running max alone
-        top = float((np.sqrt(S2.max(axis=0)) * _inv_pos(np.sqrt(f))).max()) \
-            if S2.size else 0.0
-        return top, S2.sum(axis=1)
+    def column_pass(inv_denominators: np.ndarray) -> tuple[np.ndarray, float]:
+        """Write abs_col and rel_col; return (I_a, max |G|)."""
+        def block(j0: int, j1: int,
+                  S: np.ndarray) -> tuple[float, np.ndarray]:
+            f = fj[j0:j1]
+            S2 = np.multiply(S, S, out=S)
+            abs_col[j0:j1] = trivial * f + S2.sum(axis=0)
+            rel_col[j0:j1] = trivial * f + inv_denominators @ S2
+            # max |G| = sqrt(f_j G^2) / sqrt(f_j); an empty block leaves
+            # the running max alone
+            top = float((np.sqrt(S2.max(axis=0))
+                         * fm.col_scale[j0:j1]).max()) if S2.size else 0.0
+            return top, S2.sum(axis=1)
 
-    axis_inertia = np.zeros(fd.n_nontrivial)
-    max_proj_cols = 0.0
-    for top, part in map_projection_blocks(fm, fd, block_stats, workers):
-        axis_inertia += part
-        max_proj_cols = max(max_proj_cols, top)
+        inertia = np.zeros(fd.n_nontrivial)
+        max_proj = 0.0
+        for top, part in map_projection_blocks(fm, fd, block, workers):
+            inertia += part
+            max_proj = max(max_proj, top)
+        return inertia, max_proj
 
+    axis_inertia, max_proj_cols = column_pass(1.0 / eigenvalues)
     # A zero I_a gives an infinite gap and a NaN one a NaN gap: both fail
-    # the check below and take the second pass.
+    # the check below and take the rerun.
     with np.errstate(divide="ignore", invalid="ignore"):
         inertia_gap = float(np.abs(eigenvalues / axis_inertia - 1.0).max()) \
             if axis_inertia.size else 0.0
-    if inertia_gap <= _EIG_INERTIA_TOL:
-        relative_denominator = "eigenvalues"
-    else:
-        relative_denominator = "axis_inertia"
-        inv_inertia = _inv_pos(axis_inertia)
-
-        def relative(j0: int, j1: int, S: np.ndarray) -> None:
-            rel_col[j0:j1] = trivial * fj[j0:j1] \
-                + inv_inertia @ _square_in_place(S)
-
-        for _ in map_projection_blocks(fm, fd, relative, workers):
-            pass
+    if not inertia_gap <= _EIG_INERTIA_TOL:
+        column_pass(_inv_pos(axis_inertia))
 
     # Row cloud: small by design, computed densely.
     F = fd.row_projections
@@ -175,19 +178,19 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
                     + (F_nt * F_nt) @ inv_row_inertia)
     max_proj_rows = float(np.abs(F_nt).max()) if F_nt.size else 0.0
 
-    abs_live = abs_col[live]
-    rel_live = rel_col[live]
+    abs_mean, abs_sd, abs_median = _summary(abs_col[live])
+    rel_mean, rel_sd, rel_median = _summary(rel_col[live])
     return ContributionReport(
         dim=n_cols,
         n_cols_effective=int(live.sum()),
         nu=fd.nu,
         total_inertia=float(fd.eigenvalues.sum()),
-        abs_mean=float(abs_live.mean()),
-        abs_sd=float(abs_live.std(ddof=1)) if abs_live.size > 1 else 0.0,
-        abs_median=float(np.median(abs_live)),
-        rel_mean=float(rel_live.mean()),
-        rel_sd=float(rel_live.std(ddof=1)) if rel_live.size > 1 else 0.0,
-        rel_median=float(np.median(rel_live)),
+        abs_mean=abs_mean,
+        abs_sd=abs_sd,
+        abs_median=abs_median,
+        rel_mean=rel_mean,
+        rel_sd=rel_sd,
+        rel_median=rel_median,
         max_proj_cols=max_proj_cols,
         max_proj_rows=max_proj_rows,
         per_column_absolute=abs_col,
@@ -197,5 +200,4 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
         axis_column_inertia=axis_inertia,
         excluded_cols=fm.excluded_cols,
         inertia_gap=inertia_gap,
-        relative_denominator=relative_denominator,
     )

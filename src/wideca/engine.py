@@ -17,10 +17,12 @@ coordinates are recovered afterwards by the transition formula
 in a second streaming pass, which keeps cost and memory linear in the number
 of columns. Row coordinates are F_a(i) = sqrt(lambda_a) u_a(i) / sqrt(f_i).
 
-Each pass is one block function over the fixed column-block grid, with its
-row and column scale vectors computed once per pass. The W pass
-(``block_gram`` in ``decompose``) scales each block of K into a scratch
-buffer and returns its Gram matrix. The projection pass
+Each pass is one block function over the fixed column-block grid. The
+mass-unit scales 1/sqrt(f_i) and 1/sqrt(f_j) are built once, by
+``build_frequency_model``, and every reader in mass units takes them from
+the model; the W pass keeps its own count-unit scales, fixed once per pass.
+The W pass (``block_gram`` in ``decompose``) scales each block of K into a
+scratch buffer and returns its Gram matrix. The projection pass
 (``map_projection_blocks``) folds the row scaling into the basis, so a
 block's projections come from one product that reads K where it is stored,
 and hands the standardized S = sqrt(f_j) G to the caller's reduction inside
@@ -65,7 +67,10 @@ class FrequencyModel:
 
     Row and column masses each sum to 1. Zero-mass rows and columns are kept
     in place but recorded here; they have no profile and are excluded from
-    every profile-based computation downstream.
+    every profile-based computation downstream. ``row_scale`` and
+    ``col_scale`` are 1/sqrt(f_i) and 1/sqrt(f_j), exactly 0 at zero mass:
+    the mass-unit scales of the row coordinates, the projection pass and the
+    report's largest |projection|, computed here once.
     """
 
     matrix: CountMatrix
@@ -74,6 +79,8 @@ class FrequencyModel:
     grand_total: float
     excluded_rows: np.ndarray
     excluded_cols: np.ndarray
+    row_scale: np.ndarray
+    col_scale: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -127,6 +134,8 @@ def build_frequency_model(m: CountMatrix) -> FrequencyModel:
         grand_total=k,
         excluded_rows=np.flatnonzero(row_masses == 0.0),
         excluded_cols=np.flatnonzero(col_masses == 0.0),
+        row_scale=_inv_pos(np.sqrt(row_masses)),
+        col_scale=_inv_pos(np.sqrt(col_masses)),
     )
 
 
@@ -208,13 +217,11 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     _canonical_signs(U)
 
     # Row principal coordinates; zero-mass rows have no profile and get 0.
-    inv_sqrt_fi = _inv_pos(np.sqrt(fm.row_masses))
-    F_nt = U * np.sqrt(lams)[None, :] * inv_sqrt_fi[:, None]
+    F_nt = U * np.sqrt(lams)[None, :] * fm.row_scale[:, None]
     if include_trivial:
         trivial_col = np.where(fm.row_masses > 0, 1.0, 0.0)
         eigenvalues = np.concatenate(([1.0], lams))
-        row_projections = np.column_stack([trivial_col, F_nt]) if n_keep \
-            else trivial_col[:, None]
+        row_projections = np.column_stack([trivial_col, F_nt])
     else:
         eigenvalues = lams
         row_projections = F_nt
@@ -248,11 +255,12 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
         G_a(j) = (1 / f_j) sum_i u_a(i) f_ij / sqrt(f_i)
 
     since the sqrt(lambda_a) in F and the 1/sqrt(lambda_a) prefactor cancel.
-    The row scaling is folded into the basis once per pass,
+    The model's row scale is folded into the basis once per pass,
     Ub = U^T diag(1/sqrt(f_i)) / k, so the block product H = Ub K[:, j0:j1]
     reads K where it is stored, with no scaled copy, and one in-place column
-    pass gives S = H / sqrt(f_j). S keeps the range that H^2 / f_j would
-    lose for columns of relative mass below about 1e-154.
+    pass by the model's column scale gives S = H / sqrt(f_j). S keeps the
+    range that H^2 / f_j would lose for columns of relative mass below about
+    1e-154.
 
     ``reduce`` runs inside the worker that computed S and may overwrite it,
     but must not keep it: a dense S is the worker's scratch buffer, reused by
@@ -266,8 +274,7 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     m = fm.matrix
     # Ub^T, C-ordered: scipy's sparse-times-dense product takes it as it
     # is, and its transpose is the BLAS operand Ub.
-    UbT = fd.basis * _inv_pos(np.sqrt(fm.row_masses))[:, None] / fm.grand_total
-    col_scale = _inv_pos(np.sqrt(fm.col_masses))
+    UbT = fd.basis * fm.row_scale[:, None] / fm.grand_total
     scratch = _Scratch()
 
     def block(j0: int, j1: int):
@@ -276,7 +283,7 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
         else:
             S = np.matmul(UbT.T, m.dense[:, j0:j1],
                           out=scratch.take((UbT.shape[1], j1 - j0)))
-        np.multiply(S, col_scale[None, j0:j1], out=S)
+        np.multiply(S, fm.col_scale[None, j0:j1], out=S)
         return reduce(j0, j1, S)
 
     return ordered_block_map(block, column_blocks(fm.n_rows, fm.n_cols), workers)

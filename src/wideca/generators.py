@@ -22,6 +22,7 @@ the column cloud its large projection outliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,9 @@ class ParametricMarginals:
 
     def weights(self, n_rows: int) -> np.ndarray:
         """Probability table over sums 1..n_rows."""
-        if self.exponent <= 1.0:
-            raise ValidationError("exponent must exceed 1")
+        if not (math.isfinite(self.exponent) and self.exponent > 1.0):
+            raise ValidationError(
+                f"exponent must be finite and exceed 1, got {self.exponent}")
         if not 0.0 <= self.head_mass < 1.0:
             raise ValidationError("head_mass must be in [0, 1)")
         body_start = min(self.body_start, n_rows)
@@ -157,11 +159,6 @@ class EmpiricalMarginals:
                 f"empirical marginal {self.sums.max()} exceeds n_rows={n_rows}")
         idx = rng.integers(0, self.sums.size, size=size)
         return self.sums[idx]
-
-
-def load_marginals(path: str) -> EmpiricalMarginals:
-    """One integer column sum per line."""
-    return EmpiricalMarginals(np.loadtxt(path, dtype=np.int64, ndmin=1))
 
 
 def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,

@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-FIT_FIELDS = ("alpha", "c", "x_min", "x_max", "r_squared", "n_points")
-
 
 @dataclass
 class PowerLawFit:

@@ -475,20 +475,39 @@ def _triplet_error(path: str, header: tuple[int, int, int],
 
 
 def load_signal(path: str) -> SignalSeries:
+    return SignalSeries(_load_values(path, "signal"))
+
+
+def load_marginals(path: str) -> np.ndarray:
+    """The column sums of a marginals file, one whole number per line, as
+    int64 (``EmpiricalMarginals`` checks their sign)."""
+    sums = _load_values(path, "marginals")
+    bad = ~(np.isfinite(sums) & (sums == np.floor(sums))
+            & (np.abs(sums) < 2.0 ** 63))
+    if bad.any():
+        raise ValidationError(f"marginal {float(sums[bad][0])!r} is not a "
+                              "whole number in the int64 range")
+    return sums.astype(np.int64)
+
+
+def _load_values(path: str, kind: str) -> np.ndarray:
+    """The one real per non-blank line of a ``kind`` (signal or marginals)
+    file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = _data_lines(fh)
         if lines is None:
-            raise ParseError("empty signal file")
+            raise ParseError(f"empty {kind} file")
         try:
             values = np.loadtxt(lines, comments=None, ndmin=2)
         except ValueError as exc:
-            raise _signal_error(path, exc) from None
+            raise _values_error(path, kind, exc) from None
     if values.shape[1] != 1:  # several values on one line
-        raise _signal_error(path)
-    return SignalSeries(values[:, 0])
+        raise _values_error(path, kind)
+    return values[:, 0]
 
 
-def _signal_error(path: str, exc: ValueError | None = None) -> ParseError:
+def _values_error(path: str, kind: str,
+                  exc: ValueError | None = None) -> ParseError:
     """The first line that is not a single real."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -498,8 +517,8 @@ def _signal_error(path: str, exc: ValueError | None = None) -> ParseError:
             try:
                 float(line)
             except ValueError:
-                return ParseError(f"bad signal value {line!r}", line=lineno)
-    return ParseError(f"bad signal value ({exc})")
+                return ParseError(f"bad {kind} value {line!r}", line=lineno)
+    return ParseError(f"bad {kind} value ({exc})")
 
 
 def save_signal(sig: SignalSeries, path: str) -> None:

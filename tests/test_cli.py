@@ -45,6 +45,53 @@ def test_gen_powerlaw_triplet_density(tmp_path):
     assert abs(density - 0.059) <= 0.015  # oracle count vs reference regime
 
 
+def test_gen_powerlaw_marginals_file(tmp_path):
+    from wideca.store import TRIPLET, save_matrix
+    sums = tmp_path / "sums.txt"
+    sums.write_text("3\n\n1\n5\n2\n")
+    out = tmp_path / "p.tpl"
+    assert run("gen", "powerlaw", "--rows", 6, "--cols", 40, "--seed", 3,
+               "--marginals", sums, "-o", out) == 0
+    ref = tmp_path / "ref.tpl"
+    m = wideca.gen_powerlaw_boolean(
+        6, 40, 3, marginals=wideca.EmpiricalMarginals([3, 1, 5, 2]))
+    save_matrix(m, str(ref), TRIPLET)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n1.5\n", "marginal 1.5 is not a whole number in the int64 range"),
+    ("2\nx\n", "line 2: bad marginals value 'x'"),
+    ("", "empty marginals file"),
+    ("2\n-1\n", "empirical marginal sums must be nonnegative"),
+    ("inf\n", "marginal inf is not a whole number in the int64 range"),
+], ids=["fraction", "text", "empty", "negative", "inf"])
+def test_exit_code_bad_marginals_file(tmp_path, capsys, text, message):
+    sums = tmp_path / "sums.txt"
+    sums.write_text(text)
+    out = tmp_path / "p.tpl"
+    assert run("gen", "powerlaw", "--rows", 6, "--cols", 40,
+               "--marginals", sums, "-o", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", "1.0"])
+def test_exit_code_bad_exponent(tmp_path, capsys, exponent):
+    message = ("error: exponent must be finite and exceed 1, "
+               f"got {float(exponent)}\n")
+    out = tmp_path / "p.tpl"
+    assert run("gen", "powerlaw", "--rows", 20, "--cols", 50,
+               f"--exponent={exponent}", "-o", out) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    out = tmp_path / "t.csv"
+    assert run("reproduce", "--table", "4", "--dims", 1052, "--seeds", 1,
+               f"--exponent={exponent}", "-o", out) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_gen_signal(tmp_path):
     out = tmp_path / "s.txt"
     assert run("gen", "signal", "--len", 5000, "--start", 6800, "--seed", 7,

@@ -434,6 +434,41 @@ def test_relative_fallback_bit_identical_to_two_pass():
     assert rep.per_column_relative.tobytes() == rel.tobytes()
 
 
+def test_one_pass_changes_only_relative_contributions(monkeypatch):
+    # With no gap limit the 86 x 100 embedding takes the single pass; the
+    # default report reruns the pass, which rewrites only the relative
+    # contributions
+    import dataclasses
+    fm, fd, rerun = report(_embedding(100))
+    assert rerun.relative_denominator == "axis_inertia"
+    monkeypatch.setattr("wideca.contributions._EIG_INERTIA_TOL", np.inf)
+    one = concentration_report(fm, fd)
+    assert one.relative_denominator == "eigenvalues"
+    for name in ("per_column_absolute", "axis_column_inertia",
+                 "per_row_absolute", "per_row_relative"):
+        assert getattr(one, name).tobytes() == \
+            getattr(rerun, name).tobytes(), name
+    for field in dataclasses.fields(one):
+        if not isinstance(getattr(one, field.name), np.ndarray) \
+                and not field.name.startswith("rel_"):
+            assert getattr(one, field.name) == getattr(rerun, field.name), \
+                field.name
+    assert one.per_column_relative.tobytes() != \
+        rerun.per_column_relative.tobytes()
+
+
+def test_relative_denominator_derived_from_gap():
+    import dataclasses
+    _, _, rep = report(K0)
+    assert "relative_denominator" not in \
+        {f.name for f in dataclasses.fields(rep)}
+    for gap, want in ((0.0, "eigenvalues"), (1e-12, "eigenvalues"),
+                      (np.nextafter(1e-12, 1.0), "axis_inertia"),
+                      (np.inf, "axis_inertia"), (np.nan, "axis_inertia")):
+        assert dataclasses.replace(rep, inertia_gap=gap) \
+            .relative_denominator == want, gap
+
+
 @pytest.mark.parametrize("kind", ["uniform", "embedding"])
 def test_relative_denominator_workers_bit_identical(monkeypatch, kind):
     from wideca import gen_uniform

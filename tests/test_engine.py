@@ -55,6 +55,29 @@ def test_zero_column_recorded():
     assert fm.n_cols_effective == 2
 
 
+def test_mass_scales_zero_at_zero_mass_and_exact_elsewhere(rng):
+    # whole counts keep dense and sparse sums exact, so both storages give
+    # the same masses and the same scales
+    K = rng.integers(0, 4, (9, 40)).astype(np.float64)
+    K[[2, 7], :] = 0.0
+    K[:, [0, 13, 39]] = 0.0
+    rows, cols = np.nonzero(K)
+    dense = build_frequency_model(CountMatrix.from_dense(K))
+    sparse = build_frequency_model(CountMatrix.from_triplets(
+        9, 40, rows, cols, K[rows, cols]))
+    assert sparse.matrix.is_sparse
+    for fm in (dense, sparse):
+        for scale, mass in ((fm.row_scale, fm.row_masses),
+                            (fm.col_scale, fm.col_masses)):
+            zero = mass == 0.0
+            assert zero.sum() in (2, 3)
+            assert (scale[zero] == 0.0).all()
+            assert scale[~zero].tobytes() == \
+                (1.0 / np.sqrt(mass[~zero])).tobytes()
+    assert dense.row_scale.tobytes() == sparse.row_scale.tobytes()
+    assert dense.col_scale.tobytes() == sparse.col_scale.tobytes()
+
+
 # -- profiles ------------------------------------------------------------------
 # A profile's chi-squared distance to the centroid is its absolute
 # contribution over its mass, minus the trivial axis' 1.

@@ -206,6 +206,14 @@ def test_boolean_chunking_does_not_change_output():
     assert (m.sparse.data == 1.0).all()
 
 
+@pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf, 1.0])
+def test_parametric_exponent_must_be_finite_above_one(exponent):
+    law = ParametricMarginals(exponent=exponent)
+    with pytest.raises(ValidationError,
+                       match="^exponent must be finite and exceed 1, got "):
+        gen_powerlaw_boolean(20, 50, seed=1, marginals=law)
+
+
 def test_boolean_empirical_validation():
     with pytest.raises(ValidationError, match="exceeds n_rows"):
         gen_powerlaw_boolean(4, 3, seed=1,

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -253,6 +254,21 @@ def test_signal_blank_lines_skipped_and_bad_value_line(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match="^empty signal file$"):
             load_signal(str(p))
+
+
+def test_marginals_whole_numbers_as_int64(tmp_path):
+    from wideca.store import load_marginals
+    p = tmp_path / "sums.txt"
+    p.write_text("3\n\n1.0\n1e2\n-1\n")
+    sums = load_marginals(str(p))
+    assert sums.dtype == np.int64
+    np.testing.assert_array_equal(sums, [3, 1, 100, -1])
+    for text, bad in (("2\n1.5\n", "1.5"), ("nan\n", "nan"),
+                      ("-inf\n", "-inf"), ("9.3e18\n", "9.3e+18")):
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"marginal {bad} is not a whole number in the int64 range")):
+            load_marginals(str(p))
 
 
 @pytest.mark.parametrize("header, line, message", [
