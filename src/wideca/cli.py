@@ -29,8 +29,9 @@ from .generators import (DEFAULT_BODY_START, DEFAULT_EXPONENT,
                          gen_powerlaw_boolean, gen_randomwalk_signal,
                          gen_uniform)
 from .powerlaw import ccdf, fit_exponent
-from .store import (DENSE_CSV, FORMATS, TRIPLET, column_sums, load_marginals,
-                    load_matrix, load_signal, save_matrix, save_signal)
+from .store import (DENSE_CSV, FORMATS, TRIPLET, column_blocks, column_sums,
+                    load_marginals, load_matrix, load_signal, resolve_workers,
+                    save_matrix, save_signal)
 from . import tables
 
 
@@ -125,6 +126,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    args.workers = resolve_workers(args.workers)
     m = load_matrix(args.input, args.format)
     t0 = time.perf_counter()
     fm = build_frequency_model(m)
@@ -144,6 +146,7 @@ def _cmd_analyze(args) -> int:
             "relative_denominator": report.relative_denominator,
             "inertia_gap": report.inertia_gap
             if math.isfinite(report.inertia_gap) else None,
+            "blocks": sum(1 for _ in column_blocks(m.n_rows, m.n_cols)),
         },
     }
     _write_json(base + ".json", doc)
@@ -175,6 +178,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    args.workers = resolve_workers(args.workers)
     rows = tables.sweep(args.table, args.dims, seeds=args.seeds,
                         base_seed=args.seed, exponent=args.exponent,
                         include_trivial=args.include_trivial,
@@ -210,9 +214,11 @@ def build_parser() -> _Parser:
             p.add_argument("--format", choices=FORMATS, default=fmt,
                            help="matrix file format")
         if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="worker threads for streaming passes "
-                                "(outputs do not depend on this)")
+            p.add_argument("--workers", type=int, default=None,
+                           help="threads for the column-block passes, the "
+                                "calling one included (default: usable "
+                                "CPUs // BLAS threads, at least 1; outputs "
+                                "do not depend on this)")
         if trivial:
             p.add_argument("--include-trivial", type=_bool_flag,
                            default=True, metavar="true|false",

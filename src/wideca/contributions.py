@@ -118,7 +118,7 @@ def _summary(x: np.ndarray) -> tuple[float, float, float]:
 
 
 def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
-                         workers: int = 1) -> ContributionReport:
+                         workers: int | None = None) -> ContributionReport:
     """All per-column metrics and summaries, in one streaming pass when the
     eigenvalues can serve as relative denominators.
 

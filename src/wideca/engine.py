@@ -26,9 +26,12 @@ scratch buffer and returns its Gram matrix. The projection pass
 (``map_projection_blocks``) folds the row scaling into the basis, so a
 block's projections come from one product that reads K where it is stored,
 and hands the standardized S = sqrt(f_j) G to the caller's reduction inside
-the same worker. Each thread has one scratch buffer of one block per pass,
-reused by its next block. Only small per-block partials leave a worker, and
-they are merged in block order: outputs do not depend on the worker count.
+the same worker. Both passes run on ``store.ordered_block_map``: by default
+with max(1, usable CPUs // BLAS threads) workers (``store.resolve_workers``),
+the calling thread computing one block of each round. Each thread has one
+scratch buffer of one block per pass, reused by its next block. Only small
+per-block partials leave a worker, and they are merged in block order:
+outputs do not depend on the worker count.
 Per-column contributions and chi-squared distances come from the
 contribution report.
 
@@ -158,7 +161,7 @@ class _Scratch(threading.local):
 
 
 def decompose(fm: FrequencyModel, include_trivial: bool = True,
-              workers: int = 1) -> FactorDecomposition:
+              workers: int | None = None) -> FactorDecomposition:
     """Eigendecompose the dual-space operator and build row projections.
 
     Non-trivial axes below ``_REL_EIG_TOL * max(non-trivial eigenvalue)``
@@ -244,7 +247,8 @@ def _canonical_signs(U: np.ndarray) -> None:
 
 
 def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
-                          reduce: Callable, workers: int = 1) -> Iterator:
+                          reduce: Callable,
+                          workers: int | None = None) -> Iterator:
     """Yield ``reduce(j0, j1, S)`` for every column block, in block order.
 
     S, of shape (n_nontrivial, j1 - j0), holds the block's standardized

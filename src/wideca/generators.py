@@ -69,10 +69,10 @@ def gen_randomwalk_signal(n: int, start: float, seed: int,
         raise ValidationError("signal length must be at least 1")
     if not 0.0 <= p_repeat < 1.0:
         raise ValidationError("p_repeat must be in [0, 1)")
-    if start <= 0:
-        raise ValidationError("start must be positive")
-    if tick <= 0:
-        raise ValidationError("tick must be positive")
+    for name, value in (("start", start), ("tick", tick)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(
+                f"{name} must be finite and positive, got {value}")
     rng = rng_from_seed(seed)
     moves = rng.random(n - 1) >= p_repeat
     signs = np.where(rng.random(n - 1) < 0.5, -1.0, 1.0)

@@ -29,7 +29,7 @@ handle dense matrices only never load it.
 
 from __future__ import annotations
 
-from collections import deque
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -46,8 +46,12 @@ DENSE_CSV = "dense-csv"
 TRIPLET = "triplet"
 FORMATS = (DENSE_CSV, TRIPLET)
 
-# Column blocks are sized so one dense block stays around ~24 MB of float64.
-_BLOCK_ELEMS = 3_000_000
+# Column blocks are sized so one dense block stays around 8 MB of float64;
+# a matrix of at most this many cells is one block.
+_BLOCK_ELEMS = 1_000_000
+# The variables that set OpenBLAS's thread count, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
 
 
 class CountMatrix:
@@ -267,34 +271,60 @@ def column_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
         yield j0, min(j0 + width, n_cols)
 
 
-def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
-                      workers: int = 1) -> Iterator:
-    """Apply ``fn(j0, j1)`` over blocks, yielding results in block order.
+def resolve_workers(workers: int | None = None) -> int:
+    """The worker count of a block pass: ``workers`` itself, checked to be
+    at least 1, or for None the default.
 
-    With ``workers > 1`` blocks run on a thread pool (numpy releases the GIL
-    in the heavy kernels) with a prefetch window of ``workers`` blocks, so at
-    most that many results exist at a time. Results always come back in block
-    order and the caller reduces them sequentially, which makes every
-    reduction bit-identical for any worker count.
+    The default is ``max(1, usable_cpus // blas_threads)``, where
+    ``blas_threads`` is the first positive integer among
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``,
+    else every usable CPU (BLAS's own default). So BLAS at its default keeps
+    one worker, and BLAS pinned to one thread gives one worker per CPU,
+    without running more BLAS threads than there are CPUs.
     """
+    if workers is None:
+        cpus = len(os.sched_getaffinity(0))
+        blas_threads = cpus
+        for name in _BLAS_THREAD_VARS:
+            try:
+                n = int(os.environ.get(name, ""))
+            except ValueError:
+                continue
+            if n > 0:
+                blas_threads = n
+                break
+        return max(1, cpus // blas_threads)
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
+def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
+                      workers: int | None = None) -> Iterator:
+    """Apply ``fn(j0, j1)`` over blocks, yielding results in block order.
+
+    ``workers`` defaults to ``resolve_workers()``. With w > 1 workers the
+    blocks go in rounds of w: the first block of a round runs on the
+    calling thread, the others on a pool of w - 1 threads (numpy releases
+    the GIL in the heavy kernels), and the round's results are yielded once
+    all are done. At most w blocks are in flight at a time. The calling
+    thread takes a share because memory a pool thread frees stays in that
+    thread's malloc arena, where the caller cannot reuse it. Results always
+    come back in block order and the caller reduces them sequentially, which
+    makes every reduction bit-identical for any worker count.
+    """
+    workers = resolve_workers(workers)
     blocks = list(blocks)
-    if workers <= 1 or len(blocks) <= 1:
+    if workers == 1 or len(blocks) <= 1:
         for j0, j1 in blocks:
             yield fn(j0, j1)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        it = iter(blocks)
-        for b in islice(it, workers):
-            pending.append(pool.submit(fn, *b))
-        while pending:
-            result = pending.popleft().result()
-            nxt = next(it, None)
-            if nxt is not None:
-                pending.append(pool.submit(fn, *nxt))
-            yield result
+    with ThreadPoolExecutor(max_workers=min(workers, len(blocks)) - 1) as pool:
+        for r0 in range(0, len(blocks), workers):
+            first, *rest = blocks[r0:r0 + workers]
+            futures = [pool.submit(fn, *b) for b in rest]
+            results = [fn(*first)] + [f.result() for f in futures]
+            yield from results
 
 
 # -- file I/O -----------------------------------------------------------------

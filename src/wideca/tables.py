@@ -75,7 +75,8 @@ def _aggregate(dim: int, per_seed: list[dict]) -> dict:
 
 def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
           exponent: float = DEFAULT_EXPONENT, include_trivial: bool = True,
-          workers: int = 1, allow_large: bool = False) -> list[dict]:
+          workers: int | None = None,
+          allow_large: bool = False) -> list[dict]:
     """Seed-aggregated rows of one table, one per dimensionality.
 
     Tables: "1" concentration statistics of 86-row uniform [0,1) clouds;
@@ -85,7 +86,8 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
     fill density of those matrices. ``dims`` defaults to ``TABLE_DIMS``.
     A table ignores the options it has no use for: ``exponent`` (the
     density exponent of the generated marginal law) matters to tables 3 and
-    4 only, ``include_trivial`` and ``workers`` to all but table 3.
+    4 only, ``include_trivial`` and ``workers`` (default
+    ``store.resolve_workers()``) to all but table 3.
 
     Table 3 fits the linear region of the generated law: from the body
     start of the marginal distribution up to the 90th percentile, ahead of

@@ -225,9 +225,11 @@ def test_criterion_6_estimator_recovery():
     print("PASS criterion 6: CCDF exponent recovery 9/10 seeds or better")
 
 
-def test_criterion_7_worker_determinism(tmp_path):
-    """Three commands x three worker counts: byte-identical numeric payloads
-    (the CSV reports) for the same seed."""
+def test_criterion_7_worker_determinism(tmp_path, monkeypatch):
+    """Three commands x three worker counts and the default: byte-identical
+    numeric payloads (the CSV reports) for the same seed. The default runs
+    with BLAS pinned to one thread, so it takes one worker per usable CPU."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     dense = tmp_path / "u.csv"
     tri = tmp_path / "p.tpl"
     assert main(["gen", "uniform", "--rows", "40", "--cols", "3000",
@@ -236,20 +238,19 @@ def test_criterion_7_worker_determinism(tmp_path):
                  "--seed", "11", "-o", str(tri)]) == 0
 
     payloads = {"analyze-dense": [], "analyze-triplet": [], "reproduce": []}
-    for workers in ("1", "2", "4"):
+    for workers in ("1", "2", "4", "default"):
+        flag = [] if workers == "default" else ["--workers", workers]
         out = tmp_path / f"rd{workers}"
-        assert main(["analyze", str(dense), "--workers", workers,
-                     "-o", str(out)]) == 0
+        assert main(["analyze", str(dense), *flag, "-o", str(out)]) == 0
         payloads["analyze-dense"].append((out.with_suffix(".csv")).read_bytes())
         out = tmp_path / f"rt{workers}"
         assert main(["analyze", str(tri), "--format", "triplet",
-                     "--workers", workers, "-o", str(out)]) == 0
+                     *flag, "-o", str(out)]) == 0
         payloads["analyze-triplet"].append((out.with_suffix(".csv")).read_bytes())
         out = tmp_path / f"rr{workers}.csv"
         assert main(["reproduce", "--table", "1", "--dims", "100,400",
-                     "--seeds", "2", "--workers", workers,
-                     "-o", str(out)]) == 0
+                     "--seeds", "2", *flag, "-o", str(out)]) == 0
         payloads["reproduce"].append(out.read_bytes())
     for label, blobs in payloads.items():
-        assert blobs[0] == blobs[1] == blobs[2], f"{label} differs by workers"
+        assert len(set(blobs)) == 1, f"{label} differs by workers"
     print("PASS criterion 7: byte-identical payloads across worker counts")

@@ -411,3 +411,51 @@ def test_fit_infinite_cutoff_serializes_as_null(tmp_path):
     out = tmp_path / "f.json"
     assert run("fit", mat, "--x-max", "inf", "-o", out) == 0
     assert read_json(out)["fit"]["x_max"] is None
+
+
+def _pin_blas(monkeypatch, cpus, openblas_threads):
+    """A process with ``cpus`` usable CPUs and OpenBLAS at the given thread
+    count (None: no BLAS thread variable set)."""
+    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if openblas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(openblas_threads))
+
+
+@pytest.mark.parametrize("openblas_threads, flag, recorded", [
+    (None, [], 1), (1, [], 3), (None, ["--workers", "2"], 2)])
+def test_resolved_workers_recorded(tmp_path, monkeypatch, openblas_threads,
+                                   flag, recorded):
+    _pin_blas(monkeypatch, 3, openblas_threads)
+    mat = tmp_path / "u.csv"
+    run("gen", "uniform", "--rows", 5, "--cols", 40, "--seed", 1, "-o", mat)
+    assert run("analyze", mat, *flag, "-o", tmp_path / "r") == 0
+    assert read_json(tmp_path / "r.json")["config"]["workers"] == recorded
+    out = tmp_path / "t.csv"
+    assert run("reproduce", "--table", "1", "--dims", "100", "--seeds", 1,
+               *flag, "-o", out) == 0
+    assert read_json(str(out) + ".meta.json")["config"]["workers"] == recorded
+
+
+def test_analyze_diagnostics_block_count(tmp_path, monkeypatch):
+    mat = tmp_path / "u.csv"
+    run("gen", "uniform", "--rows", 10, "--cols", 1001, "--seed", 1, "-o", mat)
+    assert run("analyze", mat, "-o", tmp_path / "one") == 0
+    assert read_json(tmp_path / "one.json")["diagnostics"]["blocks"] == 1
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 1000)  # 100 columns
+    assert run("analyze", mat, "-o", tmp_path / "many") == 0
+    assert read_json(tmp_path / "many.json")["diagnostics"]["blocks"] == 11
+
+
+@pytest.mark.parametrize("flag", ["--start", "--tick"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exit_code_gen_signal_non_finite(tmp_path, capsys, flag, value):
+    out = tmp_path / "s.txt"
+    assert run("gen", "signal", "--len", 10, "--start", 5, f"{flag}={value}",
+               "-o", out) == 1
+    err = capsys.readouterr().err
+    name = flag[2:]
+    assert err == f"error: {name} must be finite and positive, got {value}\n"
+    assert not out.exists()

@@ -87,6 +87,15 @@ def test_walk_parameter_validation():
         gen_randomwalk_signal(10, start=10.0, seed=1, p_repeat=1.0)
 
 
+@pytest.mark.parametrize("name", ["start", "tick"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_walk_rejects_non_finite_start_and_tick(name, value):
+    kwargs = {"start": 5.0, "tick": 0.5, name: value}
+    with pytest.raises(ValidationError,
+                       match=f"^{name} must be finite and positive, got {value}$"):
+        gen_randomwalk_signal(10, seed=1, **kwargs)
+
+
 # -- embedding -------------------------------------------------------------------
 
 def test_embed_hand_example():

@@ -1,4 +1,5 @@
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -517,3 +518,87 @@ def test_signal_writer_matches_per_value_rendering(tmp_path):
     save_signal(SignalSeries(values), str(p))
     assert p.read_bytes() == "".join("%.17g\n" % v for v in values).encode()
     assert load_signal(str(p)).values.tobytes() == values.tobytes()
+
+
+# -- block passes --------------------------------------------------------------
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cpus, env, expected", [
+    (2, {}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "many"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "many", "GOTO_NUM_THREADS": "0",
+         "OMP_NUM_THREADS": "1"}, 4),
+    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    (1, {}, 1),
+], ids=["unset", "openblas-1", "omp-only-1", "openblas-2-of-4",
+        "openblas-first", "non-numeric", "first-positive", "more-than-cpus",
+        "one-cpu", "one-cpu-unset"])
+def test_resolve_workers_default_rule(monkeypatch, cpus, env, expected):
+    from wideca.store import resolve_workers
+    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    for name in _BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert resolve_workers() == resolve_workers(None) == expected
+
+
+def test_resolve_workers_explicit():
+    from wideca.store import resolve_workers
+    assert [resolve_workers(w) for w in (1, 2, 7)] == [1, 2, 7]
+    for workers in (0, -3):
+        with pytest.raises(ValidationError,
+                           match=f"^workers must be at least 1, got {workers}$"):
+            resolve_workers(workers)
+
+
+def _recording_block(log):
+    def fn(j0, j1):
+        log.append((j0, threading.get_ident()))
+        return (j0, j1)
+    return fn
+
+
+@pytest.mark.parametrize("workers, n_blocks", [
+    (3, 2), (3, 3), (3, 4), (2, 5), (1, 3)])
+def test_ordered_block_map_order_and_caller_share(workers, n_blocks):
+    """Results come in block order; the calling thread computes the first
+    block of every round of ``workers`` blocks, and no thread outlives the
+    pass."""
+    from wideca.store import ordered_block_map
+    blocks = [(10 * b, 10 * b + 10) for b in range(n_blocks)]
+    log = []
+    threads_before = threading.active_count()
+    assert list(ordered_block_map(_recording_block(log), blocks,
+                                  workers)) == blocks
+    assert threading.active_count() == threads_before
+    ran_on = dict(log)
+    assert sorted(ran_on) == [j0 for j0, _ in blocks]
+    caller = threading.get_ident()
+    for b, (j0, _) in enumerate(blocks):
+        assert (ran_on[j0] == caller) == (b % workers == 0 or workers == 1)
+
+
+@pytest.mark.parametrize("bad_block", [0, 1, 3], ids=[
+    "caller-first-round", "pool", "caller-second-round"])
+def test_ordered_block_map_exception_propagates(bad_block):
+    from wideca.store import ordered_block_map
+    blocks = [(b, b + 1) for b in range(5)]
+
+    def fn(j0, j1):
+        if j0 == bad_block:
+            raise ValueError(f"block {j0}")
+        return j0
+
+    threads_before = threading.active_count()
+    with pytest.raises(ValueError, match=f"^block {bad_block}$"):
+        list(ordered_block_map(fn, blocks, 3))
+    assert threading.active_count() == threads_before
