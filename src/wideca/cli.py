@@ -217,8 +217,8 @@ def build_parser() -> _Parser:
             p.add_argument("--workers", type=int, default=None,
                            help="threads for the column-block passes, the "
                                 "calling one included (default: usable "
-                                "CPUs // BLAS threads, at least 1; outputs "
-                                "do not depend on this)")
+                                "CPUs // BLAS threads, at least 1 and at "
+                                "most 2; outputs do not depend on this)")
         if trivial:
             p.add_argument("--include-trivial", type=_bool_flag,
                            default=True, metavar="true|false",

@@ -27,11 +27,11 @@ scratch buffer and returns its Gram matrix. The projection pass
 block's projections come from one product that reads K where it is stored,
 and hands the standardized S = sqrt(f_j) G to the caller's reduction inside
 the same worker. Both passes run on ``store.ordered_block_map``: by default
-with max(1, usable CPUs // BLAS threads) workers (``store.resolve_workers``),
-the calling thread computing one block of each round. Each thread has one
-scratch buffer of one block per pass, reused by its next block. Only small
-per-block partials leave a worker, and they are merged in block order:
-outputs do not depend on the worker count.
+with usable CPUs // BLAS threads workers, at least 1 and at most 2
+(``store.resolve_workers``), the calling thread computing one block of each
+round. Each thread has one scratch buffer of one block per pass, reused by
+its next block. Only small per-block partials leave a worker, and they are
+merged in block order: outputs do not depend on the worker count.
 Per-column contributions and chi-squared distances come from the
 contribution report.
 

@@ -52,6 +52,11 @@ _BLOCK_ELEMS = 1_000_000
 # The variables that set OpenBLAS's thread count, in the order it reads them.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                      "OMP_NUM_THREADS")
+# The default worker count never exceeds this, whatever the CPU count: each
+# worker holds one block of scratch and, in a pool thread, its own malloc
+# arena, so peak memory grows with the worker count. An explicit count may
+# go higher.
+_MAX_DEFAULT_WORKERS = 2
 
 
 class CountMatrix:
@@ -275,15 +280,19 @@ def resolve_workers(workers: int | None = None) -> int:
     """The worker count of a block pass: ``workers`` itself, checked to be
     at least 1, or for None the default.
 
-    The default is ``max(1, usable_cpus // blas_threads)``, where
-    ``blas_threads`` is the first positive integer among
-    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``,
-    else every usable CPU (BLAS's own default). So BLAS at its default keeps
-    one worker, and BLAS pinned to one thread gives one worker per CPU,
-    without running more BLAS threads than there are CPUs.
+    The default is ``usable_cpus // blas_threads``, at least 1 and at most
+    ``_MAX_DEFAULT_WORKERS``. ``usable_cpus`` is the CPU affinity mask's
+    size, or ``os.cpu_count()`` where the OS has no affinity call; neither
+    sees a cgroup CPU quota. ``blas_threads`` is the first positive integer
+    among ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+    ``OMP_NUM_THREADS``, else every usable CPU (BLAS's own default). So BLAS
+    at its default keeps one worker, and BLAS pinned to one thread gives one
+    worker per CPU up to the cap, without running more BLAS threads than
+    there are CPUs.
     """
     if workers is None:
-        cpus = len(os.sched_getaffinity(0))
+        affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
         blas_threads = cpus
         for name in _BLAS_THREAD_VARS:
             try:
@@ -293,7 +302,7 @@ def resolve_workers(workers: int | None = None) -> int:
             if n > 0:
                 blas_threads = n
                 break
-        return max(1, cpus // blas_threads)
+        return max(1, min(_MAX_DEFAULT_WORKERS, cpus // blas_threads))
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     return workers

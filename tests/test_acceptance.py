@@ -228,7 +228,8 @@ def test_criterion_6_estimator_recovery():
 def test_criterion_7_worker_determinism(tmp_path, monkeypatch):
     """Three commands x three worker counts and the default: byte-identical
     numeric payloads (the CSV reports) for the same seed. The default runs
-    with BLAS pinned to one thread, so it takes one worker per usable CPU."""
+    with BLAS pinned to one thread, so it takes one worker per usable CPU, up
+    to two."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     dense = tmp_path / "u.csv"
     tri = tmp_path / "p.tpl"

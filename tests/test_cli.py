@@ -425,10 +425,10 @@ def _pin_blas(monkeypatch, cpus, openblas_threads):
 
 
 @pytest.mark.parametrize("openblas_threads, flag, recorded", [
-    (None, [], 1), (1, [], 3), (None, ["--workers", "2"], 2)])
+    (None, [], 1), (1, [], 2), (None, ["--workers", "3"], 3)])
 def test_resolved_workers_recorded(tmp_path, monkeypatch, openblas_threads,
                                    flag, recorded):
-    _pin_blas(monkeypatch, 3, openblas_threads)
+    _pin_blas(monkeypatch, 2, openblas_threads)
     mat = tmp_path / "u.csv"
     run("gen", "uniform", "--rows", 5, "--cols", 40, "--seed", 1, "-o", mat)
     assert run("analyze", mat, *flag, "-o", tmp_path / "r") == 0
@@ -447,6 +447,22 @@ def test_analyze_diagnostics_block_count(tmp_path, monkeypatch):
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 1000)  # 100 columns
     assert run("analyze", mat, "-o", tmp_path / "many") == 0
     assert read_json(tmp_path / "many.json")["diagnostics"]["blocks"] == 11
+
+
+def test_analyze_default_workers_multi_block(tmp_path, monkeypatch):
+    """The default's pool runs on a grid of several blocks, and the report
+    equals the one-worker report byte for byte."""
+    _pin_blas(monkeypatch, 2, 1)
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 1000)  # 100 columns
+    mat = tmp_path / "u.csv"
+    run("gen", "uniform", "--rows", 10, "--cols", 1001, "--seed", 1, "-o", mat)
+    assert run("analyze", mat, "--workers", 1, "-o", tmp_path / "one") == 0
+    assert run("analyze", mat, "-o", tmp_path / "dflt") == 0
+    meta = read_json(tmp_path / "dflt.json")
+    assert meta["config"]["workers"] == 2
+    assert meta["diagnostics"]["blocks"] == 11
+    assert (tmp_path / "dflt.csv").read_bytes() == \
+        (tmp_path / "one.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--start", "--tick"])

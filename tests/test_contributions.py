@@ -309,6 +309,39 @@ def test_multi_block_workers_bit_identical(rng, kind):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_default_workers_multi_block_match_one_worker(rng, monkeypatch,
+                                                      sparse):
+    """With BLAS pinned to one thread the default runs several workers; on a
+    grid of several blocks its factors and report equal one worker's, bit
+    for bit."""
+    from wideca.store import column_blocks, resolve_workers
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
+                        lambda pid: {0, 1})
+    for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert resolve_workers() == 2
+    K = np.where(rng.random((30, 9_000)) < 0.3, rng.random((30, 9_000)), 0.0)
+    K[:, [0, 4_500]] = 0.0
+    m = CountMatrix.from_triplets(30, 9_000, *np.nonzero(K),
+                                  K[np.nonzero(K)]) if sparse \
+        else CountMatrix.from_dense(K)
+    assert len(list(column_blocks(m.n_rows, m.n_cols))) > 2
+    fm = build_frequency_model(m)
+    ref_fd = decompose(fm, workers=1)
+    ref = concentration_report(fm, ref_fd, workers=1)
+    fd = decompose(fm)
+    rep = concentration_report(fm, fd)
+    assert fd.eigenvalues.tobytes() == ref_fd.eigenvalues.tobytes()
+    assert fd.row_projections.tobytes() == ref_fd.row_projections.tobytes()
+    for name in REPORT_ARRAYS:
+        assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes(), \
+            name
+    assert rep.to_csv_row() == ref.to_csv_row()
+
+
 def test_workers_below_one_rejected(rng):
     fm, fd = analyze(rng.random((5, 40)))
     for workers in (0, -3):

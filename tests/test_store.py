@@ -533,13 +533,15 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
     (4, {"OPENBLAS_NUM_THREADS": "many"}, 1),
     (4, {"OPENBLAS_NUM_THREADS": "many", "GOTO_NUM_THREADS": "0",
-         "OMP_NUM_THREADS": "1"}, 4),
+         "OMP_NUM_THREADS": "1"}, 2),
     (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
     (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
     (1, {}, 1),
+    (64, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (64, {}, 1),
 ], ids=["unset", "openblas-1", "omp-only-1", "openblas-2-of-4",
         "openblas-first", "non-numeric", "first-positive", "more-than-cpus",
-        "one-cpu", "one-cpu-unset"])
+        "one-cpu", "one-cpu-unset", "capped", "many-cpus-unset"])
 def test_resolve_workers_default_rule(monkeypatch, cpus, env, expected):
     from wideca.store import resolve_workers
     monkeypatch.setattr("wideca.store.os.sched_getaffinity",
@@ -549,6 +551,19 @@ def test_resolve_workers_default_rule(monkeypatch, cpus, env, expected):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert resolve_workers() == resolve_workers(None) == expected
+
+
+@pytest.mark.parametrize("cpu_count, expected", [(2, 2), (None, 1)])
+def test_resolve_workers_without_affinity(monkeypatch, cpu_count, expected):
+    """Where the OS has no CPU affinity call (macOS, Windows) the default
+    counts the CPUs os.cpu_count reports, or 1 when it reports none."""
+    from wideca.store import resolve_workers
+    monkeypatch.delattr("wideca.store.os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("wideca.store.os.cpu_count", lambda: cpu_count)
+    for name in _BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert resolve_workers() == expected
 
 
 def test_resolve_workers_explicit():
