@@ -9,7 +9,10 @@ dimensionalities, so per-seed comparisons between dimensions are paired; the
 embedding table draws one signal per seed and embeds it at every dim.
 
 Dimensions above ``LARGE_DIM_LIMIT`` are refused unless ``allow_large`` is
-set; the large settings run for minutes and allocate hundreds of megabytes.
+set. The paper's sizes run in seconds: one seed, with BLAS at its default on
+a 2-vCPU Xeon, took about 3 s and 122 MiB peak for table 4 at 105,200
+columns, 1.6 s and 750 MiB for table 1 at 10^6 columns, and 18 s and 671 MiB
+for table 4 at 1,052,000 columns.
 """
 
 from __future__ import annotations

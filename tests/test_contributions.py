@@ -278,17 +278,31 @@ REPORT_ARRAYS = ("per_column_absolute", "per_column_relative",
                  "axis_column_inertia", "excluded_cols")
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse-powerlaw"])
+@pytest.mark.parametrize("kind", ["dense", "sparse-powerlaw", "sparse-mixed"])
 def test_multi_block_workers_bit_identical(rng, kind):
+    import scipy.sparse as sp
     from wideca import gen_powerlaw_boolean
+    from wideca.engine import _dense_gram
     from wideca.store import column_blocks
     if kind == "dense":
         K = rng.random((30, 250_000))
         K[:, [5, 180_000]] = 0.0  # zero-mass columns in two blocks
         m = CountMatrix.from_dense(K)
-    else:
+    elif kind == "sparse-powerlaw":
         m = gen_powerlaw_boolean(425, 25_000, seed=7)
-    assert len(list(column_blocks(m.n_rows, m.n_cols))) >= 3
+    else:
+        # five blocks of 5,000 columns, alternately 10 % and 0.5 % dense
+        K = sp.hstack([sp.random(200, 5000, density=d, format="csc",
+                                 random_state=rng,
+                                 data_rvs=lambda k: rng.integers(1, 4, k))
+                       for d in (0.1, 0.005, 0.1, 0.005, 0.1)], format="csc")
+        K.sort_indices()
+        m = CountMatrix(sparse=K)
+    blocks = list(column_blocks(m.n_rows, m.n_cols))
+    assert len(blocks) >= 3
+    if kind == "sparse-mixed":
+        assert [_dense_gram(np.diff(m.sparse.indptr[j0:j1 + 1]), m.n_rows)
+                for j0, j1 in blocks] == [True, False, True, False, True]
     fm = build_frequency_model(m)
     ref_fd = decompose(fm, workers=1)
     ref = concentration_report(fm, ref_fd, workers=1)

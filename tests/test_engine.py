@@ -240,18 +240,45 @@ def test_zero_mass_column_skipped():
     assert rep.n_cols_effective == 2
 
 
-def test_sparse_dense_same_decomposition(rng):
-    dense = np.where(rng.random((9, 33)) < 0.4, 1.0, 0.0)
-    dense[:, dense.sum(axis=0) == 0] = 1.0
+@pytest.mark.parametrize("shape, density", [((9, 33), 0.4),
+                                            ((300, 10_000), 0.005)],
+                         ids=["densified", "sparse-product-multi-block"])
+def test_sparse_dense_same_decomposition(rng, shape, density):
+    from wideca.engine import _dense_gram
+    from wideca.store import column_blocks
+    densified = density > 0.1
+    dense = np.where(rng.random(shape) < density, 1.0, 0.0)
+    if densified:
+        dense[:, dense.sum(axis=0) == 0] = 1.0
+    # At 0.5 % a fifth of the columns are empty; they stay empty (excluded
+    # in both storages), so the sparse W pass keeps the sparse product.
     dense[dense.sum(axis=1) == 0, :] = 1.0
     md = CountMatrix.from_dense(dense)
     coo = np.nonzero(dense)
-    ms = CountMatrix.from_triplets(9, 33, coo[0], coo[1], dense[coo])
+    ms = CountMatrix.from_triplets(*shape, coo[0], coo[1], dense[coo])
+    blocks = list(column_blocks(*shape))
+    assert densified or len(blocks) >= 3
+    assert [_dense_gram(np.diff(ms.sparse.indptr[j0:j1 + 1]), shape[0])
+            for j0, j1 in blocks] == [densified] * len(blocks)
     fd_d = decompose(build_frequency_model(md))
     fd_s = decompose(build_frequency_model(ms))
     np.testing.assert_allclose(fd_s.eigenvalues, fd_d.eigenvalues, atol=1e-12)
     np.testing.assert_allclose(fd_s.row_projections, fd_d.row_projections,
                                atol=1e-9)
+
+
+def test_dense_gram_dispatch(rng):
+    """A power-law block at the default exponent forms its W Gram matrix
+    with BLAS; a 0.5 %-dense block of the same shape keeps the sparse
+    product."""
+    from wideca import gen_powerlaw_boolean
+    from wideca.engine import _dense_gram
+    from wideca.store import column_blocks
+    assert list(column_blocks(425, 2352)) == [(0, 2352)]
+    m = gen_powerlaw_boolean(425, 2352, seed=1)
+    assert _dense_gram(np.diff(m.sparse.indptr), 425)
+    counts = (rng.random((425, 2352)) < 0.005).sum(axis=0)
+    assert not _dense_gram(counts, 425)
 
 
 def test_worker_count_does_not_change_bits(rng):
