@@ -31,12 +31,14 @@ basis, so a block's projections come from one product that reads K where it
 is stored, and hands the standardized S = sqrt(f_j) G to the caller's
 reduction inside the same worker. Both passes run on
 ``store.ordered_block_map``: by default with usable CPUs // BLAS threads
-workers, at least 1 and at most 2 (``store.resolve_workers``), the calling
-thread computing one block of each round. Each thread has one scratch buffer
-per pass, reused by its next block: one block, or one slab for the sparse W
-pass. Only small per-block partials leave a worker, and they are merged in
-block order: outputs do not depend on the worker count. Per-column
-contributions and chi-squared distances come from the contribution report.
+workers, at least 1 and at most 2 (``store.resolve_workers``). The calling
+thread and the pool share the blocks in ascending order, with no barrier
+between them, and the calling thread computes the next free block whenever
+the next result is not ready. Each thread has one scratch buffer per pass,
+reused by its next block: one block, or one slab for the sparse W pass.
+Only small per-block partials leave a worker, and they are merged in block
+order: outputs do not depend on the worker count. Per-column contributions
+and chi-squared distances come from the contribution report.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); it is rejected above ``MAX_DUAL_ROWS``.

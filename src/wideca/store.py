@@ -30,7 +30,7 @@ handle dense matrices only never load it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -49,6 +49,13 @@ FORMATS = (DENSE_CSV, TRIPLET)
 # Column blocks are sized so one dense block stays around 8 MB of float64;
 # a matrix of at most this many cells is one block.
 _BLOCK_ELEMS = 1_000_000
+# The marginal pass over dense storage takes column sums and the minimum
+# over chunks of at most this many cells (2 MB of float64), which stay in
+# cache between the two reads.
+_CHUNK_ELEMS = 1 << 18
+# A block pass with w workers starts block k only while k < (blocks
+# consumed) + _LOOKAHEAD_PER_WORKER * w.
+_LOOKAHEAD_PER_WORKER = 2
 # The variables that set OpenBLAS's thread count, in the order it reads them.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                      "OMP_NUM_THREADS")
@@ -70,6 +77,12 @@ class CountMatrix:
     pairs) and with every row index in [0, n_rows). Zero columns and zero
     rows are retained; the frequency model records their indices so
     profile-based computations can exclude them.
+
+    Validation keeps the row sums. For dense storage it is one marginal
+    pass over the column blocks (``_dense_marginals``), which keeps the
+    column sums for ``column_sums`` too; it runs on the default worker count
+    (``resolve_workers()``), since loaders take no worker count. Sparse
+    storage sums its columns on first use.
     """
 
     def __init__(self, dense: np.ndarray | None = None,
@@ -84,7 +97,6 @@ class CountMatrix:
             if getattr(sparse, "format", None) != "csc":
                 raise ValidationError(_NOT_CANONICAL)
             self.n_rows, self.n_cols = sparse.shape
-        self._row_sums: np.ndarray | None = None
         self._col_sums: np.ndarray | None = None
         self._validate()
 
@@ -135,18 +147,24 @@ class CountMatrix:
     def _validate(self) -> None:
         if self.n_rows <= 0 or self.n_cols <= 0:
             raise ValidationError("matrix dimensions must be positive")
-        if self._sparse is not None:
+        # Overflow and a NaN or infinite entry are reported below, not as
+        # numpy warnings.
+        if self._dense is not None:
+            vals = self._dense
+            self._row_sums, self._col_sums, low = _dense_marginals(vals)
+        else:
             _check_csc(self._sparse)
-        vals = self._dense if self._dense is not None else self._sparse.data
-        # A NaN or infinite entry makes its row sum non-finite, so the values
-        # are scanned for one only when a row sum is. Overflow is reported
-        # below, not as a numpy warning.
+            vals = self._sparse.data
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._row_sums = np.asarray(self._sparse.sum(axis=1)).ravel()
+            low = vals.min() if vals.size else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            sums_finite = bool(np.isfinite(self.row_sums()).all())
             total = self.grand_total
-        if not sums_finite and not np.isfinite(vals).all():
+        # A NaN or infinite entry makes its row sum non-finite, so the values
+        # are scanned for one only when a row sum is.
+        if not np.isfinite(self._row_sums).all() and not np.isfinite(vals).all():
             raise ValidationError("matrix contains NaN or infinite values")
-        if vals.size and vals.min() < 0:
+        if low < 0:
             if self._dense is not None:
                 i, j = np.unravel_index(int(np.argmin(self._dense)), self._dense.shape)
             else:
@@ -184,16 +202,11 @@ class CountMatrix:
         return self._sparse
 
     def row_sums(self) -> np.ndarray:
-        if self._row_sums is None:
-            if self.is_sparse:
-                self._row_sums = np.asarray(self._sparse.sum(axis=1)).ravel()
-            else:
-                self._row_sums = self._dense.sum(axis=1)
         return self._row_sums
 
     @property
     def grand_total(self) -> float:
-        return float(self.row_sums().sum())
+        return float(self._row_sums.sum())
 
     def to_dense(self) -> np.ndarray:
         if self.is_sparse:
@@ -245,18 +258,17 @@ def column_sums(m: CountMatrix) -> np.ndarray:
     """Per-column totals; their sum equals the grand total.
 
     Both storage forms add each column's entries one at a time in row order:
-    numpy sums a C-ordered array down its rows that way, and ``np.bincount``
-    adds the CSC entries in stored order. So sparse and dense storage of a
-    matrix with two or more columns give the same sums bit for bit. (Dense
-    storage of a single column is contiguous, and numpy sums it pairwise.)
+    numpy sums a C-ordered array of two or more columns down its rows that
+    way, and ``np.bincount`` adds the CSC entries in stored order. So sparse
+    and dense storage of a matrix with two or more columns give the same
+    sums bit for bit. (Dense storage of a single column is contiguous, and
+    numpy sums it pairwise.) Dense storage returns the sums its validation
+    took; sparse storage takes them on first use.
     """
     if m._col_sums is None:
-        if m.is_sparse:
-            csc = m.sparse
-            m._col_sums = np.bincount(_csc_columns(csc), weights=csc.data,
-                                      minlength=m.n_cols)
-        else:
-            m._col_sums = m.dense.sum(axis=0)
+        csc = m.sparse
+        m._col_sums = np.bincount(_csc_columns(csc), weights=csc.data,
+                                  minlength=m.n_cols)
     return m._col_sums
 
 
@@ -308,19 +320,68 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+def _dense_marginals(dense: np.ndarray, workers: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Row sums, column sums and minimum of C-ordered dense storage, in one
+    pass over the column blocks on ``ordered_block_map``.
+
+    A block's column sums and minimum are taken chunk by chunk, each chunk
+    of at most ``_CHUNK_ELEMS`` cells read twice while it is in cache, and
+    its row sums over the whole block. Each column is summed down its rows as
+    ``dense.sum(axis=0)`` sums it, so the column sums have its bits; the
+    row sums merge the block partials in block order, so a matrix of one
+    block gets the bits of ``dense.sum(axis=1)``. None depends on
+    ``workers``. The minimum means something only when every value is
+    finite. Overflow and non-finite values raise no warning here.
+    """
+    n_rows, n_cols = dense.shape
+    col_sums = np.empty(n_cols)
+    step = max(1, _CHUNK_ELEMS // n_rows)
+
+    def block(j0: int, j1: int) -> tuple[np.ndarray, float]:
+        low = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c0 in range(j0, j1, step):
+                c1 = min(c0 + step, j1)
+                chunk = dense[:, c0:c1]
+                if c1 - c0 == 1 and n_cols > 1:
+                    # numpy would sum one strided column pairwise, not in
+                    # row order as it sums two or more.
+                    col_sums[c0] = np.cumsum(chunk[:, 0])[-1]
+                else:
+                    np.sum(chunk, axis=0, out=col_sums[c0:c1])
+                low = min(low, chunk.min())
+            return dense[:, j0:j1].sum(axis=1), low
+
+    parts = ordered_block_map(block, column_blocks(n_rows, n_cols), workers)
+    row_sums, low = next(parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part, part_low in parts:
+            row_sums += part
+            low = min(low, part_low)
+    return row_sums, col_sums, low
+
+
 def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
                       workers: int | None = None) -> Iterator:
     """Apply ``fn(j0, j1)`` over blocks, yielding results in block order.
 
     ``workers`` defaults to ``resolve_workers()``. With w > 1 workers the
-    blocks go in rounds of w: the first block of a round runs on the
-    calling thread, the others on a pool of w - 1 threads (numpy releases
-    the GIL in the heavy kernels), and the round's results are yielded once
-    all are done. At most w blocks are in flight at a time. The calling
-    thread takes a share because memory a pool thread frees stays in that
-    thread's malloc arena, where the caller cannot reuse it. Results always
-    come back in block order and the caller reduces them sequentially, which
-    makes every reduction bit-identical for any worker count.
+    calling thread and a pool of w - 1 threads share the blocks (numpy
+    releases the GIL in the heavy kernels): each claims the next block in
+    ascending order from one counter, but starts block k only while
+    k < (blocks consumed) + L, with the lookahead L = 2w. A block is
+    consumed once the caller has taken its result and asks for the next.
+    So at most L blocks are in flight, and no thread waits for a round to
+    finish: while the next result is not ready, the calling thread computes
+    the next free block instead of waiting. The calling thread claims the
+    first block and takes a share because memory a pool thread frees stays
+    in that thread's malloc arena, where the caller cannot reuse it. An
+    exception from ``fn`` is raised when its block's turn comes. Results
+    always come back in block order and the caller reduces them
+    sequentially, which makes every reduction bit-identical for any worker
+    count. Closing the iterator early lets running blocks finish and starts
+    no more.
     """
     workers = resolve_workers(workers)
     blocks = list(blocks)
@@ -328,12 +389,67 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
         for j0, j1 in blocks:
             yield fn(j0, j1)
         return
-    with ThreadPoolExecutor(max_workers=min(workers, len(blocks)) - 1) as pool:
-        for r0 in range(0, len(blocks), workers):
-            first, *rest = blocks[r0:r0 + workers]
-            futures = [pool.submit(fn, *b) for b in rest]
-            results = [fn(*first)] + [f.result() for f in futures]
-            yield from results
+    n = len(blocks)
+    lookahead = _LOOKAHEAD_PER_WORKER * workers
+    cond = threading.Condition()
+    results: dict[int, tuple[bool, object]] = {}
+    claimed = 1  # the caller's first block, 0
+    consumed = 0
+    closing = False
+
+    def run(k: int) -> None:
+        try:
+            result = (True, fn(*blocks[k]))
+        except BaseException as exc:  # raised in the caller, in block order
+            result = (False, exc)
+        with cond:
+            results[k] = result
+            cond.notify_all()
+
+    def pool_worker() -> None:
+        nonlocal claimed
+        while True:
+            with cond:
+                while not closing and claimed < n \
+                        and claimed >= consumed + lookahead:
+                    cond.wait()
+                if closing or claimed >= n:
+                    return
+                k = claimed
+                claimed += 1
+            run(k)
+
+    threads = [threading.Thread(target=pool_worker, daemon=True)
+               for _ in range(min(workers, n) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+        for k in range(n):
+            while True:
+                with cond:
+                    if k in results:
+                        ok, value = results.pop(k)
+                        break
+                    if claimed < n and claimed < consumed + lookahead:
+                        own = claimed
+                        claimed += 1
+                    else:
+                        cond.wait()
+                        continue
+                run(own)
+            if not ok:
+                raise value
+            yield value
+            with cond:
+                consumed = k + 1
+                cond.notify_all()
+    finally:
+        with cond:
+            closing = True
+            cond.notify_all()
+        for t in threads:
+            t.join()
 
 
 # -- file I/O -----------------------------------------------------------------

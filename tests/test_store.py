@@ -1,5 +1,6 @@
 import re
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -450,6 +451,77 @@ def test_column_sums_sparse_dense_bit_identical(rng, shape, density):
     assert column_sums(ms).tobytes() == column_sums(md).tobytes()
 
 
+# -- the marginal pass over dense storage ----------------------------------------
+
+@pytest.fixture
+def small_grid(monkeypatch):
+    """10 columns per block at 12 rows, 3 per chunk: chunks of 3, 3, 3 and
+    1. From 8 rows up numpy sums one strided column pairwise, not in row
+    order."""
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 120)
+    monkeypatch.setattr("wideca.store._CHUNK_ELEMS", 36)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_marginal_pass_non_finite_in_last_block(small_grid, rng, bad):
+    dense = rng.random((12, 45))
+    dense[3, 44] = bad
+    with pytest.raises(ValidationError,
+                       match="^matrix contains NaN or infinite values$"):
+        CountMatrix.from_dense(dense)
+
+
+def test_marginal_pass_negative_names_first_minimum(small_grid, rng):
+    # The minimum -2 sits in blocks 1 and 3; its first occurrence in row
+    # order is in the later block.
+    dense = rng.random((12, 45))
+    dense[4, 12] = dense[1, 33] = -2.0
+    dense[0, 40] = -1.0
+    with pytest.raises(ValidationError,
+                       match=r"^negative value at \(row=1, col=33\)$"):
+        CountMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("cells", [
+    [(0, 3), (0, 25)],   # one row sum overflows across two blocks
+    [(0, 3), (11, 42)],  # rows finite, grand total overflows
+])
+def test_marginal_pass_totals_overflow_across_blocks(small_grid, rng, cells):
+    dense = rng.random((12, 45))
+    for i, j in cells:
+        dense[i, j] = 1.5e308
+    with pytest.raises(ValidationError, match="^matrix totals overflow float64$"):
+        CountMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("shape", [(12, 45), (12, 41), (100, 7), (9, 1)],
+                         ids=["width-1-chunks", "width-1-block",
+                              "one-column-blocks", "one-column"])
+def test_marginal_pass_column_sums_bits(small_grid, rng, shape):
+    dense = rng.random(shape)
+    m = CountMatrix.from_dense(dense)
+    assert column_sums(m) is column_sums(m)
+    assert column_sums(m).tobytes() == dense.sum(axis=0).tobytes()
+
+
+def test_marginal_pass_one_block_row_sums_bits(monkeypatch, rng):
+    monkeypatch.setattr("wideca.store._CHUNK_ELEMS", 300)  # 10 per chunk
+    dense = rng.random((30, 995))
+    m = CountMatrix.from_dense(dense)
+    assert m.row_sums().tobytes() == dense.sum(axis=1).tobytes()
+    assert column_sums(m).tobytes() == dense.sum(axis=0).tobytes()
+
+
+def test_marginal_pass_independent_of_workers(small_grid, rng):
+    from wideca.store import _dense_marginals
+    dense = rng.random((12, 45)) * 10.0 ** rng.integers(-8, 8, (12, 45))
+    parts = [_dense_marginals(dense, workers) for workers in (1, 2, 3)]
+    for row_sums, col_sums, low in parts[1:]:
+        assert row_sums.tobytes() == parts[0][0].tobytes()
+        assert col_sums.tobytes() == parts[0][1].tobytes()
+        assert low == parts[0][2] == dense.min()
+
+
 def test_signal_roundtrip(tmp_path, rng):
     from wideca import SignalSeries, load_signal, save_signal
     sig = SignalSeries(rng.random(257) * 100)
@@ -575,31 +647,93 @@ def test_resolve_workers_explicit():
             resolve_workers(workers)
 
 
-def _recording_block(log):
-    def fn(j0, j1):
-        log.append((j0, threading.get_ident()))
-        return (j0, j1)
-    return fn
+def _lookahead(workers):
+    from wideca.store import _LOOKAHEAD_PER_WORKER
+    return _LOOKAHEAD_PER_WORKER * workers
 
 
 @pytest.mark.parametrize("workers, n_blocks", [
-    (3, 2), (3, 3), (3, 4), (2, 5), (1, 3)])
+    (3, 2), (3, 3), (3, 4), (2, 5), (1, 3), (2, 12), (3, 20)])
 def test_ordered_block_map_order_and_caller_share(workers, n_blocks):
-    """Results come in block order; the calling thread computes the first
-    block of every round of ``workers`` blocks, and no thread outlives the
-    pass."""
+    """Results come in block order; every block runs exactly once, the
+    calling thread computes at least one, no block k starts before block
+    k - L has been consumed, and no thread outlives the pass."""
     from wideca.store import ordered_block_map
     blocks = [(10 * b, 10 * b + 10) for b in range(n_blocks)]
+    consumed = [0]
     log = []
+
+    def fn(j0, j1):
+        log.append((j0 // 10, consumed[0], threading.get_ident()))
+        return (j0, j1)
+
     threads_before = threading.active_count()
-    assert list(ordered_block_map(_recording_block(log), blocks,
-                                  workers)) == blocks
+    got = []
+    for result in ordered_block_map(fn, blocks, workers):
+        got.append(result)
+        time.sleep(0.001)  # a slow consumer lets the pool run ahead
+        consumed[0] += 1
+    assert got == blocks
     assert threading.active_count() == threads_before
-    ran_on = dict(log)
-    assert sorted(ran_on) == [j0 for j0, _ in blocks]
+    assert sorted(b for b, _, _ in log) == list(range(n_blocks))
+    assert threading.get_ident() in {ident for _, _, ident in log}
+    for b, consumed_at_start, _ in log:
+        assert b < consumed_at_start + _lookahead(workers)
+
+
+def test_ordered_block_map_no_round_barrier():
+    """While a pool thread is held inside block 1, the calling thread goes
+    on to compute every block the lookahead allows, then releases it."""
+    from wideca.store import ordered_block_map
+    workers, n_blocks = 2, 8
+    last_allowed = 1 + _lookahead(workers) - 1  # block 0 consumed, 1 held
     caller = threading.get_ident()
-    for b, (j0, _) in enumerate(blocks):
-        assert (ran_on[j0] == caller) == (b % workers == 0 or workers == 1)
+    pool_started, release = threading.Event(), threading.Event()
+    released_in_time = []
+    log = []
+
+    def fn(j0, j1):
+        log.append((j0, threading.get_ident(), release.is_set()))
+        if j0 == 0:
+            assert pool_started.wait(10)
+        elif j0 == 1:
+            pool_started.set()
+            released_in_time.append(release.wait(10))
+        elif j0 == last_allowed:
+            release.set()
+        return j0
+
+    assert list(ordered_block_map(fn, [(b, b + 1) for b in range(n_blocks)],
+                                  workers)) == list(range(n_blocks))
+    assert released_in_time == [True]
+    ran = {b: (ident, held_open) for b, ident, held_open in log}
+    assert ran[1][0] != caller
+    for b in range(2, last_allowed + 1):
+        assert ran[b] == (caller, False)
+
+
+def test_ordered_block_map_early_close():
+    """Breaking after the first result ends the pool threads, and no block
+    beyond the lookahead of zero consumed blocks ever starts."""
+    from wideca.store import ordered_block_map
+    workers = 3
+    started = []
+
+    def fn(j0, j1):
+        started.append(j0)
+        time.sleep(0.005)
+        return j0
+
+    threads_before = threading.active_count()
+    for result in ordered_block_map(fn, [(b, b + 1) for b in range(40)],
+                                    workers):
+        assert result == 0
+        time.sleep(0.05)  # room for the pool to run past the lookahead
+        break
+    assert threading.active_count() == threads_before
+    assert 0 in started
+    assert max(started) < _lookahead(workers)
+    assert len(set(started)) == len(started)
 
 
 @pytest.mark.parametrize("bad_block", [0, 1, 3], ids=[
@@ -609,7 +743,7 @@ def test_ordered_block_map_exception_propagates(bad_block):
     blocks = [(b, b + 1) for b in range(5)]
 
     def fn(j0, j1):
-        if j0 == bad_block:
+        if j0 in (bad_block, 4):  # the first failing block's error is raised
             raise ValueError(f"block {j0}")
         return j0
 
