@@ -3,8 +3,16 @@
 All randomness flows through numpy's PCG64 generator, constructed as
 ``np.random.Generator(np.random.PCG64(seed))``. PCG64 is a named, documented
 64-bit stream whose output for a given seed is stable across platforms, so
-identical generator parameters always produce bit-identical data. Generation
-is single-pass and sequential; worker counts never touch it.
+identical generator parameters always produce bit-identical data.
+
+``gen_uniform`` and ``gen_powerlaw_boolean`` split their draws into chunks on
+a grid fixed by the matrix shape and run the chunks on
+``store.ordered_block_map``. Each chunk builds its own PCG64 at its offset in
+the one sequential stream (``PCG64.advance`` jumps there in O(log n) steps),
+so every chunk draws exactly the numbers a single thread would have drawn
+there, and the output does not depend on the worker count. Generation calls
+no BLAS, so its worker count is ``store._default_workers(blas=False)``: the
+usable CPUs, at most two, whatever BLAS's thread count; no option sets it.
 
 The parametric marginal law for boolean matrices is a discrete power law
 with an attenuated head:
@@ -23,12 +31,14 @@ the column cloud its large projection outliers.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .store import CountMatrix, SignalSeries
+from .store import (CountMatrix, SignalSeries, _default_workers,
+                    ordered_block_map)
 
 DEFAULT_EXPONENT = 2.49
 DEFAULT_BODY_START = 12
@@ -38,10 +48,28 @@ DEFAULT_TICK = 0.5
 # Upper bound on dense generation, in elements (count of float64 values).
 MAX_DENSE_ELEMS = 200_000_000
 
+# gen_uniform fills its output in chunks of this many values.
+_UNIFORM_CHUNK = 1 << 20
+# gen_powerlaw_boolean draws its keys in chunks of about this many; the grid
+# decides what a duplicate-key redraw consumes, so it never changes with the
+# worker count. Within a chunk, keys are drawn and selected in sub-slices of
+# at most _KEY_SLICE keys, in buffers each thread reuses.
+_KEY_CHUNK = 1_000_000
+_KEY_SLICE = 1 << 17
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The project-wide RNG: PCG64 under numpy's Generator interface."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _stream_at(state: dict, offset: int) -> np.random.Generator:
+    """A generator that continues the PCG64 stream in ``state`` past
+    ``offset`` 64-bit outputs, one per float64 that ``random`` draws."""
+    bits = np.random.PCG64()
+    bits.state = state
+    bits.advance(offset)
+    return np.random.Generator(bits)
 
 
 def gen_uniform(n_rows: int, n_cols: int, seed: int) -> CountMatrix:
@@ -52,8 +80,19 @@ def gen_uniform(n_rows: int, n_cols: int, seed: int) -> CountMatrix:
         raise ValidationError(
             f"requested {n_rows}x{n_cols} dense matrix exceeds the "
             f"{MAX_DENSE_ELEMS}-element memory budget")
-    rng = rng_from_seed(seed)
-    return CountMatrix.from_dense(rng.random((n_rows, n_cols)))
+    out = np.empty((n_rows, n_cols))
+    flat = out.reshape(-1)
+    state = rng_from_seed(seed).bit_generator.state
+
+    def fill(lo: int, hi: int) -> None:
+        _stream_at(state, lo).random(out=flat[lo:hi])
+
+    size = flat.size
+    chunks = [(lo, min(lo + _UNIFORM_CHUNK, size))
+              for lo in range(0, size, _UNIFORM_CHUNK)]
+    for _ in ordered_block_map(fill, chunks, _default_workers(blas=False)):
+        pass
+    return CountMatrix.from_dense(out)
 
 
 def gen_randomwalk_signal(n: int, start: float, seed: int,
@@ -95,9 +134,8 @@ def embed_signal(sig: SignalSeries, n_windows: int, stride: int,
             f"signal too short: need {needed} samples, have {sig.length}")
     if sig.values.min() < 0:
         raise ValidationError("signal must be nonnegative to embed as counts")
-    starts = np.arange(n_windows) * stride
-    rows = sig.values[starts[:, None] + np.arange(length)[None, :]]
-    return CountMatrix.from_dense(rows)
+    windows = np.lib.stride_tricks.sliding_window_view(sig.values, length)
+    return CountMatrix.from_dense(windows[np.arange(n_windows) * stride])
 
 
 # -- marginal sources for the boolean generator ------------------------------
@@ -124,7 +162,12 @@ class ParametricMarginals:
         w = x ** (-self.exponent)
         body = w.copy()
         body[: body_start - 1] = 0.0
-        probs = body / body.sum()
+        body_mass = body.sum()
+        if not body_mass > 0:  # x^-exponent underflows over the whole body
+            raise ValidationError(
+                f"exponent {self.exponent} leaves the power-law body (sums "
+                f"{body_start} to {n_rows}) no probability mass in float64")
+        probs = body / body_mass
         if body_start > 1 and self.head_mass > 0:
             head = w.copy()
             head[body_start - 1:] = 0.0
@@ -179,29 +222,81 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
         marginals = ParametricMarginals()
     rng = rng_from_seed(seed)
     sums = marginals.sample(rng, n_cols, n_rows)
+    # The keys continue the stream after the sums. The state is copied, not
+    # computed: EmpiricalMarginals draws a data-dependent number of outputs.
+    state = rng.bit_generator.state
 
     indptr = np.zeros(n_cols + 1, dtype=np.int64)
     np.cumsum(sums, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int64)
     # Key-threshold sampling: per column, the rows holding the s_j smallest
     # of n_rows i.i.d. uniform keys form a uniform subset of size s_j. Row
-    # indices come out of nonzero() already sorted within each column. A
-    # chunk of about 1M keys holds the keys, their sorted copy and a mask at
-    # once; the keys are drawn in column order whatever the chunk size.
-    chunk = max(1, 1_000_000 // max(1, n_rows))
-    for c0 in range(0, n_cols, chunk):
-        c1 = min(c0 + chunk, n_cols)
-        s = sums[c0:c1]
-        while True:
-            keys = rng.random((c1 - c0, n_rows))
-            kth = np.sort(keys, axis=1)[np.arange(c1 - c0), np.maximum(s, 1) - 1]
-            mask = keys <= kth[:, None]
-            mask[s == 0] = False
-            if (mask.sum(axis=1) == s).all():
-                break
-            # duplicate keys in a column (measure-zero); redraw the chunk
-        _, rows = np.nonzero(mask)
-        indices[indptr[c0]: indptr[c1]] = rows
+    # indices come out of nonzero() already sorted within each column. The
+    # keys are drawn in column order, n_rows per column, so chunk c0 starts
+    # c0 * n_rows outputs into the stream.
+    width = max(1, _KEY_CHUNK // n_rows)
+    chunks = [(c0, min(c0 + width, n_cols)) for c0 in range(0, n_cols, width)]
+    step = max(1, _KEY_SLICE // n_rows)
+    scratch = _KeyScratch((min(step, n_cols), n_rows))
+
+    def draw(c0: int, c1: int) -> bool:
+        """Draws chunk [c0, c1) sub-slice by sub-slice; False when a
+        sub-slice has duplicate keys."""
+        rng = _stream_at(state, c0 * n_rows)
+        for a in range(c0, c1, step):
+            b = min(a + step, c1)
+            keys = scratch.keys[: b - a]
+            rng.random(out=keys)
+            mask = _select(keys, sums[a:b], scratch.sorted[: b - a],
+                           scratch.mask[: b - a])
+            if mask is None:
+                return False
+            indices[indptr[a]: indptr[b]] = np.nonzero(mask)[1]
+        return True
+
+    parts = ordered_block_map(draw, chunks, _default_workers(blas=False))
+    for k, drawn in enumerate(parts):
+        if drawn:
+            continue
+        # Duplicate keys (measure zero): a single thread would redraw the
+        # whole chunk, which moves every later chunk's offset. So stop the
+        # pool and go on from this chunk's offset as a single thread does.
+        parts.close()
+        rng = _stream_at(state, chunks[k][0] * n_rows)
+        for c0, c1 in chunks[k:]:
+            while True:
+                keys = rng.random((c1 - c0, n_rows))
+                mask = _select(keys, sums[c0:c1], np.empty_like(keys),
+                               np.empty(keys.shape, dtype=bool))
+                if mask is not None:
+                    break
+            indices[indptr[c0]: indptr[c1]] = np.nonzero(mask)[1]
+        break
     mat = sp.csc_matrix((np.ones(indices.size), indices, indptr),
                         shape=(n_rows, n_cols))
     return CountMatrix(sparse=mat)
+
+
+class _KeyScratch(threading.local):
+    """Per-thread buffers of one sub-slice of keys, reused by the thread's
+    next sub-slice: the keys, their sorted copy and the selection mask."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self.keys = np.empty(shape)
+        self.sorted = np.empty(shape)
+        self.mask = np.empty(shape, dtype=bool)
+
+
+def _select(keys: np.ndarray, s: np.ndarray, sorted_keys: np.ndarray,
+            mask: np.ndarray) -> np.ndarray | None:
+    """``mask`` set where a key is among the ``s[j]`` smallest of row j of
+    ``keys``, or None when duplicate keys make some row select more.
+
+    ``sorted_keys`` and ``mask`` are buffers of the shape of ``keys``.
+    """
+    np.copyto(sorted_keys, keys)
+    sorted_keys.sort(axis=1)
+    kth = sorted_keys[np.arange(len(s)), np.maximum(s, 1) - 1]
+    np.less_equal(keys, kth[:, None], out=mask)
+    mask[s == 0] = False
+    return mask if (mask.sum(axis=1) == s).all() else None

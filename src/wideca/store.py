@@ -290,34 +290,46 @@ def column_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
 
 def resolve_workers(workers: int | None = None) -> int:
     """The worker count of a block pass: ``workers`` itself, checked to be
-    at least 1, or for None the default.
-
-    The default is ``usable_cpus // blas_threads``, at least 1 and at most
-    ``_MAX_DEFAULT_WORKERS``. ``usable_cpus`` is the CPU affinity mask's
-    size, or ``os.cpu_count()`` where the OS has no affinity call; neither
-    sees a cgroup CPU quota. ``blas_threads`` is the first positive integer
-    among ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
-    ``OMP_NUM_THREADS``, else every usable CPU (BLAS's own default). So BLAS
-    at its default keeps one worker, and BLAS pinned to one thread gives one
-    worker per CPU up to the cap, without running more BLAS threads than
-    there are CPUs.
+    at least 1, or for None the default of a pass that calls BLAS,
+    ``_default_workers(blas=True)``.
     """
     if workers is None:
-        affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        blas_threads = cpus
+        return _default_workers(blas=True)
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
+def _default_workers(blas: bool) -> int:
+    """The default worker count: ``usable_cpus // threads``, at least 1 and
+    at most ``_MAX_DEFAULT_WORKERS``, where ``threads`` is what one worker
+    runs.
+
+    ``usable_cpus`` is the CPU affinity mask's size, or ``os.cpu_count()``
+    where the OS has no affinity call; neither sees a cgroup CPU quota. A
+    worker of a pass that calls BLAS (the analysis passes) runs
+    ``blas_threads``: the first positive integer among
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``,
+    else every usable CPU (BLAS's own default). So BLAS at its default keeps
+    one worker, and BLAS pinned to one thread gives one worker per CPU up to
+    the cap, without running more BLAS threads than there are CPUs. A worker
+    of a pass that calls no BLAS (generation) runs one thread, whatever the
+    BLAS variables say.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = 1
+    if blas:
+        threads = cpus
         for name in _BLAS_THREAD_VARS:
             try:
                 n = int(os.environ.get(name, ""))
             except ValueError:
                 continue
             if n > 0:
-                blas_threads = n
+                threads = n
                 break
-        return max(1, min(_MAX_DEFAULT_WORKERS, cpus // blas_threads))
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
-    return workers
+    return max(1, min(_MAX_DEFAULT_WORKERS, cpus // threads))
 
 
 def _dense_marginals(dense: np.ndarray, workers: int | None = None

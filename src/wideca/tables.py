@@ -10,8 +10,8 @@ embedding table draws one signal per seed and embeds it at every dim.
 
 Dimensions above ``LARGE_DIM_LIMIT`` are refused unless ``allow_large`` is
 set. The paper's sizes run in seconds: one seed, with BLAS at its default on
-a 2-vCPU Xeon, took about 3 s and 122 MiB peak for table 4 at 105,200
-columns, 1.6 s and 750 MiB for table 1 at 10^6 columns, and 18 s and 671 MiB
+a 2-vCPU Xeon, took about 2.2 s and 116 MiB peak for table 4 at 105,200
+columns, 2-3 s and 750 MiB for table 1 at 10^6 columns, and 16 s and 666 MiB
 for table 4 at 1,052,000 columns.
 """
 

@@ -92,6 +92,24 @@ def test_exit_code_bad_exponent(tmp_path, capsys, exponent):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "powerlaw", "--rows", 425, "--cols", 100, "--exponent", 300),
+    ("reproduce", "--table", "3", "--dims", 200, "--seeds", 1,
+     "--exponent", 400),
+    ("reproduce", "--table", "4", "--dims", 200, "--seeds", 1,
+     "--exponent", 400)], ids=["gen-powerlaw", "table-3", "table-4"])
+def test_exit_code_exponent_underflowing_body(tmp_path, capsys, argv):
+    """x^-exponent underflows to 0 over the whole body: rejected in one line
+    before any draw, not divided 0/0 into a matrix of one entry per column."""
+    exponent = float(argv[-1])
+    out = tmp_path / "out"
+    assert run(*argv, "-o", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: exponent {exponent} leaves the power-law body (sums 12 to "
+        "425) no probability mass in float64\n")
+    assert not out.exists()
+
+
 def test_gen_signal(tmp_path):
     out = tmp_path / "s.txt"
     assert run("gen", "signal", "--len", 5000, "--start", 6800, "--seed", 7,

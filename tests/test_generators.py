@@ -1,11 +1,24 @@
+import threading
+
 import numpy as np
 import pytest
 
 from wideca import (EmpiricalMarginals, ParametricMarginals, SignalSeries,
                     ValidationError, column_sums, embed_signal,
                     gen_powerlaw_boolean, gen_randomwalk_signal, gen_uniform)
+from wideca import generators
 from wideca.generators import rng_from_seed
 from wideca.powerlaw import fit_exponent
+from wideca.store import _default_workers
+
+
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def gen_workers(request, monkeypatch):
+    """Generation's default worker count, set through the CPU affinity."""
+    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
+                        lambda pid: set(range(request.param)))
+    assert _default_workers(blas=False) == request.param
+    return request.param
 
 
 # -- uniform -----------------------------------------------------------------
@@ -28,6 +41,14 @@ def test_uniform_deterministic():
     assert (a == b).all()
     c = gen_uniform(5, 9, seed=43).to_dense()
     assert (a != c).any()
+
+
+@pytest.mark.parametrize("shape", [(86, 30_001), (3, 1_048_577), (1, 1)],
+                         ids=["86x30001", "partial-last-chunk", "1x1"])
+def test_uniform_matches_one_sequential_draw(gen_workers, shape):
+    expected = rng_from_seed(5).random(shape)
+    m = gen_uniform(*shape, seed=5)
+    assert m.dense.tobytes() == expected.tobytes()
 
 
 def test_uniform_memory_budget():
@@ -124,6 +145,18 @@ def test_embed_negative_signal_rejected():
         embed_signal(sig, n_windows=2, stride=1, length=2)
 
 
+@pytest.mark.parametrize("n_windows, stride, length", [
+    (86, 7, 50), (5, 1, 996), (1, 3, 1000)],
+    ids=["overlapping", "stride-1", "window-as-long-as-signal"])
+def test_embed_matches_fancy_index(n_windows, stride, length):
+    sig = SignalSeries(rng_from_seed(2).random(1000) * 10)
+    starts = np.arange(n_windows) * stride
+    expected = sig.values[starts[:, None] + np.arange(length)[None, :]]
+    dense = embed_signal(sig, n_windows, stride, length).dense
+    assert dense.flags.c_contiguous
+    assert dense.tobytes() == expected.tobytes()
+
+
 def test_embed_copies_exact_values():
     rng = rng_from_seed(11)
     sig = SignalSeries(rng.random(200) * 10)
@@ -183,14 +216,16 @@ def test_boolean_deterministic():
     assert (a.to_dense() == b.to_dense()).all()
 
 
-def _powerlaw_indices_in_4m_key_chunks(n_rows, n_cols, seed):
-    """Row indices of ``gen_powerlaw_boolean`` as first written, drawing the
-    keys in chunks of 4M: the reference for a change of chunk size."""
+def _sequential_powerlaw(n_rows, n_cols, seed, marginals=None,
+                         chunk_keys=1_000_000, duplicate=lambda keys: False):
+    """Row pointers and indices of ``gen_powerlaw_boolean`` as first written:
+    one thread, keys drawn in chunks of about ``chunk_keys``, a chunk redrawn
+    whole while its keys fail the duplicate check or ``duplicate(keys)``."""
     rng = rng_from_seed(seed)
-    sums = ParametricMarginals().sample(rng, n_cols, n_rows)
+    sums = (marginals or ParametricMarginals()).sample(rng, n_cols, n_rows)
     indptr = np.concatenate(([0], np.cumsum(sums)))
     indices = np.empty(indptr[-1], dtype=np.int64)
-    chunk = max(1, 4_000_000 // n_rows)
+    chunk = max(1, chunk_keys // n_rows)
     for c0 in range(0, n_cols, chunk):
         c1 = min(c0 + chunk, n_cols)
         s = sums[c0:c1]
@@ -199,7 +234,7 @@ def _powerlaw_indices_in_4m_key_chunks(n_rows, n_cols, seed):
             kth = np.sort(keys, axis=1)[np.arange(c1 - c0), np.maximum(s, 1) - 1]
             mask = keys <= kth[:, None]
             mask[s == 0] = False
-            if (mask.sum(axis=1) == s).all():
+            if (mask.sum(axis=1) == s).all() and not duplicate(keys):
                 break
         _, rows = np.nonzero(mask)
         indices[indptr[c0]: indptr[c1]] = rows
@@ -208,11 +243,100 @@ def _powerlaw_indices_in_4m_key_chunks(n_rows, n_cols, seed):
 
 def test_boolean_chunking_does_not_change_output():
     # 425 x 10,520 spans several key chunks of any size up to 4M keys
-    indptr, indices = _powerlaw_indices_in_4m_key_chunks(425, 10_520, seed=1)
+    indptr, indices = _sequential_powerlaw(425, 10_520, seed=1,
+                                           chunk_keys=4_000_000)
     m = gen_powerlaw_boolean(425, 10_520, seed=1)
     assert (m.sparse.indptr == indptr).all()
     assert (m.sparse.indices == indices).all()
     assert (m.sparse.data == 1.0).all()
+
+
+# Empirical sums with zeros, full columns and single entries; EmpiricalMarginals
+# draws them with a data-dependent number of stream outputs.
+ZERO_SUMS = EmpiricalMarginals([0, 0, 1, 2, 5, 30, 424, 425, 0, 13])
+
+
+def test_boolean_matches_sequential_loop(gen_workers):
+    # 425 x 10,520: five key chunks of eight sub-slices each
+    indptr, indices = _sequential_powerlaw(425, 10_520, 3, ZERO_SUMS)
+    m = gen_powerlaw_boolean(425, 10_520, 3, marginals=ZERO_SUMS)
+    assert (column_sums(m) == 0).any()
+    assert np.array_equal(m.sparse.indptr, indptr)
+    assert np.array_equal(m.sparse.indices, indices)
+
+
+def _first_keys(n_rows, n_cols, seed, marginals, col):
+    """The keys column ``col`` draws when no chunk before it is redrawn."""
+    rng = rng_from_seed(seed)
+    marginals.sample(rng, n_cols, n_rows)
+    rng.bit_generator.advance(col * n_rows)
+    return rng.random(n_rows)
+
+
+# Column 5,000 of 10,520 lies inside the third of five 1M-key chunks
+# (2,352 columns each at 425 rows), away from its sub-slice boundaries.
+MIDDLE_COL = 5_000
+
+
+def test_boolean_duplicate_keys_redraw_as_one_thread(gen_workers, monkeypatch):
+    target = _first_keys(425, 10_520, 3, ZERO_SUMS, MIDDLE_COL)
+
+    def duplicate(keys):
+        return bool((keys == target).all(axis=1).any())
+
+    real_select, failures = generators._select, []
+
+    def select(keys, *args):
+        if duplicate(keys):
+            failures.append(len(keys))
+            return None
+        return real_select(keys, *args)
+
+    monkeypatch.setattr(generators, "_select", select)
+    indptr, indices = _sequential_powerlaw(425, 10_520, 3, ZERO_SUMS,
+                                           duplicate=duplicate)
+    _, unforced = _sequential_powerlaw(425, 10_520, 3, ZERO_SUMS)
+    m = gen_powerlaw_boolean(425, 10_520, 3, marginals=ZERO_SUMS)
+    # a sub-slice of 308 columns fails in the chunk pass, then the whole
+    # chunk of 2,352 in the single-thread redraw that follows
+    assert failures == [308, 2352]
+    assert not (indices == unforced).all()
+    assert np.array_equal(m.sparse.indptr, indptr)
+    assert np.array_equal(m.sparse.indices, indices)
+
+
+def test_boolean_chunk_error_propagates_and_joins_pool(monkeypatch):
+    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
+                        lambda pid: {0, 1})
+    target = _first_keys(425, 10_520, 3, ZERO_SUMS, MIDDLE_COL)
+    real_select = generators._select
+
+    def select(keys, *args):
+        if (keys == target).all(axis=1).any():
+            raise RuntimeError("chunk failed")
+        return real_select(keys, *args)
+
+    monkeypatch.setattr(generators, "_select", select)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^chunk failed$"):
+        gen_powerlaw_boolean(425, 10_520, 3, marginals=ZERO_SUMS)
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_uniform(86, 30_001, 1),
+    lambda: gen_powerlaw_boolean(425, 10_520, 1)], ids=["uniform", "powerlaw"])
+def test_generation_runs_on_its_default_workers(monkeypatch, make):
+    seen = []
+    real = generators.ordered_block_map
+
+    def spy(fn, blocks, workers=None):
+        seen.append(workers)
+        return real(fn, blocks, workers)
+
+    monkeypatch.setattr(generators, "ordered_block_map", spy)
+    make()
+    assert seen == [_default_workers(blas=False)]
 
 
 @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf, 1.0])
@@ -221,6 +345,22 @@ def test_parametric_exponent_must_be_finite_above_one(exponent):
     with pytest.raises(ValidationError,
                        match="^exponent must be finite and exceed 1, got "):
         gen_powerlaw_boolean(20, 50, seed=1, marginals=law)
+
+
+@pytest.mark.parametrize("exponent", [300.0, 400.0, 1e6])
+def test_parametric_exponent_underflowing_body_rejected(exponent):
+    law = ParametricMarginals(exponent=exponent)
+    with pytest.raises(ValidationError,
+                       match=f"^exponent {exponent} leaves the power-law body "
+                             r"\(sums 12 to 425\) no probability mass"):
+        law.weights(425)
+
+
+def test_parametric_steep_exponent_keeps_its_weights():
+    # 12^-299 is subnormal but positive: the body is all on its first sum
+    w = ParametricMarginals(exponent=299.0).weights(425)
+    assert np.isfinite(w).all()
+    assert w[11] == pytest.approx(1.0 - 0.006)
 
 
 def test_boolean_empirical_validation():

@@ -625,6 +625,28 @@ def test_resolve_workers_default_rule(monkeypatch, cpus, env, expected):
     assert resolve_workers() == resolve_workers(None) == expected
 
 
+@pytest.mark.parametrize("cpus, env, generation, analysis", [
+    (2, {}, 2, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2),
+    (64, {"OMP_NUM_THREADS": "64"}, 2, 1),
+    (1, {}, 1, 1),
+], ids=["unset", "openblas-2", "openblas-2-of-4", "omp-all", "one-cpu"])
+def test_default_workers_generation_ignores_blas(monkeypatch, cpus, env,
+                                                 generation, analysis):
+    """Generation calls no BLAS: its default counts usable CPUs up to the
+    cap, while the analysis default stays CPUs // BLAS threads."""
+    from wideca.store import _default_workers, resolve_workers
+    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    for name in _BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert _default_workers(blas=False) == generation
+    assert _default_workers(blas=True) == resolve_workers() == analysis
+
+
 @pytest.mark.parametrize("cpu_count, expected", [(2, 2), (None, 1)])
 def test_resolve_workers_without_affinity(monkeypatch, cpu_count, expected):
     """Where the OS has no CPU affinity call (macOS, Windows) the default
