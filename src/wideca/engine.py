@@ -29,7 +29,10 @@ pay (``_dense_gram``) is multiplied by scipy's sparse product. The
 projection pass (``map_projection_blocks``) folds the row scaling into the
 basis, so a block's projections come from one product that reads K where it
 is stored, and hands the standardized S = sqrt(f_j) G to the caller's
-reduction inside the same worker. Both passes run on
+reduction inside the same worker. scipy's kernels need sparse storage's
+scipy view (``CountMatrix.sparse``); a pass takes it in the calling thread,
+before its pool starts, and the W pass only when some block needs the
+sparse product. Both passes run on
 ``store.ordered_block_map``: by default with usable CPUs // BLAS threads
 workers, at least 1 and at most 2 (``store.resolve_workers``). The calling
 thread and the pool share the blocks in ascending order, with no barrier
@@ -203,6 +206,13 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     inv_sqrt_kj = np.sqrt(_inv_pos(column_sums(m)))
     scratch = _Scratch()
     slab = max(1, _SLAB_ELEMS // m.n_rows)
+    blocks = list(column_blocks(m.n_rows, m.n_cols))
+    if m.is_sparse:
+        indptr, indices, data = m.csc
+        sparse_blocks = {j0 for j0, j1 in blocks if not _dense_gram(
+            np.diff(indptr[j0:j1 + 1]), m.n_rows)}
+        # The scipy view is built here, in the calling thread, if at all.
+        sparse = m.sparse if sparse_blocks else None
 
     def block_gram(j0: int, j1: int) -> np.ndarray:
         """Gram matrix of columns [j0, j1) of B = diag(1/sqrt(k_i)) K
@@ -217,10 +227,9 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
             np.multiply(m.dense[:, j0:j1], inv_sqrt_ki[:, None], out=buf)
             np.multiply(buf, inv_sqrt_kj[None, j0:j1], out=buf)
             return buf @ buf.T
-        indptr = m.sparse.indptr
         counts = np.diff(indptr[j0:j1 + 1])
-        if not _dense_gram(counts, m.n_rows):
-            blk = m.sparse[:, j0:j1].astype(np.float64, copy=True)
+        if j0 in sparse_blocks:
+            blk = sparse[:, j0:j1].astype(np.float64, copy=True)
             blk.data *= inv_sqrt_ki[blk.indices]
             blk.data *= np.repeat(inv_sqrt_kj[j0:j1], counts)
             return (blk @ blk.T).toarray()
@@ -228,19 +237,18 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
         for s0 in range(j0, j1, slab):
             s1 = min(s0 + slab, j1)
             p0, p1 = indptr[s0], indptr[s1]
-            rows = m.sparse.indices[p0:p1]
+            rows = indices[p0:p1]
             cols = np.repeat(np.arange(s1 - s0), counts[s0 - j0:s1 - j0])
             buf = scratch.take((m.n_rows, s1 - s0))
             buf.fill(0.0)
             # Scaled in the dense path's order, so each entry has its bits.
-            buf[rows, cols] = (m.sparse.data[p0:p1] * inv_sqrt_ki[rows]
+            buf[rows, cols] = (data[p0:p1] * inv_sqrt_ki[rows]
                                * inv_sqrt_kj[s0:s1][cols])
             gram += buf @ buf.T
         return gram
 
     W = np.zeros((m.n_rows, m.n_rows))
-    for part in ordered_block_map(block_gram,
-                                  column_blocks(m.n_rows, m.n_cols), workers):
+    for part in ordered_block_map(block_gram, blocks, workers):
         W += part
 
     u0 = np.sqrt(fm.row_masses)
@@ -282,12 +290,12 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
 
 
 def _canonical_signs(U: np.ndarray) -> None:
-    """Flip each eigenvector so its first significant coordinate is positive."""
-    for a in range(U.shape[1]):
-        col = U[:, a]
-        big = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
-        if big.size and col[big[0]] < 0:
-            U[:, a] = -col
+    """Flip each eigenvector so its first significant coordinate, the first
+    above 1e-8 times its largest magnitude, is positive. An all-zero column
+    has none and stays as it is."""
+    mag = np.abs(U)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    U *= np.where(U[first, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
 def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
@@ -324,10 +332,11 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     # is, and its transpose is the BLAS operand Ub.
     UbT = fd.basis * fm.row_scale[:, None] / fm.grand_total
     scratch = _Scratch()
+    sparse = m.sparse if m.is_sparse else None  # built in the calling thread
 
     def block(j0: int, j1: int):
-        if m.is_sparse:
-            S = (m.sparse[:, j0:j1].T @ UbT).T
+        if sparse is not None:
+            S = (sparse[:, j0:j1].T @ UbT).T
         else:
             S = np.matmul(UbT.T, m.dense[:, j0:j1],
                           out=scratch.take((UbT.shape[1], j1 - j0)))

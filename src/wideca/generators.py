@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .store import (CountMatrix, SignalSeries, _default_workers,
-                    ordered_block_map)
+from .store import (CSC, CountMatrix, SignalSeries, _default_workers,
+                    _index_dtype, ordered_block_map)
 
 DEFAULT_EXPONENT = 2.49
 DEFAULT_BODY_START = 12
@@ -214,8 +214,6 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
     sums therefore equal the drawn sums exactly; values are presence flags,
     so a cell never exceeds 1.
     """
-    import scipy.sparse as sp  # deferred: dense-only commands never load scipy
-
     if n_rows < 1 or n_cols < 1:
         raise ValidationError("matrix dimensions must be at least 1")
     if marginals is None:
@@ -226,14 +224,17 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
     # computed: EmpiricalMarginals draws a data-dependent number of outputs.
     state = rng.bit_generator.state
 
-    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    nnz = int(sums.sum())
+    dtype = _index_dtype(n_rows, n_cols, nnz)
+    indptr = np.zeros(n_cols + 1, dtype=dtype)
     np.cumsum(sums, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices = np.empty(nnz, dtype=dtype)
     # Key-threshold sampling: per column, the rows holding the s_j smallest
-    # of n_rows i.i.d. uniform keys form a uniform subset of size s_j. Row
-    # indices come out of nonzero() already sorted within each column. The
-    # keys are drawn in column order, n_rows per column, so chunk c0 starts
-    # c0 * n_rows outputs into the stream.
+    # of n_rows i.i.d. uniform keys form a uniform subset of size s_j. The
+    # flat indices of the selected keys ascend, so their rows (each flat
+    # index mod n_rows) come out sorted within each column. The keys are
+    # drawn in column order, n_rows per column, so chunk c0 starts c0 *
+    # n_rows outputs into the stream.
     width = max(1, _KEY_CHUNK // n_rows)
     chunks = [(c0, min(c0 + width, n_cols)) for c0 in range(0, n_cols, width)]
     step = max(1, _KEY_SLICE // n_rows)
@@ -247,11 +248,11 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
             b = min(a + step, c1)
             keys = scratch.keys[: b - a]
             rng.random(out=keys)
-            mask = _select(keys, sums[a:b], scratch.sorted[: b - a],
+            flat = _select(keys, sums[a:b], scratch.sorted[: b - a],
                            scratch.mask[: b - a])
-            if mask is None:
+            if flat is None:
                 return False
-            indices[indptr[a]: indptr[b]] = np.nonzero(mask)[1]
+            indices[indptr[a]: indptr[b]] = flat % n_rows
         return True
 
     parts = ordered_block_map(draw, chunks, _default_workers(blas=False))
@@ -266,15 +267,14 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
         for c0, c1 in chunks[k:]:
             while True:
                 keys = rng.random((c1 - c0, n_rows))
-                mask = _select(keys, sums[c0:c1], np.empty_like(keys),
+                flat = _select(keys, sums[c0:c1], np.empty_like(keys),
                                np.empty(keys.shape, dtype=bool))
-                if mask is not None:
+                if flat is not None:
                     break
-            indices[indptr[c0]: indptr[c1]] = np.nonzero(mask)[1]
+            indices[indptr[c0]: indptr[c1]] = flat % n_rows
         break
-    mat = sp.csc_matrix((np.ones(indices.size), indices, indptr),
-                        shape=(n_rows, n_cols))
-    return CountMatrix(sparse=mat)
+    return CountMatrix._from_csc(n_rows, n_cols,
+                                 CSC(indptr, indices, np.ones(nnz)))
 
 
 class _KeyScratch(threading.local):
@@ -289,14 +289,18 @@ class _KeyScratch(threading.local):
 
 def _select(keys: np.ndarray, s: np.ndarray, sorted_keys: np.ndarray,
             mask: np.ndarray) -> np.ndarray | None:
-    """``mask`` set where a key is among the ``s[j]`` smallest of row j of
-    ``keys``, or None when duplicate keys make some row select more.
+    """The flat indices, in row-major order, of the keys among the ``s[j]``
+    smallest of row j of ``keys``, or None when duplicate keys make some row
+    select more.
 
-    ``sorted_keys`` and ``mask`` are buffers of the shape of ``keys``.
+    ``sorted_keys`` and ``mask`` are buffers of the shape of ``keys``. Every
+    row selects at least its ``s[j]`` keys, so the total matches
+    ``s.sum()`` only when every row's count does.
     """
     np.copyto(sorted_keys, keys)
     sorted_keys.sort(axis=1)
     kth = sorted_keys[np.arange(len(s)), np.maximum(s, 1) - 1]
     np.less_equal(keys, kth[:, None], out=mask)
     mask[s == 0] = False
-    return mask if (mask.sum(axis=1) == s).all() else None
+    flat = np.flatnonzero(mask)
+    return flat if flat.size == s.sum() else None

@@ -14,8 +14,9 @@ Two interchange formats are supported:
   row.
 
 Values are written with 17 significant digits so a save/load round trip is
-bit-exact for float64. Writers render a chunk of lines with one ``%`` each,
-and loaders parse a whole file with one ``np.loadtxt`` call; only when that
+bit-exact for float64. Writers render a chunk of values at a time with array
+operations (``_render``), byte for byte as ``"%.17g" % v`` renders each, and
+loaders parse a whole file with one ``np.loadtxt`` call; only when that
 parse fails is the file scanned line by line, so that the ``ParseError``
 names the first bad line. A triplet header is checked before the body is
 read, and nothing is allocated from its ``nnz``. A body that passes its
@@ -23,17 +24,20 @@ checks (in range, sorted by column then row, no duplicates) already is CSC
 storage: its rows and values become the row indices and data, and only the
 column pointers are computed.
 
-scipy is imported only where a sparse matrix is built, so commands that
-handle dense matrices only never load it.
+Sparse storage is three numpy arrays (``CountMatrix.csc``). scipy is
+imported only by ``CountMatrix.sparse``, the scipy view that the sparse
+analysis kernels take, so storing, validating, summing and writing a matrix
+never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,37 +70,62 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 _MAX_DEFAULT_WORKERS = 2
 
 
+class CSC(NamedTuple):
+    """The arrays of CSC storage: column j's row indices and values are
+    ``indices[indptr[j]:indptr[j + 1]]`` and ``data[...]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
 class CountMatrix:
     """Validated nonnegative matrix with dense or column-grouped sparse storage.
 
     Construction enforces the invariants all downstream analysis relies on:
     finite nonnegative values, row and grand totals that are finite (do not
-    overflow float64), a positive grand total, and (for sparse storage) a
-    scipy CSC matrix with non-decreasing column pointers, in canonical
-    format (row indices sorted within each column, no duplicate (row, col)
-    pairs) and with every row index in [0, n_rows). Zero columns and zero
-    rows are retained; the frequency model records their indices so
+    overflow float64), a positive grand total, and (for sparse storage) CSC
+    arrays with non-decreasing column pointers, in canonical format (row
+    indices strictly increasing within each column, so no duplicate
+    (row, col) pairs) and with every row index in [0, n_rows). Zero columns
+    and zero rows are retained; the frequency model records their indices so
     profile-based computations can exclude them.
+
+    Sparse storage is given as a scipy CSC matrix (``sparse=``), whose
+    arrays are kept as they are, or built by this module from its arrays
+    (``_from_csc``, for the generators and the triplet loader). Either way
+    the arrays (``csc``) serve everything but the sparse analysis kernels,
+    which take the scipy view ``sparse``: the given matrix, or one built
+    over the arrays, without a copy, on first use.
 
     Validation keeps the row sums. For dense storage it is one marginal
     pass over the column blocks (``_dense_marginals``), which keeps the
     column sums for ``column_sums`` too; it runs on the default worker count
     (``resolve_workers()``), since loaders take no worker count. Sparse
-    storage sums its columns on first use.
+    storage is checked block by block (``_check_csc``), its row sums are one
+    ``np.bincount`` over the stored entries, which adds each row's entries
+    in stored order as scipy's ``csc.sum(axis=1)`` does, and its columns are
+    summed on first use.
     """
 
     def __init__(self, dense: np.ndarray | None = None,
                  sparse: sp.csc_matrix | None = None):
         if (dense is None) == (sparse is None):
             raise ValidationError("exactly one of dense/sparse storage required")
-        self._dense = dense
-        self._sparse = sparse
         if dense is not None:
-            self.n_rows, self.n_cols = dense.shape
+            self._init(dense.shape, dense, None)
         else:
             if getattr(sparse, "format", None) != "csc":
                 raise ValidationError(_NOT_CANONICAL)
-            self.n_rows, self.n_cols = sparse.shape
+            self._sparse = sparse
+            self._init(sparse.shape, None,
+                       CSC(sparse.indptr, sparse.indices, sparse.data))
+
+    def _init(self, shape: tuple[int, int], dense: np.ndarray | None,
+              csc: CSC | None) -> None:
+        self.n_rows, self.n_cols = shape
+        self._dense = dense
+        self._csc = csc
         self._col_sums: np.ndarray | None = None
         self._validate()
 
@@ -139,10 +168,19 @@ class CountMatrix:
         """CSC storage of in-range triplets sorted by column then row, with
         no duplicates: the arrays are the CSC row indices and data as they
         are, and column j's entries start at the first index with col >= j."""
-        import scipy.sparse as sp  # deferred: dense-only commands never load scipy
-        indptr = np.searchsorted(cols, np.arange(n_cols + 1))
-        return cls(sparse=sp.csc_matrix((values, rows, indptr),
-                                        shape=(n_rows, n_cols)))
+        dtype = _index_dtype(n_rows, n_cols, rows.size)
+        indptr = np.searchsorted(cols, np.arange(n_cols + 1)).astype(dtype)
+        return cls._from_csc(n_rows, n_cols,
+                             CSC(indptr, rows.astype(dtype), values))
+
+    @classmethod
+    def _from_csc(cls, n_rows: int, n_cols: int, csc: CSC) -> "CountMatrix":
+        """Sparse storage of CSC arrays built by the caller, with index
+        dtype ``_index_dtype``, so that the ``sparse`` view shares them."""
+        m = cls.__new__(cls)
+        m._sparse = None
+        m._init((n_rows, n_cols), None, csc)
+        return m
 
     def _validate(self) -> None:
         if self.n_rows <= 0 or self.n_cols <= 0:
@@ -153,10 +191,10 @@ class CountMatrix:
             vals = self._dense
             self._row_sums, self._col_sums, low = _dense_marginals(vals)
         else:
-            _check_csc(self._sparse)
-            vals = self._sparse.data
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._row_sums = np.asarray(self._sparse.sum(axis=1)).ravel()
+            indptr, indices, vals = self._csc
+            _check_csc(self.n_rows, self.n_cols, indptr, indices)
+            self._row_sums = np.bincount(indices, weights=vals,
+                                         minlength=self.n_rows)
             low = vals.min() if vals.size else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             total = self.grand_total
@@ -168,9 +206,9 @@ class CountMatrix:
             if self._dense is not None:
                 i, j = np.unravel_index(int(np.argmin(self._dense)), self._dense.shape)
             else:
-                nz = int(np.argmin(self._sparse.data))
-                i = int(self._sparse.indices[nz])
-                j = int(np.searchsorted(self._sparse.indptr, nz, side="right")) - 1
+                nz = int(np.argmin(vals))
+                i = int(indices[nz])
+                j = int(np.searchsorted(indptr, nz, side="right")) - 1
             raise ValidationError(f"negative value at (row={i}, col={j})")
         if not np.isfinite(total):
             raise ValidationError("matrix totals overflow float64")
@@ -181,12 +219,12 @@ class CountMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return self._sparse is not None
+        return self._csc is not None
 
     @property
     def nnz(self) -> int:
         if self.is_sparse:
-            return int(self._sparse.nnz)
+            return int(self._csc.indptr[-1])
         return int(np.count_nonzero(self._dense))
 
     @property
@@ -196,9 +234,26 @@ class CountMatrix:
         return self._dense
 
     @property
-    def sparse(self) -> sp.csc_matrix:
-        if self._sparse is None:
+    def csc(self) -> CSC:
+        """The arrays of sparse storage."""
+        if self._csc is None:
             raise ValidationError("matrix uses dense storage")
+        return self._csc
+
+    @property
+    def sparse(self) -> sp.csc_matrix:
+        """Sparse storage as a scipy CSC matrix over the stored arrays.
+
+        Built and cached on first use, which imports scipy; the analysis
+        passes take it in the calling thread, before their pool starts.
+        """
+        indptr, indices, data = self.csc
+        if self._sparse is None:
+            import scipy.sparse as sp  # deferred: only the sparse kernels need scipy
+            view = sp.csc_matrix((data, indices, indptr),
+                                 shape=(self.n_rows, self.n_cols), copy=False)
+            view.has_canonical_format = True  # checked by _check_csc
+            self._sparse = view
         return self._sparse
 
     def row_sums(self) -> np.ndarray:
@@ -209,28 +264,46 @@ class CountMatrix:
         return float(self._row_sums.sum())
 
     def to_dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return self._sparse.toarray()
-        return self._dense
+        if not self.is_sparse:
+            return self._dense
+        indptr, indices, data = self._csc
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[indices, _csc_columns(indptr)] = data
+        return out
 
 
 _NOT_CANONICAL = "sparse storage must be a CSC matrix with sorted, unique row indices"
 
 
-def _check_csc(csc: sp.csc_matrix) -> None:
-    """Column pointers, then row order and range, of CSC storage.
+def _index_dtype(n_rows: int, n_cols: int, nnz: int) -> type:
+    """The index dtype of CSC arrays that scipy keeps without a copy:
+    int32 while the shape and nnz fit it, else int64."""
+    fits = max(n_rows, n_cols, nnz) <= np.iinfo(np.int32).max
+    return np.int32 if fits else np.int64
 
-    The pointers go first: scipy's canonical-format scan trusts them. The
-    arrays are only read, never pruned or recast.
+
+def _check_csc(n_rows: int, n_cols: int, indptr: np.ndarray,
+               indices: np.ndarray) -> None:
+    """Column pointers, then row order and range, of CSC arrays.
+
+    The pointers go first, over the whole matrix: the row-order check reads
+    the entries through them. Both run block by block on the column grid,
+    so no temporary exceeds one block; the arrays are only read.
     """
-    if (np.diff(csc.indptr) < 0).any():
+    blocks = list(column_blocks(n_rows, n_cols))
+    if any((np.diff(indptr[j0:j1 + 1]) < 0).any() for j0, j1 in blocks):
         raise ValidationError("sparse column pointers must be non-decreasing")
-    if not csc.has_canonical_format:
-        raise ValidationError(_NOT_CANONICAL)
-    rows = csc.indices
-    if rows.size and (rows.min() < 0 or rows.max() >= csc.shape[0]):
-        raise ValidationError(
-            f"sparse row index out of range for {csc.shape[0]} rows")
+    for j0, j1 in blocks:
+        p0 = indptr[j0]
+        rows = indices[p0:indptr[j1]]
+        descent = rows[1:] <= rows[:-1]
+        # A column's first entry may be below the last entry before it.
+        firsts = indptr[j0 + 1:j1] - p0
+        descent[firsts[(firsts > 0) & (firsts < rows.size)] - 1] = False
+        if descent.any():
+            raise ValidationError(_NOT_CANONICAL)
+    if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
+        raise ValidationError(f"sparse row index out of range for {n_rows} rows")
 
 
 @dataclass(frozen=True)
@@ -266,15 +339,15 @@ def column_sums(m: CountMatrix) -> np.ndarray:
     took; sparse storage takes them on first use.
     """
     if m._col_sums is None:
-        csc = m.sparse
-        m._col_sums = np.bincount(_csc_columns(csc), weights=csc.data,
+        indptr, _, data = m.csc
+        m._col_sums = np.bincount(_csc_columns(indptr), weights=data,
                                   minlength=m.n_cols)
     return m._col_sums
 
 
-def _csc_columns(csc: sp.csc_matrix) -> np.ndarray:
+def _csc_columns(indptr: np.ndarray) -> np.ndarray:
     """Column index of each stored entry of CSC storage."""
-    return np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def column_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
@@ -468,8 +541,10 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
 # The per-line rules live in the *_error functions, which run only after the
 # vectorised parse has failed, to name the first bad line.
 
-_REAL = "%.17g"  # 17 significant digits: float64 round-trips bit-exactly
-_CHUNK_VALUES = 65_536  # values formatted by one ``%``
+# Values rendered by one ``_render``: every temporary of a chunk stays at
+# most 768 KiB, in cache, and small enough for malloc to reuse its memory
+# for the next chunk (65,536 values took half again as long).
+_CHUNK_VALUES = 16_384
 _TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
                            ("value", np.float64)])
 
@@ -485,43 +560,239 @@ def load_matrix(path: str, fmt: str = DENSE_CSV) -> CountMatrix:
 
 def save_matrix(m: CountMatrix, path: str, fmt: str = DENSE_CSV) -> None:
     if fmt == DENSE_CSV:
-        dense = m.to_dense()
-        row = ",".join([_REAL] * m.n_cols) + "\n"
-        step = max(1, _CHUNK_VALUES // m.n_cols)
-        with open(path, "w", encoding="utf-8") as fh:
-            for i0 in range(0, m.n_rows, step):
-                block = dense[i0:i0 + step]
-                fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        with open(path, "wb") as fh:
+            _write_values(fh, (m.to_dense().reshape(-1),),
+                          b"," * (m.n_cols - 1) + b"\n")
         return
     if fmt == TRIPLET:
         if m.is_sparse:  # canonical CSC: already sorted by (col, row)
-            csc = m.sparse
-            rows, vals, cols = csc.indices, csc.data, _csc_columns(csc)
+            indptr, rows, vals = m.csc
+            cols = _csc_columns(indptr)
         else:
             cols, rows = np.nonzero(m.dense.T)  # column-major: sorted by (col, row)
             vals = m.dense[rows, cols]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"%{m.n_rows} {m.n_cols} {rows.size}\n")
-            _write_lines(fh, f"%d %d {_REAL}\n", (rows, cols, vals))
+        with open(path, "wb") as fh:
+            fh.write(b"%%%d %d %d\n" % (m.n_rows, m.n_cols, rows.size))
+            _write_values(fh, (rows, cols, vals), b"  \n")
         return
     raise ValidationError(f"unknown matrix format {fmt!r}")
 
 
-def _write_lines(fh, line: str, columns: tuple[np.ndarray, ...]) -> None:
-    """Write ``line % (c[i] for c in columns)`` for every index i.
+def _write_values(fh, columns: tuple[np.ndarray, ...], line: bytes) -> None:
+    """Write entry i of each column in turn, for every i, the k-th value
+    written followed by the byte ``line[k % len(line)]``; ``len(line)`` is a
+    multiple of the number of columns.
 
-    Each chunk of lines is rendered by a single ``%`` over its values,
-    interleaved from ``.tolist()``, so no value is formatted on its own.
+    The values go in blocks of whole lines, as many as fit in
+    ``_CHUNK_VALUES`` (at least one), and each block in chunks of at most
+    ``_CHUNK_VALUES`` values, one ``_render`` each. So every chunk takes its
+    separators as one slice of the block's.
     """
     width = len(columns)
-    n = len(columns[0])
-    step = max(1, _CHUNK_VALUES // width)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        args = [None] * ((i1 - i0) * width)
-        for k, col in enumerate(columns):
-            args[k::width] = col[i0:i1].tolist()
-        fh.write(line * (i1 - i0) % tuple(args))
+    n = width * columns[0].size
+    block = np.frombuffer(line * max(1, _CHUNK_VALUES // len(line)),
+                          dtype=np.uint8)
+    for b0 in range(0, n, block.size):
+        for k0 in range(b0, min(b0 + block.size, n), _CHUNK_VALUES):
+            k1 = min(k0 + _CHUNK_VALUES, b0 + block.size, n)
+            values = np.column_stack([c[k0 // width:k1 // width]
+                                      for c in columns])
+            fh.write(_render(values.reshape(-1).astype(np.float64, copy=False),
+                             block[k0 - b0:k1 - b0]))
+
+
+# -- value rendering ------------------------------------------------------------
+# _render gives every float64 the bytes of "%.17g" % v by array operations.
+# A value with 1e-6 <= |v| < 1e17, or zero, takes the fast path. Its decimal
+# exponent X = floor(log10|v|) is in [-6, 16], so D = |v| * 10**(16 - X)
+# uses a power of ten that float64 holds exactly, and Dekker's TwoProduct
+# gives that product exactly as p + e. Rounded half to even, D is the 17
+# significant digits as an integer in [10**16, 10**17). D is cut into a
+# leading digit and four groups of four, whose ASCII and trailing zeros come
+# from tables. Each value gets a field of _FIELD bytes that holds every byte
+# its text could need, at fixed places (_LAYOUT); a mask per (X, count of
+# significant digits, sign) keeps the bytes "%.17g" prints, and one boolean
+# compress of a chunk's fields gives the chunk's bytes in order. Every other
+# value (|v| < 1e-6, subnormals included, and |v| >= 1e17) is formatted on
+# its own with % and written over its field.
+
+_X_MIN, _X_MAX = -6, 16
+# Field layout: the sign before "0.000" (for -4 <= X < 0), the sign before
+# the digits (for every other X), the 17 digits, a decimal point and the 17
+# digits again (the fraction of "ddd.ddd" is read from the second copy, so
+# no X moves a digit), the exponents "e-05" and "e-06" (the last two bytes
+# are "5" and "6"), the separator last. 48 bytes, so fields are 8-aligned.
+_LAYOUT = b"-0.000-" + b"d" * 17 + b"." + b"d" * 17 + b"e-056" + b"\n"
+_SIGN_ZEROS, _ZEROS, _SIGN, _DIGITS = 0, 1, 6, 7
+_FRACTION = _LAYOUT.index(b".", _DIGITS) + 1
+_EXPONENT = _LAYOUT.index(b"e")
+_FIELD = len(_LAYOUT)
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo, each half of a's 53-bit significand, so the products of
+    halves in Dekker's TwoProduct are exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+class _Tables(NamedTuple):
+    """The lookup tables of ``_render``, read-only."""
+
+    pow10: np.ndarray        # 10**k for k = 0 to 22, exact in float64
+    pow10_hi: np.ndarray     # their Veltkamp halves
+    pow10_lo: np.ndarray
+    pow10_int: np.ndarray    # 10**k for k = 0 to 16, int64
+    group_ascii: np.ndarray  # per group of four digits: its ASCII, as uint32
+    group_zeros: np.ndarray  # and its trailing zeros (4 for the group 0)
+    masks: np.ndarray        # see _masks
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Built on the first ``_render``, so that importing the module, and
+    every command that writes no matrix, skips the work and the memory."""
+    pow10 = 10.0 ** np.arange(23)  # exact: 10**22 = 2**22 * 5**22, 5**22 < 2**53
+    groups = np.arange(10_000, dtype=np.int16)[:, None]
+    places = 10 ** np.arange(3, -1, -1, dtype=np.int16)  # thousands to units
+    ascii_digits = (groups // places % 10 + ord("0")).astype(np.uint8)
+    zeros = (groups % (10 * places) == 0).sum(axis=1)
+    tables = _Tables(pow10, *_veltkamp(pow10),
+                     10 ** np.arange(17, dtype=np.int64),
+                     ascii_digits.view(np.uint32).ravel(),
+                     zeros.astype(np.int8), _masks())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _masks() -> np.ndarray:
+    """The bytes of a field kept for each (X, s, negative), at row
+    ((X - _X_MIN) * 18 + s) * 2 + negative, s significant digits (1 to 17)."""
+    masks = np.zeros((_X_MAX - _X_MIN + 1, 18, 2, _FIELD), dtype=bool)
+    masks[..., -1] = True  # the separator
+    for t, x in enumerate(range(_X_MIN, _X_MAX + 1)):
+        for s in range(1, 18):
+            keep = masks[t, s]
+            fraction = range(_FRACTION + max(x, 0) + 1, _FRACTION + s)
+            if x >= 0:  # ddd.ddd, or ddd when no fraction is left
+                keep[1, _SIGN] = True
+                keep[:, _DIGITS:_DIGITS + x + 1] = True
+                if s > x + 1:
+                    keep[:, _FRACTION - 1] = True
+                    keep[:, fraction] = True
+            elif x >= -4:  # 0.000ddd
+                keep[1, _SIGN_ZEROS] = True
+                keep[:, _ZEROS:_ZEROS + 1 - x] = True
+                keep[:, _DIGITS:_DIGITS + s] = True
+            else:  # d.ddde-0X
+                keep[1, _SIGN] = True
+                keep[:, _DIGITS] = True
+                if s > 1:
+                    keep[:, _FRACTION - 1] = True
+                    keep[:, fraction] = True
+                keep[:, _EXPONENT:_EXPONENT + 3] = True
+                keep[:, _EXPONENT + 3 + (x == -6)] = True
+    return masks.reshape(-1, _FIELD)
+
+
+def _scaled(a: np.ndarray, x: np.ndarray, whole: bool,
+            tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """D = a * 10**(16 - x) rounded half to even, exactly, for x in
+    [_X_MIN, _X_MAX]; and the step (-1, 0 or +1) that takes x toward the
+    exponent that puts the exact product in [10**16, 10**17). When every
+    a is a whole number (so x >= 0), D is an int64 product."""
+    k = 16 - x
+    if whole:
+        d = a.astype(np.int64) * tables.pow10_int[k]
+        return d, (d >= 10**17).astype(np.int64) - (d < 10**16)
+    a_hi, a_lo = _veltkamp(a)
+    b_hi, b_lo = tables.pow10_hi[k], tables.pow10_lo[k]
+    p = a * tables.pow10[k]
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # In range, p >= 10**16 > 2**53 is an even integer, so adding e rounded
+    # half to even rounds p + e half to even.
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    up = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    down = (p < 1e16) | ((p == 1e16) & (e < 0))
+    return d, up.astype(np.int64) - down
+
+
+def _decimal(a: np.ndarray, whole: bool,
+             tables: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, X, missed) for magnitudes a in [1e-6, 1e17), all whole numbers
+    if ``whole``: X = floor(log10 a) and D = a * 10**(16 - X) rounded half to
+    even, a rounding up to 10**17 carried into X + 1. ``missed`` is True
+    where X is not found in [_X_MIN, _X_MAX] (the float nearest 1e-6 is
+    below 10**-6)."""
+    x = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(x, _X_MIN, _X_MAX, out=x)
+    d, step = _scaled(a, x, whole, tables)
+    redo = np.flatnonzero(step)
+    for _ in range(2):  # log10 is off by at most one next to a power of ten
+        if not redo.size:
+            break
+        x[redo] += step[redo]
+        redo = redo[(x[redo] >= _X_MIN) & (x[redo] <= _X_MAX)]
+        d[redo], step[redo] = _scaled(a[redo], x[redo], whole, tables)
+        redo = redo[step[redo] != 0]
+    carry = d == 10**17
+    d[carry] = 10**16
+    x[carry] += 1
+    missed = (step != 0) | (x < _X_MIN) | (x > _X_MAX)
+    return d, x, missed
+
+
+def _render(values: np.ndarray, seps: np.ndarray) -> bytes:
+    """Each float64 of ``values`` exactly as ``"%.17g" % v`` renders it,
+    followed by its separator byte from ``seps`` (uint8, one per value)."""
+    n = values.size
+    mag = np.abs(values)
+    fast = (mag >= 1e-6) & (mag < 1e17)
+    a = np.where(fast, mag, 1.0)
+    # Chunks of whole numbers (indices, counts) skip the exact product, the
+    # trailing zeros and the fraction: their text is the X + 1 integer digits.
+    whole = bool((a == np.floor(a)).all())
+    tables = _tables()
+    d, x, missed = _decimal(a, whole, tables)
+    zero = mag == 0.0
+    d[zero] = 0  # 17 zero digits, one significant, X = 0: "0"
+    x[zero] = 0
+    slow = ~(fast | zero) | missed
+    x[slow] = 0  # any mask: the field is overwritten below
+    groups = np.empty((5, n), dtype=np.int64)
+    lead, g1, g2, g3, g4 = groups
+    np.floor_divide(d, 10**16, out=lead)
+    rest = d - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    np.floor_divide(high, 10**4, out=g1)
+    np.subtract(high, g1 * 10**4, out=g2)
+    np.floor_divide(low, 10**4, out=g3)
+    np.subtract(low, g3 * 10**4, out=g4)
+    if whole:
+        zeros = 16 - x
+    else:  # a zero group of D counts 4 plus the trailing zeros before it
+        zeros = tables.group_zeros[g1]
+        for g in (g2, g3, g4):
+            zeros = tables.group_zeros[g] + (g == 0) * zeros
+    digits = np.take(tables.group_ascii, groups.T).view(np.uint8)[:, 3:]
+
+    fields = np.empty((n, _FIELD), dtype=np.uint8)
+    fields.view(np.uint64)[:] = np.frombuffer(_LAYOUT, dtype=np.uint64)
+    fields[:, _DIGITS:_DIGITS + 17] = digits
+    if not whole:
+        fields[:, _FRACTION:_FRACTION + 17] = digits
+    fields[:, -1] = seps
+    rows = ((x - _X_MIN) * 18 + 17 - zeros) * 2 + np.signbit(values)
+    keep = np.take(tables.masks, rows, axis=0)
+    for i in np.flatnonzero(slow):
+        text = b"%.17g" % values[i]
+        fields[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        keep[i, :-1] = False
+        keep[i, :len(text)] = True
+    return fields.reshape(-1)[keep.reshape(-1)].tobytes()
 
 
 def _data_lines(fh) -> Iterator[str] | None:
@@ -689,5 +960,5 @@ def _values_error(path: str, kind: str,
 
 
 def save_signal(sig: SignalSeries, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_lines(fh, f"{_REAL}\n", (sig.values,))
+    with open(path, "wb") as fh:
+        _write_values(fh, (sig.values,), b"\n")

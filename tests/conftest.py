@@ -15,6 +15,17 @@ import pytest
 from wideca import CountMatrix
 from wideca.engine import _inv_pos, map_projection_blocks
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests draw the same examples on every run, store none and
+    # time none: a failure is reproduced by running the test again.
+    settings.register_profile("wideca", derandomize=True, database=None,
+                              deadline=None, max_examples=300)
+    settings.load_profile("wideca")
+
 
 def svd_oracle(K: np.ndarray):
     """Return (eigenvalues, row coords, column coords) from a dense SVD.

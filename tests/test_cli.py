@@ -387,6 +387,32 @@ def test_dense_commands_do_not_load_scipy(tmp_path):
     assert (tmp_path / "r.csv").exists()
 
 
+def test_only_sparse_analysis_loads_scipy(tmp_path):
+    """Generating, fitting and table 3 keep their sparse matrices as numpy
+    arrays; the sparse analysis kernels load scipy."""
+    script = (
+        "import sys\n"
+        "from wideca.cli import main\n"
+        "def run(*argv):\n"
+        "    assert main([str(a) for a in argv]) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
+        "run('gen', 'powerlaw', '--rows', 40, '--cols', 300, '-o', 'p.tpl',"
+        " '--format', 'triplet')\n"
+        "run('gen', 'powerlaw', '--rows', 40, '--cols', 300, '-o', 'p.csv')\n"
+        "run('fit', 'p.tpl', '--format', 'triplet', '-o', 'f')\n"
+        "run('reproduce', '--table', '3', '--dims', '200', '--seeds', '1',"
+        " '-o', 't3.csv')\n"
+        "assert main(['analyze', 'p.tpl', '--format', 'triplet', '-o', 'r']) == 0\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(wideca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "r.csv").exists()
+
+
 def test_exit_code_bad_flags():
     assert run("analyze") == 1
     assert run("gen", "uniform", "--rows", 3, "--cols", "x", "-o", "/tmp/x") == 1

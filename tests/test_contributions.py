@@ -372,6 +372,26 @@ def test_workers_below_one_rejected(rng):
 SMALL_BLOCK_ELEMS = 60_000  # 2,000 columns per block at 30 rows
 
 
+def test_sparse_view_built_before_the_pool(rng, monkeypatch):
+    """Sparse storage whose scipy view is not built yet: the W pass (with
+    its sparse product) and the projection passes build it in the calling
+    thread, and 1, 2 and 3 workers give the same bits."""
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    K = np.where(rng.random((30, 9_000)) < 0.02, rng.random((30, 9_000)), 0.0)
+    outputs = []
+    for workers in (1, 2, 3):
+        m = CountMatrix.from_triplets(30, 9_000, *np.nonzero(K),
+                                      K[np.nonzero(K)])
+        assert m._sparse is None
+        fm = build_frequency_model(m)
+        fd = decompose(fm, workers=workers)
+        rep = concentration_report(fm, fd, workers=workers)
+        assert m._sparse is not None
+        outputs.append([fd.eigenvalues.tobytes(), fd.row_projections.tobytes()]
+                       + [getattr(rep, name).tobytes() for name in REPORT_ARRAYS])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def _assert_reports_close(rep, ref, rtol):
     for name in REPORT_FIELDS:
         assert getattr(rep, name) == pytest.approx(getattr(ref, name),

@@ -299,3 +299,31 @@ def test_row_limit_rejected():
     fm.matrix.n_rows = MAX_DUAL_ROWS + 1  # simulate, avoids a huge allocation
     with pytest.raises(ValidationError, match="dual-space"):
         decompose(fm)
+
+
+def _canonical_signs_loop(U):
+    """Reference: the column-by-column sign rule."""
+    for a in range(U.shape[1]):
+        col = U[:, a]
+        big = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
+        if big.size and col[big[0]] < 0:
+            U[:, a] = -col
+
+
+def test_canonical_signs_match_loop(rng):
+    from wideca.engine import _canonical_signs
+    U = rng.standard_normal((40, 9))
+    U[:, 2] = 0.0                       # all zero: left as it is
+    U[:, 3] = -0.0
+    U[:3, 4] = [-1e-12, 5e-10, -2e-9]   # leading entries below the 1e-8 cut
+    U[3, 4] = -0.5
+    U[:5, 5] = [-1e-12, 5e-10, -2e-9, 0.0, 0.7]
+    U[:, 6] = np.abs(U[:, 6])
+    U[:, 7] = -np.abs(U[:, 7])
+    want = U.copy()
+    _canonical_signs_loop(want)
+    _canonical_signs(U)
+    assert U.tobytes() == want.tobytes()
+    assert U[3, 4] == 0.5 and U[4, 5] == 0.7
+    empty = np.empty((5, 0))
+    _canonical_signs(empty)

@@ -349,6 +349,25 @@ def test_csc_checks_leave_arrays_alone():
     np.testing.assert_array_equal(column_sums(m), [2.0, 1.0])
 
 
+def test_sparse_view_shares_arrays_and_row_sum_bits(rng):
+    from wideca import gen_powerlaw_boolean
+    matrices = [gen_powerlaw_boolean(425, 3_000, seed=5)]
+    for _ in range(5):
+        K = np.where(rng.random((300, 5_000)) < 0.05,
+                     rng.random((300, 5_000)) * 10.0 ** rng.uniform(-3, 3), 0.0)
+        matrices.append(CountMatrix.from_triplets(300, 5_000, *np.nonzero(K),
+                                                  K[np.nonzero(K)]))
+    for m in matrices:
+        view = m.sparse
+        assert view is m.sparse
+        for ours, theirs in zip(m.csc, (view.indptr, view.indices, view.data)):
+            assert np.shares_memory(ours, theirs)
+        assert m.row_sums().tobytes() == \
+            np.asarray(view.sum(axis=1)).ravel().tobytes()
+        assert m.nnz == view.nnz
+        assert np.array_equal(m.to_dense(), view.toarray())
+
+
 def test_negative_sparse_value_named_past_empty_columns():
     import scipy.sparse as sp
     dense = np.array([[1.0, 0, 0, 2, 0], [1, 0, -1, 0, 1]])
@@ -565,12 +584,19 @@ def _golden_matrices():
     bits = bits[np.isfinite(bits) & (bits < 1e300)][:450]
     bits[rng.random(bits.size) < 0.3] = 0.0
     bits[0] = 1.0
-    return {"special": special, "random-bits": bits.reshape(3, 150)}
+    # Uniform draws and whole numbers: the renderer's fast path.
+    uniform = rng.random((4, 120))
+    uniform[rng.random(uniform.shape) < 0.1] = 0.0
+    integer = np.floor(10.0 ** rng.uniform(0, 16, (4, 120)))
+    integer[rng.random(integer.shape) < 0.1] = 0.0
+    return {"special": special, "random-bits": bits.reshape(3, 150),
+            "uniform": uniform, "integer": integer}
 
 
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
 @pytest.mark.parametrize("fmt", [DENSE_CSV, TRIPLET])
-@pytest.mark.parametrize("name", ["special", "random-bits"])
+@pytest.mark.parametrize("name", ["special", "random-bits", "uniform",
+                                  "integer"])
 def test_writer_matches_per_value_rendering(tmp_path, name, fmt, storage):
     dense = _golden_matrices()[name]
     m = _build(storage, dense)
@@ -590,6 +616,39 @@ def test_signal_writer_matches_per_value_rendering(tmp_path):
     save_signal(SignalSeries(values), str(p))
     assert p.read_bytes() == "".join("%.17g\n" % v for v in values).encode()
     assert load_signal(str(p)).values.tobytes() == values.tobytes()
+
+
+def _render_reference(values, seps):
+    return b"".join(b"%.17g" % v + bytes([s])
+                    for v, s in zip(values.tolist(), seps.tolist()))
+
+
+def _render_edge_values():
+    powers = 10.0 ** np.arange(-7, 18)
+    # m * 2**-18 for odd m in [2**17, 2**18) has exactly 18 significant
+    # digits, the last a 5: a tie at the 17th.
+    odd = 2 * np.arange(2**16, 2**17, 997) + 1
+    return np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [1e-6, np.nextafter(1e-6, 0.0), np.nextafter(1e-6, 1.0),
+         1e17, np.nextafter(1e17, 0.0), 9.999999999999999e16,
+         2.0**53 - 1, 2.0**53, 2.0**53 + 1, 2.0**53 + 2],
+        odd * 2.0**-18, odd * 2.0**-30, odd * 2.0**-18 + 2.0**30,
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -1.7976931348623157e308, -0.5, -1e-5, -12.25, -1234567.0],
+    ])
+
+
+@pytest.mark.parametrize("values", [
+    _render_edge_values(),
+    -_render_edge_values(),
+    np.arange(30_000.0),                    # whole numbers: the int64 path
+    np.concatenate([np.arange(100.0), [0.5]]),  # one fraction among them
+], ids=["edges", "negated-edges", "whole", "mixed"])
+def test_render_matches_percent_g_edges(values):
+    from wideca.store import _render
+    seps = np.resize(np.frombuffer(b" ,\n", dtype=np.uint8), values.size)
+    assert _render(values, seps) == _render_reference(values, seps)
 
 
 # -- block passes --------------------------------------------------------------
