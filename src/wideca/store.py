@@ -102,10 +102,11 @@ class CountMatrix:
     pass over the column blocks (``_dense_marginals``), which keeps the
     column sums for ``column_sums`` too; it runs on the default worker count
     (``resolve_workers()``), since loaders take no worker count. Sparse
-    storage is checked block by block (``_check_csc``), its row sums are one
-    ``np.bincount`` over the stored entries, which adds each row's entries
-    in stored order as scipy's ``csc.sum(axis=1)`` does, and its columns are
-    summed on first use.
+    storage is checked block by block (``_check_csc``) and its columns are
+    summed on first use. Its row sums are the given matrix's
+    ``csc.sum(axis=1)``, or for arrays built here one ``np.bincount`` over
+    the stored entries, which adds each row's entries in stored order as
+    scipy's sum does, without importing scipy.
     """
 
     def __init__(self, dense: np.ndarray | None = None,
@@ -193,8 +194,12 @@ class CountMatrix:
         else:
             indptr, indices, vals = self._csc
             _check_csc(self.n_rows, self.n_cols, indptr, indices)
-            self._row_sums = np.bincount(indices, weights=vals,
-                                         minlength=self.n_rows)
+            if self._sparse is not None:  # given: scipy's sum is faster
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._row_sums = np.asarray(self._sparse.sum(axis=1)).ravel()
+            else:
+                self._row_sums = np.bincount(indices, weights=vals,
+                                             minlength=self.n_rows)
             low = vals.min() if vals.size else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             total = self.grand_total
@@ -643,7 +648,6 @@ class _Tables(NamedTuple):
     pow10: np.ndarray        # 10**k for k = 0 to 22, exact in float64
     pow10_hi: np.ndarray     # their Veltkamp halves
     pow10_lo: np.ndarray
-    pow10_int: np.ndarray    # 10**k for k = 0 to 16, int64
     group_ascii: np.ndarray  # per group of four digits: its ASCII, as uint32
     group_zeros: np.ndarray  # and its trailing zeros (4 for the group 0)
     masks: np.ndarray        # see _masks
@@ -659,7 +663,6 @@ def _tables() -> _Tables:
     ascii_digits = (groups // places % 10 + ord("0")).astype(np.uint8)
     zeros = (groups % (10 * places) == 0).sum(axis=1)
     tables = _Tables(pow10, *_veltkamp(pow10),
-                     10 ** np.arange(17, dtype=np.int64),
                      ascii_digits.view(np.uint32).ravel(),
                      zeros.astype(np.int8), _masks())
     for table in tables:
@@ -697,16 +700,12 @@ def _masks() -> np.ndarray:
     return masks.reshape(-1, _FIELD)
 
 
-def _scaled(a: np.ndarray, x: np.ndarray, whole: bool,
+def _scaled(a: np.ndarray, x: np.ndarray,
             tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """D = a * 10**(16 - x) rounded half to even, exactly, for x in
     [_X_MIN, _X_MAX]; and the step (-1, 0 or +1) that takes x toward the
-    exponent that puts the exact product in [10**16, 10**17). When every
-    a is a whole number (so x >= 0), D is an int64 product."""
+    exponent that puts the exact product in [10**16, 10**17)."""
     k = 16 - x
-    if whole:
-        d = a.astype(np.int64) * tables.pow10_int[k]
-        return d, (d >= 10**17).astype(np.int64) - (d < 10**16)
     a_hi, a_lo = _veltkamp(a)
     b_hi, b_lo = tables.pow10_hi[k], tables.pow10_lo[k]
     p = a * tables.pow10[k]
@@ -719,23 +718,22 @@ def _scaled(a: np.ndarray, x: np.ndarray, whole: bool,
     return d, up.astype(np.int64) - down
 
 
-def _decimal(a: np.ndarray, whole: bool,
+def _decimal(a: np.ndarray,
              tables: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, X, missed) for magnitudes a in [1e-6, 1e17), all whole numbers
-    if ``whole``: X = floor(log10 a) and D = a * 10**(16 - X) rounded half to
+    """(D, X, missed) for magnitudes a in [1e-6, 1e17): X = floor(log10 a) and D = a * 10**(16 - X) rounded half to
     even, a rounding up to 10**17 carried into X + 1. ``missed`` is True
     where X is not found in [_X_MIN, _X_MAX] (the float nearest 1e-6 is
     below 10**-6)."""
     x = np.floor(np.log10(a)).astype(np.int64)
     np.clip(x, _X_MIN, _X_MAX, out=x)
-    d, step = _scaled(a, x, whole, tables)
+    d, step = _scaled(a, x, tables)
     redo = np.flatnonzero(step)
     for _ in range(2):  # log10 is off by at most one next to a power of ten
         if not redo.size:
             break
         x[redo] += step[redo]
         redo = redo[(x[redo] >= _X_MIN) & (x[redo] <= _X_MAX)]
-        d[redo], step[redo] = _scaled(a[redo], x[redo], whole, tables)
+        d[redo], step[redo] = _scaled(a[redo], x[redo], tables)
         redo = redo[step[redo] != 0]
     carry = d == 10**17
     d[carry] = 10**16
@@ -751,11 +749,8 @@ def _render(values: np.ndarray, seps: np.ndarray) -> bytes:
     mag = np.abs(values)
     fast = (mag >= 1e-6) & (mag < 1e17)
     a = np.where(fast, mag, 1.0)
-    # Chunks of whole numbers (indices, counts) skip the exact product, the
-    # trailing zeros and the fraction: their text is the X + 1 integer digits.
-    whole = bool((a == np.floor(a)).all())
     tables = _tables()
-    d, x, missed = _decimal(a, whole, tables)
+    d, x, missed = _decimal(a, tables)
     zero = mag == 0.0
     d[zero] = 0  # 17 zero digits, one significant, X = 0: "0"
     x[zero] = 0
@@ -771,19 +766,16 @@ def _render(values: np.ndarray, seps: np.ndarray) -> bytes:
     np.subtract(high, g1 * 10**4, out=g2)
     np.floor_divide(low, 10**4, out=g3)
     np.subtract(low, g3 * 10**4, out=g4)
-    if whole:
-        zeros = 16 - x
-    else:  # a zero group of D counts 4 plus the trailing zeros before it
-        zeros = tables.group_zeros[g1]
-        for g in (g2, g3, g4):
-            zeros = tables.group_zeros[g] + (g == 0) * zeros
+    # A zero group of D counts 4 plus the trailing zeros before it.
+    zeros = tables.group_zeros[g1]
+    for g in (g2, g3, g4):
+        zeros = tables.group_zeros[g] + (g == 0) * zeros
     digits = np.take(tables.group_ascii, groups.T).view(np.uint8)[:, 3:]
 
     fields = np.empty((n, _FIELD), dtype=np.uint8)
     fields.view(np.uint64)[:] = np.frombuffer(_LAYOUT, dtype=np.uint64)
     fields[:, _DIGITS:_DIGITS + 17] = digits
-    if not whole:
-        fields[:, _FRACTION:_FRACTION + 17] = digits
+    fields[:, _FRACTION:_FRACTION + 17] = digits
     fields[:, -1] = seps
     rows = ((x - _X_MIN) * 18 + 17 - zeros) * 2 + np.signbit(values)
     keep = np.take(tables.masks, rows, axis=0)

@@ -369,6 +369,16 @@ def test_analyze_diagnostics(tmp_path, kind, denominator):
     assert tuple(doc["report"].keys()) == REPORT_FIELDS
 
 
+def _run_fresh_python(script: str, cwd: Path) -> None:
+    """Run ``script`` in a new interpreter that imports this checkout of
+    wideca, so the modules it loads are its own; it must exit 0."""
+    src = str(Path(wideca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dense_commands_do_not_load_scipy(tmp_path):
     script = (
         "import sys\n"
@@ -379,11 +389,7 @@ def test_dense_commands_do_not_load_scipy(tmp_path):
         "assert wideca.cli.main(['analyze', 'u.csv', '-o', 'r']) == 0\n"
         "assert 'scipy' not in sys.modules, 'gen uniform + analyze loaded scipy'\n"
     )
-    src = str(Path(wideca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh_python(script, tmp_path)
     assert (tmp_path / "r.csv").exists()
 
 
@@ -405,11 +411,7 @@ def test_only_sparse_analysis_loads_scipy(tmp_path):
         "assert main(['analyze', 'p.tpl', '--format', 'triplet', '-o', 'r']) == 0\n"
         "assert 'scipy' in sys.modules\n"
     )
-    src = str(Path(wideca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh_python(script, tmp_path)
     assert (tmp_path / "r.csv").exists()
 
 

@@ -584,7 +584,7 @@ def _golden_matrices():
     bits = bits[np.isfinite(bits) & (bits < 1e300)][:450]
     bits[rng.random(bits.size) < 0.3] = 0.0
     bits[0] = 1.0
-    # Uniform draws and whole numbers: the renderer's fast path.
+    # Uniform draws and whole numbers, all on the renderer's fast path.
     uniform = rng.random((4, 120))
     uniform[rng.random(uniform.shape) < 0.1] = 0.0
     integer = np.floor(10.0 ** rng.uniform(0, 16, (4, 120)))
@@ -642,7 +642,7 @@ def _render_edge_values():
 @pytest.mark.parametrize("values", [
     _render_edge_values(),
     -_render_edge_values(),
-    np.arange(30_000.0),                    # whole numbers: the int64 path
+    np.arange(30_000.0),                    # whole numbers, indices and counts
     np.concatenate([np.arange(100.0), [0.5]]),  # one fraction among them
 ], ids=["edges", "negated-edges", "whole", "mixed"])
 def test_render_matches_percent_g_edges(values):
