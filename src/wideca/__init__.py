@@ -4,7 +4,7 @@ settings and a power-law exponent estimator."""
 
 __version__ = "0.1.0"
 
-from .contributions import ContributionReport, concentration_report
+from .contributions import ContributionReport, analyze, concentration_report
 from .engine import (FactorDecomposition, FrequencyModel,
                      build_frequency_model, decompose)
 from .errors import NumericalError, ParseError, ValidationError
@@ -19,8 +19,9 @@ __all__ = [
     "ContributionReport", "CountMatrix", "EmpiricalMarginals",
     "FactorDecomposition", "FrequencyModel", "NumericalError",
     "ParametricMarginals", "ParseError", "PowerLawFit", "SignalSeries",
-    "ValidationError", "build_frequency_model", "ccdf", "column_sums",
-    "concentration_report", "decompose", "embed_signal", "fit_exponent",
-    "fit_loglog", "gen_powerlaw_boolean", "gen_randomwalk_signal",
-    "gen_uniform", "load_matrix", "load_signal", "save_matrix", "save_signal",
+    "ValidationError", "analyze", "build_frequency_model", "ccdf",
+    "column_sums", "concentration_report", "decompose", "embed_signal",
+    "fit_exponent", "fit_loglog", "gen_powerlaw_boolean",
+    "gen_randomwalk_signal", "gen_uniform", "load_matrix", "load_signal",
+    "save_matrix", "save_signal",
 ]

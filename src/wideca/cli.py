@@ -6,6 +6,8 @@ configuration: JSON reports embed it under "config", CSV outputs get a
 ``<name>.meta.json`` sidecar. Re-running the same configuration reproduces
 identical numeric payloads; the CSV files are the canonical payload (JSON
 reports additionally carry wall-clock timings, which naturally vary).
+``analyze`` loads the matrix and runs ``wideca.analyze`` once; its
+``elapsed_seconds`` times that call, the model, decomposition and report.
 
 Exit codes: 0 success, 1 validation error (including bad flags) or not
 enough memory, 2 numerical failure, 3 I/O failure.
@@ -20,8 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .contributions import concentration_report
-from .engine import build_frequency_model, decompose
+from .contributions import analyze
 from .errors import NumericalError, ValidationError
 from .generators import (DEFAULT_BODY_START, DEFAULT_EXPONENT,
                          DEFAULT_HEAD_MASS, EmpiricalMarginals,
@@ -129,10 +130,7 @@ def _cmd_analyze(args) -> int:
     args.workers = resolve_workers(args.workers)
     m = load_matrix(args.input, args.format)
     t0 = time.perf_counter()
-    fm = build_frequency_model(m)
-    fd = decompose(fm, include_trivial=args.include_trivial,
-                   workers=args.workers)
-    report = concentration_report(fm, fd, workers=args.workers)
+    report = analyze(m, args.include_trivial, args.workers).report
     elapsed = time.perf_counter() - t0
     base = _base(args.output)
     doc = {

@@ -48,11 +48,18 @@ its sums are discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import (_EIG_INERTIA_TOL, FactorDecomposition, FrequencyModel,
-                     _inv_pos, map_projection_blocks)
+from .engine import (FactorDecomposition, FrequencyModel, _inv_pos,
+                     build_frequency_model, decompose, map_projection_blocks)
+from .store import CountMatrix
+
+# The report divides by the eigenvalues instead of the axis inertias
+# sum_j f_j G_a(j)^2 when max_a |lambda_a / I_a - 1| is at most this; each
+# relative contribution then stays within that gap.
+_EIG_INERTIA_TOL = 1e-12
 
 REPORT_FIELDS = (
     "dim", "abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
@@ -201,3 +208,20 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
         excluded_cols=fm.excluded_cols,
         inertia_gap=inertia_gap,
     )
+
+
+class Analysis(NamedTuple):
+    """The three stages of one analysis, in pipeline order."""
+
+    model: FrequencyModel
+    decomposition: FactorDecomposition
+    report: ContributionReport
+
+
+def analyze(m: CountMatrix, include_trivial: bool = True,
+            workers: int | None = None) -> Analysis:
+    """The whole pipeline: ``build_frequency_model``, ``decompose`` and
+    ``concentration_report``, on ``workers`` (default ``resolve_workers()``)."""
+    fm = build_frequency_model(m)
+    fd = decompose(fm, include_trivial=include_trivial, workers=workers)
+    return Analysis(fm, fd, concentration_report(fm, fd, workers))

@@ -63,10 +63,6 @@ MAX_DUAL_ROWS = 32768
 # Non-trivial axes below _REL_EIG_TOL times the largest non-trivial
 # eigenvalue are dropped.
 _REL_EIG_TOL = 1e-12
-# The contribution report divides by the eigenvalues instead of the axis
-# inertias sum_j f_j G_a(j)^2 when max_a |lambda_a / I_a - 1| is at most
-# this; each relative contribution then stays within that gap.
-_EIG_INERTIA_TOL = 1e-12
 # Eigenvalues below n_rows * eps are indistinguishable from the deflation
 # residual of the unit-norm trivial axis, whatever the data.
 _ABS_EIG_FLOOR_PER_ROW = np.finfo(np.float64).eps
@@ -139,10 +135,18 @@ class FactorDecomposition:
 
 
 def build_frequency_model(m: CountMatrix) -> FrequencyModel:
-    """Convert counts to frequencies with row/column mass distributions."""
+    """Convert counts to frequencies with row/column mass distributions; a
+    positive row or column sum below the smallest normal float64, whose
+    reciprocal scales would overflow, is rejected."""
     k = m.grand_total
     if k <= 0:
         raise ValidationError("all-zero matrix has no frequency form")
+    tiny = float(np.finfo(np.float64).tiny)
+    for name, sums in (("row", m.row_sums()), ("column", column_sums(m))):
+        low = np.flatnonzero((sums > 0) & (sums < tiny))
+        if low.size:
+            raise ValidationError(f"{name} {low[0]} sums to {float(sums[low[0]])}, "
+                                  f"below the smallest normal float64 {tiny}")
     row_masses = m.row_sums() / k
     col_masses = column_sums(m) / k
     return FrequencyModel(

@@ -91,12 +91,13 @@ class CountMatrix:
     and zero rows are retained; the frequency model records their indices so
     profile-based computations can exclude them.
 
-    Sparse storage is given as a scipy CSC matrix (``sparse=``), whose
-    arrays are kept as they are, or built by this module from its arrays
-    (``_from_csc``, for the generators and the triplet loader). Either way
-    the arrays (``csc``) serve everything but the sparse analysis kernels,
-    which take the scipy view ``sparse``: the given matrix, or one built
-    over the arrays, without a copy, on first use.
+    Given values are copied only to make them float64, and dense ones a 2-D
+    C-ordered array. Sparse storage is given as a scipy CSC matrix
+    (``sparse=``), whose arrays are kept, or built by this module from its
+    arrays (``_from_csc``, for the generators and the triplet loader). The
+    arrays (``csc``) serve everything but the sparse analysis kernels, which
+    take the scipy view ``sparse``: the given matrix if its values were
+    kept, or one built over the arrays, without a copy, on first use.
 
     Validation keeps the row sums. For dense storage it is one marginal
     pass over the column blocks (``_dense_marginals``), which keeps the
@@ -104,23 +105,26 @@ class CountMatrix:
     (``resolve_workers()``), since loaders take no worker count. Sparse
     storage is checked block by block (``_check_csc``) and its columns are
     summed on first use. Its row sums are the given matrix's
-    ``csc.sum(axis=1)``, or for arrays built here one ``np.bincount`` over
-    the stored entries, which adds each row's entries in stored order as
+    ``csc.sum(axis=1)`` when it is kept, else one ``np.bincount`` over the
+    stored entries, which adds each row's entries in stored order as
     scipy's sum does, without importing scipy.
     """
 
-    def __init__(self, dense: np.ndarray | None = None,
-                 sparse: sp.csc_matrix | None = None):
+    def __init__(self, dense=None, sparse: sp.csc_matrix | None = None):
         if (dense is None) == (sparse is None):
             raise ValidationError("exactly one of dense/sparse storage required")
         if dense is not None:
+            dense = np.ascontiguousarray(dense, dtype=np.float64)
+            if dense.ndim != 2:
+                raise ValidationError(f"dense matrix must be 2-D, got {dense.ndim}-D")
             self._init(dense.shape, dense, None)
         else:
             if getattr(sparse, "format", None) != "csc":
                 raise ValidationError(_NOT_CANONICAL)
-            self._sparse = sparse
+            data = np.asarray(sparse.data, dtype=np.float64)
+            self._sparse = sparse if data is sparse.data else None
             self._init(sparse.shape, None,
-                       CSC(sparse.indptr, sparse.indices, sparse.data))
+                       CSC(sparse.indptr, sparse.indices, data))
 
     def _init(self, shape: tuple[int, int], dense: np.ndarray | None,
               csc: CSC | None) -> None:
@@ -134,10 +138,7 @@ class CountMatrix:
 
     @classmethod
     def from_dense(cls, values) -> "CountMatrix":
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"dense matrix must be 2-D, got {arr.ndim}-D")
-        return cls(dense=arr)
+        return cls(dense=values)
 
     @classmethod
     def from_triplets(cls, n_rows: int, n_cols: int, rows, cols, values) -> "CountMatrix":
@@ -456,8 +457,8 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
                       workers: int | None = None) -> Iterator:
     """Apply ``fn(j0, j1)`` over blocks, yielding results in block order.
 
-    ``workers`` defaults to ``resolve_workers()``. With w > 1 workers the
-    calling thread and a pool of w - 1 threads share the blocks (numpy
+    ``workers`` defaults to ``resolve_workers()``. With w workers the
+    calling thread and min(w, blocks) - 1 pool threads share them (numpy
     releases the GIL in the heavy kernels): each claims the next block in
     ascending order from one counter, but starts block k only while
     k < (blocks consumed) + L, with the lookahead L = 2w. A block is
@@ -475,11 +476,9 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
     """
     workers = resolve_workers(workers)
     blocks = list(blocks)
-    if workers == 1 or len(blocks) <= 1:
-        for j0, j1 in blocks:
-            yield fn(j0, j1)
-        return
     n = len(blocks)
+    if not n:
+        return
     lookahead = _LOOKAHEAD_PER_WORKER * workers
     cond = threading.Condition()
     results: dict[int, tuple[bool, object]] = {}

@@ -2,7 +2,8 @@
 
 A table is a matrix factory and a stats function. ``sweep`` builds the
 table's matrices for every (dim, seed) pair, reduces each to a dict of
-statistics, and returns one row dict per dimensionality: the seed-mean of
+statistics (one ``wideca.analyze`` call for the concentration tables),
+and returns one row dict per dimensionality: the seed-mean of
 every statistic, then per-seed min/max spread columns, in the order of the
 first per-seed dict. Seeds are ``base_seed + i`` and are shared across
 dimensionalities, so per-seed comparisons between dimensions are paired; the
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contributions import concentration_report
-from .engine import build_frequency_model, decompose
+from .contributions import analyze
 from .errors import ValidationError
 from .generators import (DEFAULT_EXPONENT, ParametricMarginals, embed_signal,
                          gen_powerlaw_boolean, gen_randomwalk_signal,
@@ -116,9 +116,7 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
                                                 marginals=marg)
 
     def concentration(m) -> dict:
-        fm = build_frequency_model(m)
-        fd = decompose(fm, include_trivial=include_trivial, workers=workers)
-        d = concentration_report(fm, fd, workers).to_dict()
+        d = analyze(m, include_trivial, workers).report.to_dict()
         return {c: d[c] for c in _STAT_COLS}
 
     def exponent_fit(m) -> dict:

@@ -282,6 +282,20 @@ def test_exit_code_overflowing_totals(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,1e-320,2\n1,0,1\n", "column 1 sums to 1e-320"),
+    ("1e-320,1e-320\n1e-320,1e-320\n", "row 0 sums to 2e-320"),
+])
+def test_exit_code_subnormal_marginal(tmp_path, capsys, text, message):
+    mat = tmp_path / "m.csv"
+    mat.write_text(text)
+    assert run("analyze", mat, "-o", tmp_path / "r") == 1
+    assert capsys.readouterr().err == (
+        f"error: {message}, below the smallest normal float64 "
+        "2.2250738585072014e-308\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_exit_code_workers_below_one(tmp_path, capsys):
     mat = tmp_path / "m.csv"
     mat.write_text("1,2\n3,4\n")
@@ -426,13 +440,12 @@ def test_exit_code_io_error(tmp_path):
 
 
 def test_exit_code_numerical_error(tmp_path, monkeypatch):
-    import wideca.cli as cli
     from wideca.errors import NumericalError
 
     def boom(*a, **k):
         raise NumericalError("synthetic failure")
 
-    monkeypatch.setattr(cli, "decompose", boom)
+    monkeypatch.setattr("wideca.contributions.decompose", boom)
     mat = tmp_path / "m.csv"
     mat.write_text("1,2\n3,4\n")
     assert run("analyze", mat, "-o", tmp_path / "r") == 2

@@ -7,22 +7,24 @@ from conftest import (K0, K0_CHI2_PER_COLUMN, K0_TOTAL_CENTERED_INERTIA,
                       chi2_distances, column_projections, random_count_matrix,
                       svd_oracle, two_pass_relative)
 
+import wideca
 from wideca import (CountMatrix, ValidationError, build_frequency_model,
                     concentration_report, decompose)
 from wideca.contributions import REPORT_FIELDS
 
 
+def _matrix(m):
+    return m if isinstance(m, CountMatrix) else CountMatrix.from_dense(m)
+
+
 def analyze(m, include_trivial=True):
-    if not isinstance(m, CountMatrix):
-        m = CountMatrix.from_dense(m)
-    fm = build_frequency_model(m)
+    fm = build_frequency_model(_matrix(m))
     fd = decompose(fm, include_trivial=include_trivial)
     return fm, fd
 
 
 def report(m, include_trivial=True):
-    fm, fd = analyze(m, include_trivial)
-    return fm, fd, concentration_report(fm, fd)
+    return wideca.analyze(_matrix(m), include_trivial)
 
 
 def direct_absolute(K):
@@ -460,6 +462,32 @@ def test_sparse_and_dense_storage_agree(rng, monkeypatch):
     _, _, sparse = report(
         CountMatrix.from_triplets(30, 9_000, *coo, K[coo]))
     _assert_reports_close(sparse, dense, rtol=1e-11)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("include_trivial", [True, False])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_analyze_is_the_three_stages_bit_for_bit(rng, monkeypatch, sparse,
+                                                 include_trivial, workers):
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    K = np.where(rng.random((30, 9_000)) < 0.2, rng.random((30, 9_000)), 0.0)
+    coo = np.nonzero(K)
+    m = CountMatrix.from_triplets(30, 9_000, *coo, K[coo]) if sparse \
+        else CountMatrix.from_dense(K)
+    fm = build_frequency_model(m)
+    fd = decompose(fm, include_trivial=include_trivial, workers=workers)
+    ref = concentration_report(fm, fd, workers=workers)
+    got = wideca.analyze(m, include_trivial, workers)
+    assert got.model.matrix is m
+    assert got.decomposition.include_trivial is include_trivial
+    for name in ("eigenvalues", "row_projections", "basis"):
+        assert getattr(got.decomposition, name).tobytes() == \
+            getattr(fd, name).tobytes(), name
+    assert got.report.to_dict() == ref.to_dict()
+    assert got.report.inertia_gap == ref.inertia_gap
+    for name in REPORT_ARRAYS:
+        assert getattr(got.report, name).tobytes() == \
+            getattr(ref, name).tobytes(), name
 
 
 # -- relative denominators ------------------------------------------------------

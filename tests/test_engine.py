@@ -39,6 +39,44 @@ def test_frequency_model_k0_masses():
     assert fm.grand_total == 12.0
 
 
+SUBNORMAL_SUM = ", below the smallest normal float64 2.2250738585072014e-308$"
+
+
+@pytest.mark.parametrize("K, message", [
+    ([[1, 1e-320, 2], [1, 0, 1]], "column 1 sums to 1e-320"),
+    ([[1e-320, 1e-320], [1e-320, 1e-320]], "row 0 sums to 2e-320"),
+    ([[1, 1, 1], [0, 0, 5e-324]], "row 1 sums to 5e-324"),
+])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_subnormal_marginal_rejected(K, message, sparse):
+    # The reciprocal of a positive sum below 2.2e-308 overflows and would turn
+    # the report to NaN; an exactly zero sum marks an excluded row or column.
+    K = np.array(K, dtype=np.float64)
+    nz = np.nonzero(K)
+    m = CountMatrix.from_triplets(*K.shape, *nz, K[nz]) if sparse \
+        else CountMatrix.from_dense(K)
+    with pytest.raises(ValidationError, match="^" + message + SUBNORMAL_SUM):
+        build_frequency_model(m)
+
+
+def test_subnormal_entry_in_a_normal_sum_keeps_its_report(rng):
+    import warnings
+    K = rng.random((5, 40))
+    K[2, 7] = 1e-320
+    zeroed = K.copy()
+    zeroed[2, 7] = 0.0
+    reports = []
+    for values in (K, zeroed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fm = build_frequency_model(CountMatrix.from_dense(values))
+            reports.append(concentration_report(fm, decompose(fm)))
+    rep, ref = reports
+    assert rep.to_dict() == pytest.approx(ref.to_dict(), rel=1e-12, abs=0)
+    np.testing.assert_allclose(rep.per_column_absolute,
+                               ref.per_column_absolute, rtol=1e-12, atol=0)
+
+
 def test_masses_sum_to_one(rng):
     for kind in ("uniform", "counts", "boolean", "sparse"):
         fm = build_frequency_model(random_count_matrix(rng, 11, 37, kind))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wideca import (CountMatrix, ParseError, ValidationError,
-                    build_frequency_model, column_sums)
+                    build_frequency_model, column_sums, concentration_report,
+                    decompose)
 from wideca.store import DENSE_CSV, TRIPLET, load_matrix, save_matrix
 
 
@@ -339,6 +340,47 @@ def test_csc_decreasing_column_pointers_rejected():
     with pytest.raises(ValidationError,
                        match="^sparse column pointers must be non-decreasing$"):
         CountMatrix(sparse=_csc([0, 1, 2], [0, 2, 1, 3]))
+
+
+def _nu_and_abs_mean(m):
+    fm = build_frequency_model(m)
+    rep = concentration_report(fm, decompose(fm))
+    return rep.nu, rep.abs_mean
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_float32_values_are_stored_as_float64(storage):
+    # float32 row sums would make the trivial axis inexact, and its deflation
+    # would leave a spurious axis: nu = 2, abs_mean = 0.5000000254 on ones.
+    import scipy.sparse as sp
+    ones = np.ones((3, 4), dtype=np.float32)
+    if storage == "dense":
+        m = CountMatrix(dense=ones)
+        assert m.dense.dtype == np.float64 and m.dense.flags.c_contiguous
+    else:
+        m = CountMatrix(sparse=sp.csc_matrix(ones))
+        assert m.csc.data.dtype == np.float64
+        assert np.shares_memory(m.sparse.data, m.csc.data)
+    assert m.row_sums().dtype == np.float64
+    assert _nu_and_abs_mean(m) == (1, 0.25)
+
+
+def test_float64_values_are_kept_without_copy(rng):
+    import scipy.sparse as sp
+    raw = rng.random((3, 4))
+    assert CountMatrix(dense=raw).dense is raw
+    assert CountMatrix.from_dense(raw).dense is raw
+    csc = sp.csc_matrix(raw)
+    m = CountMatrix(sparse=csc)
+    assert m.csc.data is csc.data and m.sparse is csc
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_dense_storage_must_be_2d(shape):
+    message = f"^dense matrix must be 2-D, got {len(shape)}-D$"
+    for make in (lambda v: CountMatrix(dense=v), CountMatrix.from_dense):
+        with pytest.raises(ValidationError, match=message):
+            make(np.ones(shape))
 
 
 def test_csc_checks_leave_arrays_alone():
