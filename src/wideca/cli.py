@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -73,6 +74,13 @@ def _write_meta(out_path: str, config: dict) -> None:
                                           "config": config})
 
 
+def _check_outputs(source: str, *outputs: str | None) -> None:
+    """Refuse a command whose output would overwrite the file it reads."""
+    same = [o for o in outputs if o and os.path.realpath(o) == os.path.realpath(source)]
+    if same:
+        raise ValidationError(f"output {same[0]} would overwrite the input {source}")
+
+
 def _base(path: str) -> str:
     for ext in (".json", ".csv"):
         if path.endswith(ext):
@@ -92,6 +100,7 @@ def _cmd_gen_uniform(args) -> int:
 
 def _cmd_gen_powerlaw(args) -> int:
     if args.marginals is not None:
+        _check_outputs(args.marginals, args.output)
         source: EmpiricalMarginals | ParametricMarginals = \
             EmpiricalMarginals(load_marginals(args.marginals))
     else:
@@ -118,6 +127,7 @@ def _cmd_gen_signal(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    _check_outputs(args.signal, args.output)
     sig = load_signal(args.signal)
     m = embed_signal(sig, args.windows, args.stride, args.length)
     save_matrix(m, args.output, args.format)
@@ -128,11 +138,12 @@ def _cmd_embed(args) -> int:
 
 def _cmd_analyze(args) -> int:
     args.workers = resolve_workers(args.workers)
+    base = _base(args.output)
+    _check_outputs(args.input, base + ".json", base + ".csv")
     m = load_matrix(args.input, args.format)
     t0 = time.perf_counter()
     report = analyze(m, args.include_trivial, args.workers).report
     elapsed = time.perf_counter() - t0
-    base = _base(args.output)
     doc = {
         "version": __version__,
         "config": _config(args),
@@ -158,6 +169,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_outputs(args.input, args.output, args.points_out)
     m = load_matrix(args.input, args.format)
     sums = column_sums(m)
     fit = fit_exponent(sums, x_min=args.x_min, x_max=args.x_max)
@@ -167,9 +179,8 @@ def _cmd_fit(args) -> int:
     if args.points_out:
         xs, fr = ccdf(sums)
         with open(args.points_out, "w", encoding="utf-8") as fh:
-            fh.write("x,ccdf\n")
-            for x, f in zip(xs, fr):
-                fh.write(f"{x!r},{f!r}\n")
+            fh.write("x,ccdf\n" + "".join(f"{x!r},{f!r}\n"
+                                            for x, f in zip(xs, fr)))
     print(f"alpha={fit.alpha:.4f} r2={fit.r_squared:.4f} "
           f"window=[{fit.x_min:g}, {fit.x_max:g}] points={fit.n_points}")
     return 0
@@ -188,9 +199,8 @@ def _cmd_reproduce(args) -> int:
             fh.write(",".join(repr(row[c]) for c in cols) + "\n")
     _write_meta(args.output, _config(args))
     for row in rows:
-        brief = " ".join(f"{c}={row[c]:.6g}" if isinstance(row[c], float)
-                         else f"{c}={row[c]}" for c in cols[:6])
-        print(brief)
+        print(" ".join(f"{c}={row[c]:.6g}" if isinstance(row[c], float)
+                       else f"{c}={row[c]}" for c in cols[:6]))
     return 0
 
 
@@ -214,9 +224,9 @@ def build_parser() -> _Parser:
         if workers:
             p.add_argument("--workers", type=int, default=None,
                            help="threads for the column-block passes, the "
-                                "calling one included (default: usable "
-                                "CPUs // BLAS threads, at least 1 and at "
-                                "most 2; outputs do not depend on this)")
+                                "calling one included, each running BLAS on "
+                                "one thread (default: usable CPUs, at most "
+                                "2; outputs do not depend on this)")
         if trivial:
             p.add_argument("--include-trivial", type=_bool_flag,
                            default=True, metavar="true|false",

@@ -103,19 +103,14 @@ class ContributionReport:
 
     def to_dict(self) -> dict:
         """Scalar summary with the exact serialization field set."""
-        out = {}
-        for name in REPORT_FIELDS:
-            val = getattr(self, name)
-            out[name] = int(val) if name in ("dim", "nu", "n_cols_effective") \
-                else float(val)
-        return out
+        return {name: (int if name in ("dim", "nu", "n_cols_effective")
+                       else float)(getattr(self, name))
+                for name in REPORT_FIELDS}
 
     def to_csv_row(self) -> tuple[str, str]:
         """(header line, value line) in the canonical field order."""
         d = self.to_dict()
-        header = ",".join(REPORT_FIELDS)
-        row = ",".join(repr(d[name]) for name in REPORT_FIELDS)
-        return header, row
+        return ",".join(REPORT_FIELDS), ",".join(repr(d[n]) for n in REPORT_FIELDS)
 
 
 def _summary(x: np.ndarray) -> tuple[float, float, float]:
@@ -188,26 +183,15 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
     abs_mean, abs_sd, abs_median = _summary(abs_col[live])
     rel_mean, rel_sd, rel_median = _summary(rel_col[live])
     return ContributionReport(
-        dim=n_cols,
-        n_cols_effective=int(live.sum()),
-        nu=fd.nu,
+        dim=n_cols, n_cols_effective=int(live.sum()), nu=fd.nu,
         total_inertia=float(fd.eigenvalues.sum()),
-        abs_mean=abs_mean,
-        abs_sd=abs_sd,
-        abs_median=abs_median,
-        rel_mean=rel_mean,
-        rel_sd=rel_sd,
-        rel_median=rel_median,
-        max_proj_cols=max_proj_cols,
-        max_proj_rows=max_proj_rows,
-        per_column_absolute=abs_col,
-        per_column_relative=rel_col,
-        per_row_absolute=row_abs,
-        per_row_relative=row_rel,
-        axis_column_inertia=axis_inertia,
-        excluded_cols=fm.excluded_cols,
-        inertia_gap=inertia_gap,
-    )
+        abs_mean=abs_mean, abs_sd=abs_sd, abs_median=abs_median,
+        rel_mean=rel_mean, rel_sd=rel_sd, rel_median=rel_median,
+        max_proj_cols=max_proj_cols, max_proj_rows=max_proj_rows,
+        per_column_absolute=abs_col, per_column_relative=rel_col,
+        per_row_absolute=row_abs, per_row_relative=row_rel,
+        axis_column_inertia=axis_inertia, excluded_cols=fm.excluded_cols,
+        inertia_gap=inertia_gap)
 
 
 class Analysis(NamedTuple):

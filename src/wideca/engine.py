@@ -32,16 +32,17 @@ is stored, and hands the standardized S = sqrt(f_j) G to the caller's
 reduction inside the same worker. scipy's kernels need sparse storage's
 scipy view (``CountMatrix.sparse``); a pass takes it in the calling thread,
 before its pool starts, and the W pass only when some block needs the
-sparse product. Both passes run on
-``store.ordered_block_map``: by default with usable CPUs // BLAS threads
-workers, at least 1 and at most 2 (``store.resolve_workers``). The calling
-thread and the pool share the blocks in ascending order, with no barrier
-between them, and the calling thread computes the next free block whenever
-the next result is not ready. Each thread has one scratch buffer per pass,
-reused by its next block: one block, or one slab for the sparse W pass.
-Only small per-block partials leave a worker, and they are merged in block
-order: outputs do not depend on the worker count. Per-column contributions
-and chi-squared distances come from the contribution report.
+sparse product. Both passes run on ``store.ordered_block_map``, with BLAS
+on one thread and by default one worker per usable CPU, at most 2
+(``store.resolve_workers``); ``eigh`` runs on one BLAS thread too, so no
+output's bits depend on BLAS's thread setting. The calling thread and the
+pool share the blocks in ascending order, with no barrier between them, and
+the calling thread computes the next free block whenever the next result is
+not ready. Each thread has one scratch buffer per pass, reused by its next
+block: one block, or one slab for the sparse W pass. Only small per-block
+partials leave a worker, and they are merged in block order: outputs do not
+depend on the worker count. Per-column contributions and chi-squared
+distances come from the contribution report.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); it is rejected above ``MAX_DUAL_ROWS``.
@@ -56,7 +57,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .store import CountMatrix, column_blocks, column_sums, ordered_block_map
+from .store import (CountMatrix, column_blocks, column_sums, one_blas_thread,
+                    ordered_block_map)
 
 MAX_DUAL_ROWS = 32768
 
@@ -150,15 +152,11 @@ def build_frequency_model(m: CountMatrix) -> FrequencyModel:
     row_masses = m.row_sums() / k
     col_masses = column_sums(m) / k
     return FrequencyModel(
-        matrix=m,
-        row_masses=row_masses,
-        col_masses=col_masses,
-        grand_total=k,
+        matrix=m, row_masses=row_masses, col_masses=col_masses, grand_total=k,
         excluded_rows=np.flatnonzero(row_masses == 0.0),
         excluded_cols=np.flatnonzero(col_masses == 0.0),
         row_scale=_inv_pos(np.sqrt(row_masses)),
-        col_scale=_inv_pos(np.sqrt(col_masses)),
-    )
+        col_scale=_inv_pos(np.sqrt(col_masses)))
 
 
 def _inv_pos(x: np.ndarray) -> np.ndarray:
@@ -258,7 +256,8 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     u0 = np.sqrt(fm.row_masses)
     Wc = W - np.outer(u0, u0)
     try:
-        lams, U = np.linalg.eigh(Wc)
+        with one_blas_thread():  # bits independent of BLAS's thread count
+            lams, U = np.linalg.eigh(Wc)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from None
     if lams.size and lams.min() < -1e-8:
@@ -277,20 +276,15 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
 
     # Row principal coordinates; zero-mass rows have no profile and get 0.
     F_nt = U * np.sqrt(lams)[None, :] * fm.row_scale[:, None]
+    eigenvalues, row_projections = lams, F_nt
     if include_trivial:
         trivial_col = np.where(fm.row_masses > 0, 1.0, 0.0)
         eigenvalues = np.concatenate(([1.0], lams))
         row_projections = np.column_stack([trivial_col, F_nt])
-    else:
-        eigenvalues = lams
-        row_projections = F_nt
     return FactorDecomposition(
-        nu=int(eigenvalues.size),
-        eigenvalues=eigenvalues,
-        row_projections=row_projections,
-        basis=U,
-        include_trivial=include_trivial,
-    )
+        nu=int(eigenvalues.size), eigenvalues=eigenvalues,
+        row_projections=row_projections, basis=U,
+        include_trivial=include_trivial)
 
 
 def _canonical_signs(U: np.ndarray) -> None:

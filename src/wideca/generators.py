@@ -10,9 +10,8 @@ a grid fixed by the matrix shape and run the chunks on
 ``store.ordered_block_map``. Each chunk builds its own PCG64 at its offset in
 the one sequential stream (``PCG64.advance`` jumps there in O(log n) steps),
 so every chunk draws exactly the numbers a single thread would have drawn
-there, and the output does not depend on the worker count. Generation calls
-no BLAS, so its worker count is ``store._default_workers(blas=False)``: the
-usable CPUs, at most two, whatever BLAS's thread count; no option sets it.
+there, and the output does not depend on the worker count. The worker count
+is the passes' default (``store.resolve_workers``); no option sets it.
 
 The parametric marginal law for boolean matrices is a discrete power law
 with an attenuated head:
@@ -37,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .store import (CSC, CountMatrix, SignalSeries, _default_workers,
-                    _index_dtype, ordered_block_map)
+from .store import (CSC, CountMatrix, SignalSeries, _index_dtype,
+                    ordered_block_map)
 
 DEFAULT_EXPONENT = 2.49
 DEFAULT_BODY_START = 12
@@ -90,7 +89,7 @@ def gen_uniform(n_rows: int, n_cols: int, seed: int) -> CountMatrix:
     size = flat.size
     chunks = [(lo, min(lo + _UNIFORM_CHUNK, size))
               for lo in range(0, size, _UNIFORM_CHUNK)]
-    for _ in ordered_block_map(fill, chunks, _default_workers(blas=False)):
+    for _ in ordered_block_map(fill, chunks):
         pass
     return CountMatrix.from_dense(out)
 
@@ -200,8 +199,7 @@ class EmpiricalMarginals:
         if self.sums.max() > n_rows:
             raise ValidationError(
                 f"empirical marginal {self.sums.max()} exceeds n_rows={n_rows}")
-        idx = rng.integers(0, self.sums.size, size=size)
-        return self.sums[idx]
+        return self.sums[rng.integers(0, self.sums.size, size=size)]
 
 
 def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
@@ -255,7 +253,7 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
             indices[indptr[a]: indptr[b]] = flat % n_rows
         return True
 
-    parts = ordered_block_map(draw, chunks, _default_workers(blas=False))
+    parts = ordered_block_map(draw, chunks)
     for k, drawn in enumerate(parts):
         if drawn:
             continue

@@ -24,14 +24,13 @@ checks (in range, sorted by column then row, no duplicates) already is CSC
 storage: its rows and values become the row indices and data, and only the
 column pointers are computed.
 
-Sparse storage is three numpy arrays (``CountMatrix.csc``). scipy is
-imported only by ``CountMatrix.sparse``, the scipy view that the sparse
-analysis kernels take, so storing, validating, summing and writing a matrix
-never load it.
+Sparse storage is three numpy arrays (``CountMatrix.csc``); only the sparse
+analysis kernels' scipy view (``CountMatrix.sparse``) imports scipy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import threading
@@ -60,9 +59,9 @@ _CHUNK_ELEMS = 1 << 18
 # A block pass with w workers starts block k only while k < (blocks
 # consumed) + _LOOKAHEAD_PER_WORKER * w.
 _LOOKAHEAD_PER_WORKER = 2
-# The variables that set OpenBLAS's thread count, in the order it reads them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
+# The thread-count getters and setters of OpenBLAS builds ("{}": get, set).
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                        "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
 # The default worker count never exceeds this, whatever the CPU count: each
 # worker holds one block of scratch and, in a pool thread, its own malloc
 # arena, so peak memory grows with the worker count. An explicit count may
@@ -369,46 +368,65 @@ def column_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
 
 def resolve_workers(workers: int | None = None) -> int:
     """The worker count of a block pass: ``workers`` itself, checked to be
-    at least 1, or for None the default of a pass that calls BLAS,
-    ``_default_workers(blas=True)``.
+    at least 1, or for None the default: the usable CPUs (the affinity
+    mask's size, or ``os.cpu_count()`` off Linux; neither sees a cgroup CPU
+    quota), at most ``_MAX_DEFAULT_WORKERS``. Passes run BLAS on one thread
+    (``one_blas_thread``); where the pin finds no thread setter (MKL,
+    Accelerate), BLAS keeps its threads and the default is 1.
     """
     if workers is None:
-        return _default_workers(blas=True)
+        affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        return min(_MAX_DEFAULT_WORKERS, cpus) if _blas_threads() else 1
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     return workers
 
 
-def _default_workers(blas: bool) -> int:
-    """The default worker count: ``usable_cpus // threads``, at least 1 and
-    at most ``_MAX_DEFAULT_WORKERS``, where ``threads`` is what one worker
-    runs.
+@functools.cache
+def _blas_threads() -> tuple[Callable, Callable] | None:
+    """The (get, set) thread-count pair of the BLAS numpy calls, or None
+    where it exports none of ``_BLAS_THREAD_SYMBOLS``, looked up through
+    numpy's linear-algebra extension: its handle also searches the libraries
+    it links, wherever those are installed."""
+    import ctypes
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _BLAS_THREAD_SYMBOLS:
+        get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get and set_:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
 
-    ``usable_cpus`` is the CPU affinity mask's size, or ``os.cpu_count()``
-    where the OS has no affinity call; neither sees a cgroup CPU quota. A
-    worker of a pass that calls BLAS (the analysis passes) runs
-    ``blas_threads``: the first positive integer among
-    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``,
-    else every usable CPU (BLAS's own default). So BLAS at its default keeps
-    one worker, and BLAS pinned to one thread gives one worker per CPU up to
-    the cap, without running more BLAS threads than there are CPUs. A worker
-    of a pass that calls no BLAS (generation) runs one thread, whatever the
-    BLAS variables say.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    threads = 1
-    if blas:
-        threads = cpus
-        for name in _BLAS_THREAD_VARS:
-            try:
-                n = int(os.environ.get(name, ""))
-            except ValueError:
-                continue
-            if n > 0:
-                threads = n
-                break
-    return max(1, min(_MAX_DEFAULT_WORKERS, cpus // threads))
+
+_pin_lock = threading.Lock()
+_pin = {"holders": 0, "saved": 1}
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run numpy's BLAS on one thread inside the context. Holders are
+    counted under a lock: the first in saves the caller's thread count and
+    sets 1, the last out restores it, so nested passes and passes run from
+    several threads share one pin. The count is process-wide: a caller's
+    BLAS call from another thread meanwhile runs on one thread too."""
+    get, set_ = _blas_threads() or (lambda: 1, lambda n: None)
+    with _pin_lock:
+        if not _pin["holders"]:
+            _pin["saved"] = get()
+            set_(1)
+        _pin["holders"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["holders"] -= 1
+            if not _pin["holders"]:
+                set_(_pin["saved"])
 
 
 def _dense_marginals(dense: np.ndarray, workers: int | None = None
@@ -472,7 +490,7 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
     always come back in block order and the caller reduces them
     sequentially, which makes every reduction bit-identical for any worker
     count. Closing the iterator early lets running blocks finish and starts
-    no more.
+    no more. The pass holds ``one_blas_thread`` until it ends or is closed.
     """
     workers = resolve_workers(workers)
     blocks = list(blocks)
@@ -510,35 +528,36 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
 
     threads = [threading.Thread(target=pool_worker, daemon=True)
                for _ in range(min(workers, n) - 1)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-        for k in range(n):
-            while True:
-                with cond:
-                    if k in results:
-                        ok, value = results.pop(k)
-                        break
-                    if claimed < n and claimed < consumed + lookahead:
-                        own = claimed
-                        claimed += 1
-                    else:
-                        cond.wait()
-                        continue
-                run(own)
-            if not ok:
-                raise value
-            yield value
-            with cond:
-                consumed = k + 1
-                cond.notify_all()
-    finally:
-        with cond:
-            closing = True
-            cond.notify_all()
+    with one_blas_thread():
         for t in threads:
-            t.join()
+            t.start()
+        try:
+            run(0)
+            for k in range(n):
+                while True:
+                    with cond:
+                        if k in results:
+                            ok, value = results.pop(k)
+                            break
+                        if claimed < n and claimed < consumed + lookahead:
+                            own = claimed
+                            claimed += 1
+                        else:
+                            cond.wait()
+                            continue
+                    run(own)
+                if not ok:
+                    raise value
+                yield value
+                with cond:
+                    consumed = k + 1
+                    cond.notify_all()
+        finally:
+            with cond:
+                closing = True
+                cond.notify_all()
+            for t in threads:
+                t.join()
 
 
 # -- file I/O -----------------------------------------------------------------
@@ -719,10 +738,10 @@ def _scaled(a: np.ndarray, x: np.ndarray,
 
 def _decimal(a: np.ndarray,
              tables: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, X, missed) for magnitudes a in [1e-6, 1e17): X = floor(log10 a) and D = a * 10**(16 - X) rounded half to
-    even, a rounding up to 10**17 carried into X + 1. ``missed`` is True
-    where X is not found in [_X_MIN, _X_MAX] (the float nearest 1e-6 is
-    below 10**-6)."""
+    """(D, X, missed) for magnitudes a in [1e-6, 1e17): X = floor(log10 a)
+    and D = a * 10**(16 - X) rounded half to even, a rounding up to 10**17
+    carried into X + 1. ``missed`` is True where X is not found in
+    [_X_MIN, _X_MAX] (the float nearest 1e-6 is below 10**-6)."""
     x = np.floor(np.log10(a)).astype(np.int64)
     np.clip(x, _X_MIN, _X_MAX, out=x)
     d, step = _scaled(a, x, tables)

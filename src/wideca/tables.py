@@ -10,10 +10,9 @@ dimensionalities, so per-seed comparisons between dimensions are paired; the
 embedding table draws one signal per seed and embeds it at every dim.
 
 Dimensions above ``LARGE_DIM_LIMIT`` are refused unless ``allow_large`` is
-set. The paper's sizes run in seconds: one seed, with BLAS at its default on
-a 2-vCPU Xeon, took about 2.2 s and 116 MiB peak for table 4 at 105,200
-columns, 2-3 s and 750 MiB for table 1 at 10^6 columns, and 16 s and 666 MiB
-for table 4 at 1,052,000 columns.
+set. The paper's sizes run in seconds: one seed on a 2-vCPU Xeon took
+1.0-1.3 s for table 1 at 10^6 columns and 8.3-10.1 s for table 4 at
+1,052,000.
 """
 
 from __future__ import annotations
@@ -64,15 +63,11 @@ def _check_sweep(dims, seeds: int, allow_large: bool) -> None:
 
 
 def _aggregate(dim: int, per_seed: list[dict]) -> dict:
+    vals = {c: np.array([s[c] for s in per_seed]) for c in per_seed[0]}
     row: dict = {"dim": dim, "seeds": len(per_seed)}
-    cols = list(per_seed[0])
-    for c in cols:
-        vals = np.array([s[c] for s in per_seed])
-        row[c] = float(vals.mean())
-    for c in cols:
-        vals = np.array([s[c] for s in per_seed])
-        row[f"{c}_min"] = float(vals.min())
-        row[f"{c}_max"] = float(vals.max())
+    row.update((c, float(v.mean())) for c, v in vals.items())
+    for c, v in vals.items():
+        row[f"{c}_min"], row[f"{c}_max"] = float(v.min()), float(v.max())
     return row
 
 

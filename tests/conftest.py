@@ -14,6 +14,7 @@ import pytest
 
 from wideca import CountMatrix
 from wideca.engine import _inv_pos, map_projection_blocks
+from wideca.store import _blas_threads
 
 try:
     from hypothesis import settings
@@ -132,6 +133,16 @@ K0 = np.array([[2.0, 0, 1, 1],
 K0_EIGENVALUES = (0.5, 1.0 / 6.0)
 K0_CHI2_PER_COLUMN = 2.0 / 3.0
 K0_TOTAL_CENTERED_INERTIA = 2.0 / 3.0
+
+
+@pytest.fixture(autouse=True)
+def _blas_threads_kept():
+    """Every test leaves numpy's BLAS thread count as it found it (a no-op
+    where the pin finds no thread setter)."""
+    get = (_blas_threads() or (lambda: None,))[0]
+    before = get()
+    yield
+    assert get() == before, "the test changed BLAS's thread count"
 
 
 @pytest.fixture

@@ -383,14 +383,35 @@ def test_analyze_diagnostics(tmp_path, kind, denominator):
     assert tuple(doc["report"].keys()) == REPORT_FIELDS
 
 
-def _run_fresh_python(script: str, cwd: Path) -> None:
+def _run_fresh_python(script: str, cwd: Path, **env: str | None) -> None:
     """Run ``script`` in a new interpreter that imports this checkout of
-    wideca, so the modules it loads are its own; it must exit 0."""
+    wideca, so the modules it loads are its own; it must exit 0. ``env``
+    sets variables, or unsets those given as None."""
     src = str(Path(wideca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env={k: v for k, v in env.items() if v is not None},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """``analyze`` writes the same CSV bytes with OPENBLAS_NUM_THREADS
+    unset, 1 and 2, each at --workers 1, 2 and 3: wideca runs every BLAS
+    call it makes on one thread."""
+    run("gen", "powerlaw", "--rows", 425, "--cols", 10_520, "--seed", 1,
+        "-o", tmp_path / "p.tpl")
+    script = (
+        "from wideca.cli import main\n"
+        "for w in ('1', '2', '3'):\n"
+        "    assert main(['analyze', 'p.tpl', '--format', 'triplet',"
+        " '--workers', w, '-o', 'r' + w]) == 0\n"
+    )
+    payloads = set()
+    for threads in (None, "1", "2"):
+        _run_fresh_python(script, tmp_path, OPENBLAS_NUM_THREADS=threads)
+        payloads |= {(tmp_path / f"r{w}.csv").read_bytes() for w in "123"}
+    assert len(payloads) == 1
 
 
 def test_dense_commands_do_not_load_scipy(tmp_path):
@@ -472,22 +493,21 @@ def test_fit_infinite_cutoff_serializes_as_null(tmp_path):
     assert read_json(out)["fit"]["x_max"] is None
 
 
-def _pin_blas(monkeypatch, cpus, openblas_threads):
-    """A process with ``cpus`` usable CPUs and OpenBLAS at the given thread
-    count (None: no BLAS thread variable set)."""
+def _two_cpus(monkeypatch):
     monkeypatch.setattr("wideca.store.os.sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    if openblas_threads is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(openblas_threads))
+                        lambda pid: {0, 1})
 
 
 @pytest.mark.parametrize("openblas_threads, flag, recorded", [
-    (None, [], 1), (1, [], 2), (None, ["--workers", "3"], 3)])
+    (None, [], 2), (1, [], 2), (None, ["--workers", "3"], 3)])
 def test_resolved_workers_recorded(tmp_path, monkeypatch, openblas_threads,
                                    flag, recorded):
-    _pin_blas(monkeypatch, 2, openblas_threads)
+    """The recorded count is the resolved one; the BLAS variable set at run
+    time chooses nothing."""
+    _two_cpus(monkeypatch)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if openblas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(openblas_threads))
     mat = tmp_path / "u.csv"
     run("gen", "uniform", "--rows", 5, "--cols", 40, "--seed", 1, "-o", mat)
     assert run("analyze", mat, *flag, "-o", tmp_path / "r") == 0
@@ -511,7 +531,7 @@ def test_analyze_diagnostics_block_count(tmp_path, monkeypatch):
 def test_analyze_default_workers_multi_block(tmp_path, monkeypatch):
     """The default's pool runs on a grid of several blocks, and the report
     equals the one-worker report byte for byte."""
-    _pin_blas(monkeypatch, 2, 1)
+    _two_cpus(monkeypatch)
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 1000)  # 100 columns
     mat = tmp_path / "u.csv"
     run("gen", "uniform", "--rows", 10, "--cols", 1001, "--seed", 1, "-o", mat)
@@ -534,3 +554,28 @@ def test_exit_code_gen_signal_non_finite(tmp_path, capsys, flag, value):
     name = flag[2:]
     assert err == f"error: {name} must be finite and positive, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, named", [
+    (["analyze", "IN", "-o", "b"], "b.csv"),
+    (["analyze", "IN", "-o", "b.json"], "b.csv"),
+    (["fit", "IN", "-o", "b.csv"], "b.csv"),
+    (["fit", "IN", "-o", "f.json", "--points-out", "./b.csv"], "./b.csv"),
+    (["embed", "--signal", "IN", "--windows", 2, "--stride", 1, "--length", 2,
+      "-o", "b.csv"], "b.csv"),
+    (["gen", "powerlaw", "--rows", 4, "--cols", 3, "--marginals", "IN",
+      "-o", "b.csv"], "b.csv"),
+], ids=["analyze", "analyze-json-suffix", "fit", "fit-points", "embed",
+        "gen-marginals"])
+def test_output_over_input_refused(tmp_path, monkeypatch, capsys, command,
+                                   named):
+    """A command that would write over the file it reads exits 1 with one
+    line, before it writes anything, and the file keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "b.csv"
+    src.write_text("1\n2\n3\n")
+    assert run(*[src if a == "IN" else a for a in command]) == 1
+    assert capsys.readouterr().err == \
+        f"error: output {named} would overwrite the input {src}\n"
+    assert src.read_text() == "1\n2\n3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv"]

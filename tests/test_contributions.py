@@ -328,16 +328,13 @@ def test_multi_block_workers_bit_identical(rng, kind):
 @pytest.mark.parametrize("sparse", [False, True])
 def test_default_workers_multi_block_match_one_worker(rng, monkeypatch,
                                                       sparse):
-    """With BLAS pinned to one thread the default runs several workers; on a
-    grid of several blocks its factors and report equal one worker's, bit
-    for bit."""
+    """On two usable CPUs the default runs two workers; on a grid of
+    several blocks its factors and report equal one worker's, bit for
+    bit."""
     from wideca.store import column_blocks, resolve_workers
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
     monkeypatch.setattr("wideca.store.os.sched_getaffinity",
                         lambda pid: {0, 1})
-    for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert resolve_workers() == 2
     K = np.where(rng.random((30, 9_000)) < 0.3, rng.random((30, 9_000)), 0.0)
     K[:, [0, 4_500]] = 0.0

@@ -9,15 +9,16 @@ from wideca import (EmpiricalMarginals, ParametricMarginals, SignalSeries,
 from wideca import generators
 from wideca.generators import rng_from_seed
 from wideca.powerlaw import fit_exponent
-from wideca.store import _default_workers
+from wideca.store import resolve_workers
 
 
 @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
 def gen_workers(request, monkeypatch):
-    """Generation's default worker count, set through the CPU affinity."""
+    """Generation's worker count, the passes' default, set through the CPU
+    affinity."""
     monkeypatch.setattr("wideca.store.os.sched_getaffinity",
                         lambda pid: set(range(request.param)))
-    assert _default_workers(blas=False) == request.param
+    assert resolve_workers() == request.param
     return request.param
 
 
@@ -336,7 +337,7 @@ def test_generation_runs_on_its_default_workers(monkeypatch, make):
 
     monkeypatch.setattr(generators, "ordered_block_map", spy)
     make()
-    assert seen == [_default_workers(blas=False)]
+    assert seen == [None]  # the passes' default
 
 
 @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf, 1.0])

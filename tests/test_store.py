@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from wideca import (CountMatrix, ParseError, ValidationError,
+from wideca import (CountMatrix, ParseError, ValidationError, analyze,
                     build_frequency_model, column_sums, concentration_report,
-                    decompose)
+                    decompose, gen_powerlaw_boolean, gen_uniform)
 from wideca.store import DENSE_CSV, TRIPLET, load_matrix, save_matrix
 
 
@@ -696,56 +696,82 @@ def test_render_matches_percent_g_edges(values):
 # -- block passes --------------------------------------------------------------
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Each case's CPU count and BLAS thread variables; the variables choose
+# nothing.
+_CPUS_AND_BLAS_VARS = {
+    "unset": (2, {}),
+    "openblas-1": (2, {"OPENBLAS_NUM_THREADS": "1"}),
+    "omp-only-1": (2, {"OMP_NUM_THREADS": "1"}),
+    "openblas-2": (2, {"OPENBLAS_NUM_THREADS": "2"}),
+    "openblas-2-of-4": (4, {"OPENBLAS_NUM_THREADS": "2"}),
+    "openblas-first": (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}),
+    "non-numeric": (4, {"OPENBLAS_NUM_THREADS": "many"}),
+    "first-positive": (4, {"OPENBLAS_NUM_THREADS": "many",
+                           "GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}),
+    "more-than-cpus": (2, {"OPENBLAS_NUM_THREADS": "8"}),
+    "one-cpu": (1, {"OPENBLAS_NUM_THREADS": "1"}),
+    "one-cpu-unset": (1, {}),
+    "capped": (64, {"OPENBLAS_NUM_THREADS": "1"}),
+    "many-cpus-unset": (64, {}),
+    "omp-all": (64, {"OMP_NUM_THREADS": "64"}),
+}
 
 
-@pytest.mark.parametrize("cpus, env, expected", [
-    (2, {}, 1),
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-    (2, {"OMP_NUM_THREADS": "1"}, 2),
-    (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
-    (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    (4, {"OPENBLAS_NUM_THREADS": "many"}, 1),
-    (4, {"OPENBLAS_NUM_THREADS": "many", "GOTO_NUM_THREADS": "0",
-         "OMP_NUM_THREADS": "1"}, 2),
-    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
-    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-    (1, {}, 1),
-    (64, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-    (64, {}, 1),
-], ids=["unset", "openblas-1", "omp-only-1", "openblas-2-of-4",
+def _cases(*ids):
+    return pytest.mark.parametrize("cpus, env", [_CPUS_AND_BLAS_VARS[i]
+                                                 for i in ids], ids=ids)
+
+
+def _host(monkeypatch, cpus, env):
+    """A process with ``cpus`` usable CPUs and the given BLAS variables."""
+    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    for name in _BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
+@_cases("unset", "openblas-1", "omp-only-1", "openblas-2-of-4",
         "openblas-first", "non-numeric", "first-positive", "more-than-cpus",
-        "one-cpu", "one-cpu-unset", "capped", "many-cpus-unset"])
-def test_resolve_workers_default_rule(monkeypatch, cpus, env, expected):
+        "one-cpu", "one-cpu-unset", "capped", "many-cpus-unset")
+def test_resolve_workers_default_rule(monkeypatch, cpus, env):
+    """The default is the usable CPUs, at most 2, whatever the BLAS thread
+    variables say: every pass runs BLAS on one thread."""
     from wideca.store import resolve_workers
-    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    for name in _BLAS_VARS:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert resolve_workers() == resolve_workers(None) == expected
+    _host(monkeypatch, cpus, env)
+    assert resolve_workers() == resolve_workers(None) == min(cpus, 2)
 
 
-@pytest.mark.parametrize("cpus, env, generation, analysis", [
-    (2, {}, 2, 1),
-    (2, {"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
-    (4, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2),
-    (64, {"OMP_NUM_THREADS": "64"}, 2, 1),
-    (1, {}, 1, 1),
-], ids=["unset", "openblas-2", "openblas-2-of-4", "omp-all", "one-cpu"])
-def test_default_workers_generation_ignores_blas(monkeypatch, cpus, env,
-                                                 generation, analysis):
-    """Generation calls no BLAS: its default counts usable CPUs up to the
-    cap, while the analysis default stays CPUs // BLAS threads."""
-    from wideca.store import _default_workers, resolve_workers
-    monkeypatch.setattr("wideca.store.os.sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    for name in _BLAS_VARS:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert _default_workers(blas=False) == generation
-    assert _default_workers(blas=True) == resolve_workers() == analysis
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_resolve_workers_without_blas_pin(monkeypatch, cpus):
+    """Where numpy's BLAS has no thread setter the pin knows, BLAS keeps
+    its threads and the default is one worker."""
+    from wideca.store import one_blas_thread, resolve_workers
+    _host(monkeypatch, cpus, {})
+    monkeypatch.setattr("wideca.store._blas_threads", lambda: None)
+    assert resolve_workers() == 1
+    with one_blas_thread():  # a no-op
+        pass
+
+
+@_cases("unset", "openblas-2", "openblas-2-of-4", "omp-all", "one-cpu")
+def test_default_workers_generation_ignores_blas(monkeypatch, cpus, env):
+    """Generation passes no worker count: its pass, and the validation pass
+    of the matrix it builds, run on the one default, whatever the BLAS
+    thread variables say."""
+    from wideca import gen_uniform, store
+    _host(monkeypatch, cpus, env)
+    seen = []
+    real = store.resolve_workers
+
+    def spy(workers=None):
+        seen.append((workers, real(workers)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(store, "resolve_workers", spy)
+    gen_uniform(86, 30_001, 1)
+    assert seen == [(None, min(cpus, 2))] * 2
 
 
 @pytest.mark.parametrize("cpu_count, expected", [(2, 2), (None, 1)])
@@ -755,9 +781,6 @@ def test_resolve_workers_without_affinity(monkeypatch, cpu_count, expected):
     from wideca.store import resolve_workers
     monkeypatch.delattr("wideca.store.os.sched_getaffinity", raising=False)
     monkeypatch.setattr("wideca.store.os.cpu_count", lambda: cpu_count)
-    for name in _BLAS_VARS:
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert resolve_workers() == expected
 
 
@@ -874,3 +897,93 @@ def test_ordered_block_map_exception_propagates(bad_block):
     with pytest.raises(ValueError, match=f"^block {bad_block}$"):
         list(ordered_block_map(fn, blocks, 3))
     assert threading.active_count() == threads_before
+
+
+# -- the BLAS pin --------------------------------------------------------------
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's BLAS at two threads, as a caller may set it; yields the
+    thread-count getter and restores the count found."""
+    from wideca.store import _blas_threads
+    api = _blas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS has no thread setter the pin knows")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_pass_runs_blas_on_one_thread(blas_at_two):
+    """Every block, in the caller and in the pool, and a nested pass see
+    one BLAS thread; the caller's count comes back after each pass."""
+    from wideca.store import ordered_block_map
+    blocks = [(b, b + 1) for b in range(6)]
+
+    def nested(j0, j1):
+        inner = list(ordered_block_map(lambda a, b: blas_at_two(), blocks, 2))
+        return [blas_at_two()] + inner
+
+    assert list(ordered_block_map(nested, blocks, 3)) == [[1] * 7] * 6
+    assert blas_at_two() == 2
+
+
+def test_pin_shared_by_concurrent_passes(blas_at_two):
+    """Passes run from several threads at once, with more threads than
+    CPUs and frequent thread switches, share one pin: every block sees one
+    BLAS thread, and the last pass out restores the caller's count."""
+    import sys
+    from wideca.store import ordered_block_map
+    blocks = [(b, b + 1) for b in range(4)]
+    seen = []
+
+    def passes():  # one worker each: the threads below are the concurrency
+        for _ in range(1000):
+            seen.extend(list(ordered_block_map(lambda j0, j1: blas_at_two(),
+                                               blocks, 1)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=passes) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1] * 16000
+    assert blas_at_two() == 2
+
+
+def _failing_pass():
+    from wideca.store import ordered_block_map
+
+    def fn(j0, j1):
+        raise ValueError(f"block {j0}")
+
+    with pytest.raises(ValueError, match="^block 0$"):
+        list(ordered_block_map(fn, [(b, b + 1) for b in range(4)], 2))
+
+
+def _closed_pass():
+    from wideca.store import ordered_block_map
+    parts = ordered_block_map(lambda j0, j1: j0, [(b, b + 1) for b in range(4)],
+                              2)
+    assert next(parts) == 0
+    parts.close()
+
+
+@pytest.mark.parametrize("work", [
+    lambda: analyze(gen_uniform(20, 500, 1)),
+    lambda: analyze(gen_powerlaw_boolean(40, 3_000, 1)),
+    lambda: gen_uniform(86, 30_001, 1),
+    _failing_pass, _closed_pass],
+    ids=["analyze-dense", "analyze-sparse", "gen_uniform", "failing-pass",
+         "closed-pass"])
+def test_caller_blas_threads_restored(blas_at_two, work):
+    work()
+    assert blas_at_two() == 2
