@@ -179,8 +179,8 @@ def _cmd_fit(args) -> int:
     if args.points_out:
         xs, fr = ccdf(sums)
         with open(args.points_out, "w", encoding="utf-8") as fh:
-            fh.write("x,ccdf\n" + "".join(f"{x!r},{f!r}\n"
-                                            for x, f in zip(xs, fr)))
+            fh.write("x,ccdf\n" + "".join(f"{x!r},{f!r}\n" for x, f
+                                            in zip(xs.tolist(), fr.tolist())))
     print(f"alpha={fit.alpha:.4f} r2={fit.r_squared:.4f} "
           f"window=[{fit.x_min:g}, {fit.x_max:g}] points={fit.n_points}")
     return 0
@@ -191,7 +191,7 @@ def _cmd_reproduce(args) -> int:
     rows = tables.sweep(args.table, args.dims, seeds=args.seeds,
                         base_seed=args.seed, exponent=args.exponent,
                         include_trivial=args.include_trivial,
-                        workers=args.workers, allow_large=args.allow_large)
+                        workers=args.workers)
     cols = list(rows[0].keys())
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
@@ -302,7 +302,8 @@ def build_parser() -> _Parser:
     rep.add_argument("--seeds", type=int, default=3, help="seeds per setting")
     rep.add_argument("--exponent", type=float, default=DEFAULT_EXPONENT)
     rep.add_argument("--allow-large", action="store_true",
-                     help="permit dimensions beyond the default budget")
+                     help="accepted and has no effect: a dimension runs "
+                          "when its arrays fit in physical memory")
     common(rep, workers=True, trivial=True)
     rep.set_defaults(func=_cmd_reproduce)
 

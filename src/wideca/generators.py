@@ -12,6 +12,8 @@ the one sequential stream (``PCG64.advance`` jumps there in O(log n) steps),
 so every chunk draws exactly the numbers a single thread would have drawn
 there, and the output does not depend on the worker count. The worker count
 is the passes' default (``store.resolve_workers``); no option sets it.
+Seeds must be at least 0, and both refuse a matrix larger than physical
+memory before allocating it (``store.check_memory``).
 
 The parametric marginal law for boolean matrices is a discrete power law
 with an attenuated head:
@@ -37,15 +39,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .store import (CSC, CountMatrix, SignalSeries, _index_dtype,
-                    ordered_block_map)
+                    check_memory, footprint, ordered_block_map)
 
 DEFAULT_EXPONENT = 2.49
 DEFAULT_BODY_START = 12
 DEFAULT_HEAD_MASS = 0.006
 DEFAULT_TICK = 0.5
-
-# Upper bound on dense generation, in elements (count of float64 values).
-MAX_DENSE_ELEMS = 200_000_000
 
 # gen_uniform fills its output in chunks of this many values.
 _UNIFORM_CHUNK = 1 << 20
@@ -59,6 +58,8 @@ _KEY_SLICE = 1 << 17
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The project-wide RNG: PCG64 under numpy's Generator interface."""
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -75,13 +76,11 @@ def gen_uniform(n_rows: int, n_cols: int, seed: int) -> CountMatrix:
     """Dense matrix of i.i.d. uniform [0, 1) values."""
     if n_rows < 1 or n_cols < 1:
         raise ValidationError("matrix dimensions must be at least 1")
-    if n_rows * n_cols > MAX_DENSE_ELEMS:
-        raise ValidationError(
-            f"requested {n_rows}x{n_cols} dense matrix exceeds the "
-            f"{MAX_DENSE_ELEMS}-element memory budget")
+    state = rng_from_seed(seed).bit_generator.state
+    check_memory(f"a {n_rows} x {n_cols} uniform matrix",
+                 footprint(n_rows, n_cols))
     out = np.empty((n_rows, n_cols))
     flat = out.reshape(-1)
-    state = rng_from_seed(seed).bit_generator.state
 
     def fill(lo: int, hi: int) -> None:
         _stream_at(state, lo).random(out=flat[lo:hi])
@@ -217,12 +216,15 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
     if marginals is None:
         marginals = ParametricMarginals()
     rng = rng_from_seed(seed)
+    job = f"a {n_rows} x {n_cols} power-law boolean matrix"
+    check_memory(job, footprint(2, n_cols))  # the sums and their draws
     sums = marginals.sample(rng, n_cols, n_rows)
     # The keys continue the stream after the sums. The state is copied, not
     # computed: EmpiricalMarginals draws a data-dependent number of outputs.
     state = rng.bit_generator.state
 
     nnz = int(sums.sum())
+    check_memory(job, footprint(n_rows, n_cols, nnz))
     dtype = _index_dtype(n_rows, n_cols, nnz)
     indptr = np.zeros(n_cols + 1, dtype=dtype)
     np.cumsum(sums, out=indptr[1:])

@@ -67,6 +67,12 @@ _BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_thr
 # arena, so peak memory grows with the worker count. An explicit count may
 # go higher.
 _MAX_DEFAULT_WORKERS = 2
+# An analysis's per-column float64 arrays: sums, masses, scales, abs, rel.
+_ANALYSIS_COLUMNS = 5
+try:  # physical memory in bytes; 0 where the OS gives no answer
+    _PHYSICAL_MEMORY = max(0, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+    _PHYSICAL_MEMORY = 0
 
 
 class CSC(NamedTuple):
@@ -381,6 +387,27 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     return workers
+
+
+def footprint(n_rows: int, n_cols: int, nnz: int | None = None,
+              analysis: bool = False) -> int:
+    """Bytes of a job's arrays, a lower bound on its peak: dense storage
+    (``nnz`` None) or CSC storage of ``nnz`` entries, plus with ``analysis``
+    ``_ANALYSIS_COLUMNS`` per-column float64 arrays and 6 n_rows^2 float64 for
+    W, its deflated copy and ``eigh`` (measured: 5.0 n^2 beyond W at 2,000
+    rows)."""
+    index = np.dtype(_index_dtype(n_rows, n_cols, nnz or 0)).itemsize
+    size = 8 * n_rows * n_cols if nnz is None else \
+        nnz * (8 + index) + (n_cols + 1) * index
+    return size + analysis * 8 * (_ANALYSIS_COLUMNS * n_cols + 6 * n_rows ** 2)
+
+
+def check_memory(job: str, size: int) -> None:
+    """Refuse ``job`` when its ``size`` bytes (``footprint``) exceed the
+    physical memory, which, like ``resolve_workers``, sees no cgroup limit."""
+    if 0 < _PHYSICAL_MEMORY < size:
+        raise ValidationError(f"{job} needs at least {size:,} bytes, more than "
+                              f"the {_PHYSICAL_MEMORY:,} bytes of physical memory")
 
 
 @functools.cache

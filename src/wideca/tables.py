@@ -9,10 +9,10 @@ first per-seed dict. Seeds are ``base_seed + i`` and are shared across
 dimensionalities, so per-seed comparisons between dimensions are paired; the
 embedding table draws one signal per seed and embeds it at every dim.
 
-Dimensions above ``LARGE_DIM_LIMIT`` are refused unless ``allow_large`` is
-set. The paper's sizes run in seconds: one seed on a 2-vCPU Xeon took
-1.0-1.3 s for table 1 at 10^6 columns and 8.3-10.1 s for table 4 at
-1,052,000.
+Every dim is checked before any matrix is built, against physical memory
+too (``store.check_memory``). The paper's sizes run in seconds: one seed on
+a 2-vCPU Xeon took 1.0-1.3 s for table 1 at 10^6 columns and 8.3-10.1 s for
+table 4 at 1,052,000.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from .generators import (DEFAULT_EXPONENT, ParametricMarginals, embed_signal,
                          gen_powerlaw_boolean, gen_randomwalk_signal,
                          gen_uniform)
 from .powerlaw import fit_exponent
-from .store import column_sums
-
-LARGE_DIM_LIMIT = 50_000
+from .store import check_memory, column_sums, footprint
 
 UNIFORM_ROWS = 86
 UNIFORM_DIMS = (100, 1000, 10_000)
@@ -38,6 +36,8 @@ EMBED_DIMS = (100, 1000, 10_000)
 SIGNAL_LEN = 95_011
 SIGNAL_START = 6800.0
 SIGNAL_P_REPEAT = 0.9
+# The longest window the signal holds for every one of the windows.
+EMBED_MAX_DIM = SIGNAL_LEN - (EMBED_WINDOWS - 1) * EMBED_STRIDE
 
 POWERLAW_ROWS = 425
 POWERLAW_DIMS = (1052, 10_520)
@@ -50,16 +50,25 @@ _STAT_COLS = ("abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
               "rel_median", "max_proj_cols", "max_proj_rows")
 
 
-def _check_sweep(dims, seeds: int, allow_large: bool) -> None:
+def _check_sweep(table, dims, seeds: int, marg: ParametricMarginals) -> None:
     if seeds < 1:
         raise ValidationError(f"seeds must be at least 1, got {seeds}")
     for d in dims:
         if d < 1:
             raise ValidationError(f"dimension {d} must be at least 1")
-        if d > LARGE_DIM_LIMIT and not allow_large:
-            raise ValidationError(
-                f"dimension {d} exceeds the default budget "
-                f"({LARGE_DIM_LIMIT}); pass allow_large to run it")
+        if table == "2-synthetic" and d > EMBED_MAX_DIM:
+            raise ValidationError(f"dimension {d} exceeds {EMBED_MAX_DIM}, "
+                                  f"the longest window of table 2-synthetic")
+        if table in ("3", "4"):  # CSC storage at the law's mean column sum
+            nnz = int(marg.weights(POWERLAW_ROWS)
+                      @ np.arange(1, POWERLAW_ROWS + 1) * d)
+            size = footprint(POWERLAW_ROWS, d, nnz, analysis=table == "4")
+        elif table == "1":
+            size = footprint(UNIFORM_ROWS, d, analysis=True)
+        else:  # every seed's signal is held for the whole sweep
+            size = footprint(EMBED_WINDOWS, d, analysis=True) \
+                + footprint(seeds, SIGNAL_LEN)
+        check_memory(f"table {table} at dimension {d}", size)
 
 
 def _aggregate(dim: int, per_seed: list[dict]) -> dict:
@@ -73,8 +82,7 @@ def _aggregate(dim: int, per_seed: list[dict]) -> dict:
 
 def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
           exponent: float = DEFAULT_EXPONENT, include_trivial: bool = True,
-          workers: int | None = None,
-          allow_large: bool = False) -> list[dict]:
+          workers: int | None = None) -> list[dict]:
     """Seed-aggregated rows of one table, one per dimensionality.
 
     Tables: "1" concentration statistics of 86-row uniform [0,1) clouds;
@@ -95,8 +103,8 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
     if table not in TABLE_DIMS:
         raise ValidationError(f"unknown table {table!r}")
     dims = TABLE_DIMS[table] if dims is None else dims
-    _check_sweep(dims, seeds, allow_large)
     marg = ParametricMarginals(exponent=exponent)
+    _check_sweep(table, dims, seeds, marg)
 
     def uniform(seed):
         return lambda dim: gen_uniform(UNIFORM_ROWS, dim, seed)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,9 @@ def test_fit_powerlaw_matrix_and_points_dump(tmp_path):
     lines = pts.read_text().strip().splitlines()
     assert lines[0] == "x,ccdf"
     assert len(lines) > 10
+    for line in lines[1:]:
+        x, f = line.split(",")
+        float(x), float(f)  # Python floats, not numpy reprs
 
 
 def test_fit_insufficient_points_exit_code(tmp_path):
@@ -228,14 +232,11 @@ def test_reproduce_table4(tmp_path):
     assert "density" in cols
 
 
-def test_reproduce_table3_four_rows_needs_allow_large(tmp_path):
+def test_reproduce_table3_default_dims(tmp_path):
     out = tmp_path / "t3.csv"
-    assert run("reproduce", "--table", "3",
-               "--dims", "1052,10520,105200,1052000", "--seeds", 1,
-               "-o", out) == 1  # budget gate
     assert run("reproduce", "--table", "3", "--seeds", 1, "-o", out) == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3  # default dims stop at the desk-scale budget
+    assert len(lines) == 3  # default dims 1,052 and 10,520
     exps = [float(line.split(",")[2]) for line in lines[1:]]
     for e in exps:
         assert -2.0 <= e <= -1.3
@@ -252,6 +253,81 @@ def test_reproduce_table3_four_rows_with_allow_large(tmp_path):
     assert len(lines) == 5
     exps = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(-2.0 <= e <= -1.3 for e in exps)
+
+
+def test_reproduce_table4_paper_dim_without_flag(tmp_path):
+    out = tmp_path / "t4.csv"
+    assert run("reproduce", "--table", "4", "--dims", "60000", "--seeds", 1,
+               "-o", out) == 0
+    assert out.read_text().splitlines()[1].startswith("60000,1,")
+
+
+def test_allow_large_accepted_without_effect(tmp_path):
+    csv = {}
+    for name, flag in (("plain", []), ("flag", ["--allow-large"])):
+        out = tmp_path / f"{name}.csv"
+        assert run("reproduce", "--table", "1", "--dims", "100,1000",
+                   "--seeds", 2, *flag, "-o", out) == 0
+        csv[name] = out.read_bytes()
+    assert csv["flag"] == csv["plain"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "uniform", "--rows", 2, "--cols", 2],
+    ["gen", "powerlaw", "--rows", 4, "--cols", 3],
+    ["gen", "signal", "--len", 10],
+    ["reproduce", "--table", "1", "--dims", 100, "--seeds", 1],
+], ids=["uniform", "powerlaw", "signal", "reproduce"])
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_exit_code_negative_seed(tmp_path, capsys, argv, seed):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--seed", seed, "-o", out) == 1
+    assert capsys.readouterr().err == f"error: seed must be at least 0, got {seed}\n"
+    assert not out.exists()
+
+
+def _unreachable(*args, **kw):
+    raise AssertionError("built before the memory check")
+
+
+@pytest.mark.parametrize("argv, memory, message, spy", [
+    # 8 * (86 * 100 + 5 * 100 + 6 * 86^2) bytes
+    (["reproduce", "--table", "1", "--dims", 100, "--seeds", 1], 1_000,
+     "table 1 at dimension 100 needs at least 427,808 bytes",
+     "wideca.tables.gen_uniform"),
+    (["gen", "uniform", "--rows", 2, "--cols", 2], 31,
+     "a 2 x 2 uniform matrix needs at least 32 bytes",
+     "wideca.generators.ordered_block_map"),
+    # the column sums and their draws, 16 bytes a column
+    (["gen", "powerlaw", "--rows", 425, "--cols", 100], 1_000,
+     "a 425 x 100 power-law boolean matrix needs at least 1,600 bytes",
+     "wideca.generators.ParametricMarginals.sample"),
+    # the sums fit; their nnz, about 29 a column, at 12 bytes each do not
+    (["gen", "powerlaw", "--rows", 425, "--cols", 100], 2_000,
+     r"a 425 x 100 power-law boolean matrix needs at least 3\d,\d{3} bytes",
+     "wideca.generators.ordered_block_map"),
+    # 8 * (2 * 2 + 5 * 2 + 6 * 2^2) bytes, checked after the file is read
+    (["analyze", "IN"], 300,
+     "the analysis of a 2 x 2 matrix needs at least 304 bytes",
+     "wideca.engine.ordered_block_map"),
+], ids=["reproduce", "gen-uniform", "gen-powerlaw-sums", "gen-powerlaw-nnz",
+        "analyze"])
+def test_exit_code_not_enough_memory(tmp_path, monkeypatch, capsys, argv,
+                                     memory, message, spy):
+    """Each site refuses a job larger than the physical memory with one
+    line, before it builds anything, and writes no output."""
+    from wideca import store
+    src = tmp_path / "in.csv"
+    src.write_text("1,2\n3,4\n")
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", memory)
+    monkeypatch.setattr(spy, _unreachable)
+    out = tmp_path / "out"
+    assert run(*[src if a == "IN" else a for a in argv], "-o", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(f"error: {message}, more than the {memory:,} bytes "
+                        "of physical memory\n", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
 def test_reproduce_table2_synthetic(tmp_path):

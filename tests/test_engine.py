@@ -331,11 +331,24 @@ def test_worker_count_does_not_change_bits(rng):
         assert (column_projections(fm, ref) == G_w).all()
 
 
-def test_row_limit_rejected():
-    from wideca.engine import MAX_DUAL_ROWS
-    fm = build_frequency_model(CountMatrix.from_dense(np.ones((2, 2))))
-    fm.matrix.n_rows = MAX_DUAL_ROWS + 1  # simulate, avoids a huge allocation
-    with pytest.raises(ValidationError, match="dual-space"):
+def test_row_limit_rejected(monkeypatch):
+    """The rows a machine can analyze are bounded by its memory: W and
+    ``eigh`` take 6 n^2 float64 beside the storage and 5 per-column arrays.
+    decompose refuses an analysis that does not fit before its W pass."""
+    from wideca import engine, store
+    fm = build_frequency_model(CountMatrix.from_dense(np.ones((40, 3))))
+    need = 8 * (40 * 3 + 5 * 3 + 6 * 40 * 40)
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need)
+    assert decompose(fm).nu == 1
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need - 1)
+
+    def unreachable(*args, **kw):
+        raise AssertionError("the W pass ran before the memory check")
+
+    monkeypatch.setattr(engine, "ordered_block_map", unreachable)
+    with pytest.raises(ValidationError, match=(
+            f"^the analysis of a 40 x 3 matrix needs at least {need:,} "
+            f"bytes, more than the {need - 1:,} bytes of physical memory$")):
         decompose(fm)
 
 

@@ -52,8 +52,12 @@ def test_uniform_matches_one_sequential_draw(gen_workers, shape):
     assert m.dense.tobytes() == expected.tobytes()
 
 
-def test_uniform_memory_budget():
-    with pytest.raises(ValidationError, match="budget"):
+def test_uniform_memory_budget(monkeypatch):
+    from wideca import store
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 8 << 30)
+    with pytest.raises(ValidationError, match=(
+            "^a 86 x 10000000000 uniform matrix needs at least "
+            "6,880,000,000,000 bytes, more than the 8,589,934,592 bytes")):
         gen_uniform(86, 10_000_000_000, seed=1)
 
 

@@ -987,3 +987,23 @@ def _closed_pass():
 def test_caller_blas_threads_restored(blas_at_two, work):
     work()
     assert blas_at_two() == 2
+
+
+def test_footprint_counts_and_unknown_memory(monkeypatch):
+    """Sparse storage counts 8 value bytes and one index per entry plus the
+    column pointers, with int32 indices while the shape and nnz fit them;
+    where the OS gives no physical memory, nothing is refused."""
+    from wideca import store
+    assert store.footprint(425, 105_200, 3_051_177) == \
+        3_051_177 * 12 + 105_201 * 4
+    assert store.footprint(2, 3_000_000_000, 0) == 3_000_000_001 * 8
+    assert store.footprint(2, 3, 4, analysis=True) == \
+        4 * 12 + 4 * 4 + 8 * (5 * 3 + 6 * 2 * 2)
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 0)
+    store.check_memory("any job", 10 ** 30)
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 100)
+    store.check_memory("a job", 100)
+    with pytest.raises(ValidationError, match=(
+            "^a job needs at least 101 bytes, more than the 100 bytes of "
+            "physical memory$")):
+        store.check_memory("a job", 101)

@@ -1,8 +1,8 @@
 import pytest
 
 from wideca import ValidationError
-from wideca import tables
-from wideca.tables import LARGE_DIM_LIMIT, sweep
+from wideca import store, tables
+from wideca.tables import sweep
 
 STAT_COLS = ["abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
              "rel_median", "max_proj_cols", "max_proj_rows"]
@@ -90,11 +90,53 @@ def test_table_column_order(table, dim, stats):
     assert list(row) == ["dim", "seeds", *stats, *_spread(stats)]
 
 
-def test_large_dims_gated():
-    with pytest.raises(ValidationError, match="allow_large"):
-        sweep("1", dims=(LARGE_DIM_LIMIT + 1,), seeds=1)
-    with pytest.raises(ValidationError, match="allow_large"):
-        sweep("3", dims=(1_052_000,), seeds=1)
+class Built(Exception):
+    """Raised by a spy generator: the sweep got past its checks."""
+
+
+def _spy_generators(monkeypatch):
+    def built(*args, **kw):
+        raise Built
+
+    for name in ("gen_uniform", "gen_randomwalk_signal", "gen_powerlaw_boolean"):
+        monkeypatch.setattr(tables, name, built)
+
+
+def _refused(job, need):
+    return pytest.raises(ValidationError, match=(
+        f"^{job} needs at least {need:,} bytes, more than the "
+        "1,073,741,824 bytes of physical memory$"))
+
+
+def test_large_dims_gated(monkeypatch):
+    """With 1 GiB of physical memory, a dim whose arrays fit gets past the
+    checks, and one whose arrays do not is refused before any matrix is
+    built, whichever its place in ``dims``."""
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 1 << 30)
+    _spy_generators(monkeypatch)
+    for table, fits, refused, need in (
+            # 86 x d float64 plus 5 per-column arrays and 6 * 86^2 for the
+            # dual operator: 728,355,008 bytes at 10^6 columns
+            ("1", 1_000_000, 2_000_000, 1_456_355_008),
+            # 29.0 ones per column, 12 bytes each, plus 4-byte column
+            # pointers: 370,349,196 bytes at 1,052,000 columns; table 4 adds
+            # the analysis
+            ("3", 1_052_000, 10_520_000, 3_703_491_936),
+            ("4", 1_052_000, 10_520_000, 4_132_961_936)):
+        with pytest.raises(Built):
+            sweep(table, dims=(fits,), seeds=1)
+        with _refused(f"table {table} at dimension {refused}", need):
+            sweep(table, dims=(100, refused), seeds=1)
+
+
+def test_table2_signals_counted(monkeypatch):
+    """Table 2 holds each seed's 760,088-byte signal for the whole sweep."""
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 1 << 30)
+    _spy_generators(monkeypatch)
+    with pytest.raises(Built):
+        sweep("2-synthetic", dims=(100,), seeds=1000)
+    with _refused("table 2-synthetic at dimension 100", 1_520_603_808):
+        sweep("2-synthetic", dims=(100,), seeds=2000)
 
 
 def test_dims_checked_before_any_matrix(monkeypatch):
@@ -110,6 +152,15 @@ def test_dims_checked_before_any_matrix(monkeypatch):
                 sweep(table, dims=dims, seeds=1)
     with pytest.raises(ValidationError, match="^unknown table '5'$"):
         sweep("5", seeds=1)
+    # The embedding's windows must fit in the signal: 95,011 samples hold
+    # 86 windows at stride 1,000 of at most 10,011 samples each.
+    with pytest.raises(ValidationError, match=(
+            "^dimension 10012 exceeds 10011, the longest window of "
+            "table 2-synthetic$")):
+        sweep("2-synthetic", dims=(100, 10_012), seeds=1)
+    monkeypatch.undo()
+    (row,) = sweep("2-synthetic", dims=(10_011,), seeds=1)
+    assert row["dim"] == 10_011
 
 
 def test_seeds_are_paired_across_dims():
