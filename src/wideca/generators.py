@@ -5,15 +5,17 @@ All randomness flows through numpy's PCG64 generator, constructed as
 64-bit stream whose output for a given seed is stable across platforms, so
 identical generator parameters always produce bit-identical data.
 
-``gen_uniform`` and ``gen_powerlaw_boolean`` split their draws into chunks on
-a grid fixed by the matrix shape and run the chunks on
-``store.ordered_block_map``. Each chunk builds its own PCG64 at its offset in
+``gen_uniform`` and ``gen_powerlaw_boolean`` draw in place, block by block,
+on the store's column-block grid (``store.column_blocks``: about 10^6 values
+a block, whole columns of keys for a power-law matrix) and run the blocks on
+``store.ordered_block_map``. Each block builds its own PCG64 at its offset in
 the one sequential stream (``PCG64.advance`` jumps there in O(log n) steps),
-so every chunk draws exactly the numbers a single thread would have drawn
-there, and the output does not depend on the worker count. The worker count
-is the passes' default (``store.resolve_workers``); no option sets it.
-Seeds must be at least 0, and both refuse a matrix larger than physical
-memory before allocating it (``store.check_memory``).
+so every block draws exactly the numbers a single thread would have drawn
+there, and the output depends on neither the grid nor the worker count. The
+worker count is the passes' default (``store.resolve_workers``); no option
+sets it. Seeds must be at least 0, and every generator refuses a matrix or
+signal larger than physical memory before allocating it
+(``store.check_memory``).
 
 The parametric marginal law for boolean matrices is a discrete power law
 with an attenuated head:
@@ -39,20 +41,15 @@ import numpy as np
 
 from .errors import ValidationError
 from .store import (CSC, CountMatrix, SignalSeries, _index_dtype,
-                    check_memory, footprint, ordered_block_map)
+                    check_memory, column_blocks, footprint, ordered_block_map)
 
 DEFAULT_EXPONENT = 2.49
 DEFAULT_BODY_START = 12
 DEFAULT_HEAD_MASS = 0.006
 DEFAULT_TICK = 0.5
 
-# gen_uniform fills its output in chunks of this many values.
-_UNIFORM_CHUNK = 1 << 20
-# gen_powerlaw_boolean draws its keys in chunks of about this many; the grid
-# decides what a duplicate-key redraw consumes, so it never changes with the
-# worker count. Within a chunk, keys are drawn and selected in sub-slices of
-# at most _KEY_SLICE keys, in buffers each thread reuses.
-_KEY_CHUNK = 1_000_000
+# Within a block, gen_powerlaw_boolean draws and selects its keys in
+# sub-slices of at most this many, in buffers each thread reuses.
 _KEY_SLICE = 1 << 17
 
 
@@ -85,10 +82,8 @@ def gen_uniform(n_rows: int, n_cols: int, seed: int) -> CountMatrix:
     def fill(lo: int, hi: int) -> None:
         _stream_at(state, lo).random(out=flat[lo:hi])
 
-    size = flat.size
-    chunks = [(lo, min(lo + _UNIFORM_CHUNK, size))
-              for lo in range(0, size, _UNIFORM_CHUNK)]
-    for _ in ordered_block_map(fill, chunks):
+    # the flat array as one row, so a block is a run of the stream
+    for _ in ordered_block_map(fill, column_blocks(1, flat.size)):
         pass
     return CountMatrix.from_dense(out)
 
@@ -110,6 +105,7 @@ def gen_randomwalk_signal(n: int, start: float, seed: int,
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(
                 f"{name} must be finite and positive, got {value}")
+    check_memory(f"a {n}-sample random walk", footprint(1, n))
     rng = rng_from_seed(seed)
     moves = rng.random(n - 1) >= p_repeat
     signs = np.where(rng.random(n - 1) < 0.5, -1.0, 1.0)
@@ -132,6 +128,8 @@ def embed_signal(sig: SignalSeries, n_windows: int, stride: int,
             f"signal too short: need {needed} samples, have {sig.length}")
     if sig.values.min() < 0:
         raise ValidationError("signal must be nonnegative to embed as counts")
+    check_memory(f"a {n_windows} x {length} embedding",
+                 footprint(n_windows, length))
     windows = np.lib.stride_tricks.sliding_window_view(sig.values, length)
     return CountMatrix.from_dense(windows[np.arange(n_windows) * stride])
 
@@ -173,6 +171,10 @@ class ParametricMarginals:
                 + self.head_mass * head / head.sum()
         return probs
 
+    def mean_sum(self, n_rows: int) -> float:
+        """The expected column sum."""
+        return float(self.weights(n_rows) @ np.arange(1, n_rows + 1))
+
     def sample(self, rng: np.random.Generator, size: int, n_rows: int) -> np.ndarray:
         """Inverse-CDF draws from the precomputed cumulative table."""
         cdf = np.cumsum(self.weights(n_rows))
@@ -193,6 +195,10 @@ class EmpiricalMarginals:
         if arr.min() < 0:
             raise ValidationError("empirical marginal sums must be nonnegative")
         object.__setattr__(self, "sums", arr)
+
+    def mean_sum(self, n_rows: int) -> float:
+        """The expected column sum: the mean of the observed sums."""
+        return float(self.sums.mean())
 
     def sample(self, rng: np.random.Generator, size: int, n_rows: int) -> np.ndarray:
         if self.sums.max() > n_rows:
@@ -217,7 +223,10 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
         marginals = ParametricMarginals()
     rng = rng_from_seed(seed)
     job = f"a {n_rows} x {n_cols} power-law boolean matrix"
-    check_memory(job, footprint(2, n_cols))  # the sums and their draws
+    mean_nnz = int(marginals.mean_sum(n_rows) * n_cols)
+    # the sums and their draws, or CSC storage at the mean sum if larger
+    check_memory(job, max(footprint(2, n_cols),
+                          footprint(n_rows, n_cols, mean_nnz)))
     sums = marginals.sample(rng, n_cols, n_rows)
     # The keys continue the stream after the sums. The state is copied, not
     # computed: EmpiricalMarginals draws a data-dependent number of outputs.
@@ -233,16 +242,13 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
     # of n_rows i.i.d. uniform keys form a uniform subset of size s_j. The
     # flat indices of the selected keys ascend, so their rows (each flat
     # index mod n_rows) come out sorted within each column. The keys are
-    # drawn in column order, n_rows per column, so chunk c0 starts c0 *
-    # n_rows outputs into the stream.
-    width = max(1, _KEY_CHUNK // n_rows)
-    chunks = [(c0, min(c0 + width, n_cols)) for c0 in range(0, n_cols, width)]
+    # drawn in column order, n_rows per column, so block [c0, c1) starts
+    # c0 * n_rows outputs into the stream.
     step = max(1, _KEY_SLICE // n_rows)
     scratch = _KeyScratch((min(step, n_cols), n_rows))
 
-    def draw(c0: int, c1: int) -> bool:
-        """Draws chunk [c0, c1) sub-slice by sub-slice; False when a
-        sub-slice has duplicate keys."""
+    def draw(c0: int, c1: int) -> None:
+        """Draws and selects columns [c0, c1) sub-slice by sub-slice."""
         rng = _stream_at(state, c0 * n_rows)
         for a in range(c0, c1, step):
             b = min(a + step, c1)
@@ -250,29 +256,10 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
             rng.random(out=keys)
             flat = _select(keys, sums[a:b], scratch.sorted[: b - a],
                            scratch.mask[: b - a])
-            if flat is None:
-                return False
             indices[indptr[a]: indptr[b]] = flat % n_rows
-        return True
 
-    parts = ordered_block_map(draw, chunks)
-    for k, drawn in enumerate(parts):
-        if drawn:
-            continue
-        # Duplicate keys (measure zero): a single thread would redraw the
-        # whole chunk, which moves every later chunk's offset. So stop the
-        # pool and go on from this chunk's offset as a single thread does.
-        parts.close()
-        rng = _stream_at(state, chunks[k][0] * n_rows)
-        for c0, c1 in chunks[k:]:
-            while True:
-                keys = rng.random((c1 - c0, n_rows))
-                flat = _select(keys, sums[c0:c1], np.empty_like(keys),
-                               np.empty(keys.shape, dtype=bool))
-                if flat is not None:
-                    break
-            indices[indptr[c0]: indptr[c1]] = flat % n_rows
-        break
+    for _ in ordered_block_map(draw, column_blocks(n_rows, n_cols)):
+        pass
     return CountMatrix._from_csc(n_rows, n_cols,
                                  CSC(indptr, indices, np.ones(nnz)))
 
@@ -288,14 +275,14 @@ class _KeyScratch(threading.local):
 
 
 def _select(keys: np.ndarray, s: np.ndarray, sorted_keys: np.ndarray,
-            mask: np.ndarray) -> np.ndarray | None:
-    """The flat indices, in row-major order, of the keys among the ``s[j]``
-    smallest of row j of ``keys``, or None when duplicate keys make some row
-    select more.
+            mask: np.ndarray) -> np.ndarray:
+    """The flat indices, in row-major order, of the ``s[j]`` smallest keys
+    of each row j of ``keys``: every key below the row's threshold (its
+    ``s[j]``-th smallest key) and, of the keys equal to it, the leftmost.
 
     ``sorted_keys`` and ``mask`` are buffers of the shape of ``keys``. Every
-    row selects at least its ``s[j]`` keys, so the total matches
-    ``s.sum()`` only when every row's count does.
+    row marks at least its ``s[j]`` keys, so only a total above ``s.sum()``
+    shows a tie at some threshold.
     """
     np.copyto(sorted_keys, keys)
     sorted_keys.sort(axis=1)
@@ -303,4 +290,10 @@ def _select(keys: np.ndarray, s: np.ndarray, sorted_keys: np.ndarray,
     np.less_equal(keys, kth[:, None], out=mask)
     mask[s == 0] = False
     flat = np.flatnonzero(mask)
-    return flat if flat.size == s.sum() else None
+    if flat.size == s.sum():
+        return flat
+    for j in np.flatnonzero(mask.sum(axis=1) > s):
+        tied = np.flatnonzero(keys[j] == kth[j])
+        below = mask[j].sum() - tied.size
+        mask[j, tied[s[j] - below:]] = False
+    return np.flatnonzero(mask)

@@ -60,8 +60,7 @@ def _check_sweep(table, dims, seeds: int, marg: ParametricMarginals) -> None:
             raise ValidationError(f"dimension {d} exceeds {EMBED_MAX_DIM}, "
                                   f"the longest window of table 2-synthetic")
         if table in ("3", "4"):  # CSC storage at the law's mean column sum
-            nnz = int(marg.weights(POWERLAW_ROWS)
-                      @ np.arange(1, POWERLAW_ROWS + 1) * d)
+            nnz = int(marg.mean_sum(POWERLAW_ROWS) * d)
             size = footprint(POWERLAW_ROWS, d, nnz, analysis=table == "4")
         elif table == "1":
             size = footprint(UNIFORM_ROWS, d, analysis=True)

@@ -298,36 +298,43 @@ def _unreachable(*args, **kw):
     (["gen", "uniform", "--rows", 2, "--cols", 2], 31,
      "a 2 x 2 uniform matrix needs at least 32 bytes",
      "wideca.generators.ordered_block_map"),
-    # the column sums and their draws, 16 bytes a column
-    (["gen", "powerlaw", "--rows", 425, "--cols", 100], 1_000,
-     "a 425 x 100 power-law boolean matrix needs at least 1,600 bytes",
+    # CSC storage at the law's mean sum, 29.0 a column, 12 bytes an entry
+    (["gen", "powerlaw", "--rows", 425, "--cols", 100], 35_000,
+     "a 425 x 100 power-law boolean matrix needs at least 35,204 bytes",
      "wideca.generators.ParametricMarginals.sample"),
-    # the sums fit; their nnz, about 29 a column, at 12 bytes each do not
-    (["gen", "powerlaw", "--rows", 425, "--cols", 100], 2_000,
-     r"a 425 x 100 power-law boolean matrix needs at least 3\d,\d{3} bytes",
+    # the mean fits; the 3,047 entries seed 4 draws do not
+    (["gen", "powerlaw", "--rows", 425, "--cols", 100, "--seed", 4], 36_000,
+     "a 425 x 100 power-law boolean matrix needs at least 36,968 bytes",
      "wideca.generators.ordered_block_map"),
     # 8 * (2 * 2 + 5 * 2 + 6 * 2^2) bytes, checked after the file is read
     (["analyze", "IN"], 300,
      "the analysis of a 2 x 2 matrix needs at least 304 bytes",
      "wideca.engine.ordered_block_map"),
+    (["gen", "signal", "--len", 1000], 7_999,
+     "a 1000-sample random walk needs at least 8,000 bytes",
+     "wideca.generators.rng_from_seed"),
+    (["embed", "--signal", "SIG", "--windows", 2, "--stride", 1,
+      "--length", 2], 31, "a 2 x 2 embedding needs at least 32 bytes",
+     "numpy.lib.stride_tricks.sliding_window_view"),
 ], ids=["reproduce", "gen-uniform", "gen-powerlaw-sums", "gen-powerlaw-nnz",
-        "analyze"])
+        "analyze", "gen-signal", "embed"])
 def test_exit_code_not_enough_memory(tmp_path, monkeypatch, capsys, argv,
                                      memory, message, spy):
     """Each site refuses a job larger than the physical memory with one
     line, before it builds anything, and writes no output."""
     from wideca import store
-    src = tmp_path / "in.csv"
-    src.write_text("1,2\n3,4\n")
+    inputs = {"IN": tmp_path / "in.csv", "SIG": tmp_path / "sig.txt"}
+    inputs["IN"].write_text("1,2\n3,4\n")
+    inputs["SIG"].write_text("1\n2\n3\n")
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", memory)
     monkeypatch.setattr(spy, _unreachable)
     out = tmp_path / "out"
-    assert run(*[src if a == "IN" else a for a in argv], "-o", out) == 1
+    assert run(*[inputs.get(a, a) for a in argv], "-o", out) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert re.fullmatch(f"error: {message}, more than the {memory:,} bytes "
                         "of physical memory\n", err), err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "sig.txt"]
 
 
 def test_reproduce_table2_synthetic(tmp_path):

@@ -221,11 +221,21 @@ def test_boolean_deterministic():
     assert (a.to_dense() == b.to_dense()).all()
 
 
+def _stable_selection(keys, s):
+    """Mask of the ``s[j]`` smallest keys of each row j of ``keys``, the
+    leftmost first among equal keys: their ranks in a stable sort."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(keys.shape[1]), axis=1)
+    return ranks < np.asarray(s)[:, None]
+
+
 def _sequential_powerlaw(n_rows, n_cols, seed, marginals=None,
-                         chunk_keys=1_000_000, duplicate=lambda keys: False):
+                         chunk_keys=1_000_000):
     """Row pointers and indices of ``gen_powerlaw_boolean`` as first written:
-    one thread, keys drawn in chunks of about ``chunk_keys``, a chunk redrawn
-    whole while its keys fail the duplicate check or ``duplicate(keys)``."""
+    one thread, keys drawn in chunks of about ``chunk_keys``, each column
+    keeping the rows of its s_j smallest keys, the lowest rows among keys
+    tied at the threshold."""
     rng = rng_from_seed(seed)
     sums = (marginals or ParametricMarginals()).sample(rng, n_cols, n_rows)
     indptr = np.concatenate(([0], np.cumsum(sums)))
@@ -233,15 +243,8 @@ def _sequential_powerlaw(n_rows, n_cols, seed, marginals=None,
     chunk = max(1, chunk_keys // n_rows)
     for c0 in range(0, n_cols, chunk):
         c1 = min(c0 + chunk, n_cols)
-        s = sums[c0:c1]
-        while True:
-            keys = rng.random((c1 - c0, n_rows))
-            kth = np.sort(keys, axis=1)[np.arange(c1 - c0), np.maximum(s, 1) - 1]
-            mask = keys <= kth[:, None]
-            mask[s == 0] = False
-            if (mask.sum(axis=1) == s).all() and not duplicate(keys):
-                break
-        _, rows = np.nonzero(mask)
+        keys = rng.random((c1 - c0, n_rows))
+        _, rows = np.nonzero(_stable_selection(keys, sums[c0:c1]))
         indices[indptr[c0]: indptr[c1]] = rows
     return indptr, indices
 
@@ -271,43 +274,44 @@ def test_boolean_matches_sequential_loop(gen_workers):
 
 
 def _first_keys(n_rows, n_cols, seed, marginals, col):
-    """The keys column ``col`` draws when no chunk before it is redrawn."""
+    """The keys column ``col`` draws."""
     rng = rng_from_seed(seed)
     marginals.sample(rng, n_cols, n_rows)
     rng.bit_generator.advance(col * n_rows)
     return rng.random(n_rows)
 
 
-# Column 5,000 of 10,520 lies inside the third of five 1M-key chunks
+# Column 5,000 of 10,520 lies inside the third of five 1M-key blocks
 # (2,352 columns each at 425 rows), away from its sub-slice boundaries.
 MIDDLE_COL = 5_000
 
 
-def test_boolean_duplicate_keys_redraw_as_one_thread(gen_workers, monkeypatch):
-    target = _first_keys(425, 10_520, 3, ZERO_SUMS, MIDDLE_COL)
+def _selected_rows(keys, s):
+    flat = generators._select(keys, np.asarray(s), np.empty_like(keys),
+                              np.empty(keys.shape, dtype=bool))
+    return [list(flat[flat // keys.shape[1] == j] % keys.shape[1])
+            for j in range(len(keys))]
 
-    def duplicate(keys):
-        return bool((keys == target).all(axis=1).any())
 
-    real_select, failures = generators._select, []
-
-    def select(keys, *args):
-        if duplicate(keys):
-            failures.append(len(keys))
-            return None
-        return real_select(keys, *args)
-
-    monkeypatch.setattr(generators, "_select", select)
-    indptr, indices = _sequential_powerlaw(425, 10_520, 3, ZERO_SUMS,
-                                           duplicate=duplicate)
-    _, unforced = _sequential_powerlaw(425, 10_520, 3, ZERO_SUMS)
-    m = gen_powerlaw_boolean(425, 10_520, 3, marginals=ZERO_SUMS)
-    # a sub-slice of 308 columns fails in the chunk pass, then the whole
-    # chunk of 2,352 in the single-thread redraw that follows
-    assert failures == [308, 2352]
-    assert not (indices == unforced).all()
-    assert np.array_equal(m.sparse.indptr, indptr)
-    assert np.array_equal(m.sparse.indices, indices)
+def test_select_keeps_lowest_rows_among_tied_keys():
+    keys = np.array([
+        [.5, .2, .5, .1, .5, .9],  # tied at the threshold .5
+        [.3, .7, .3, .3, .9, .5],  # tied at the threshold, s = 1
+        [.2, .2, .6, .4, .9, .7],  # tied below the threshold .6
+        [.8, .1, .8, .3, .8, .2],  # tied above the threshold .2
+        [.4, .4, .4, .4, .4, .4],  # all tied, s = 0
+        [.4, .4, .4, .4, .4, .4],  # all tied, s = 2
+        [.5, .5, .1, .5, .5, .5],  # full column
+    ])
+    s = [3, 1, 4, 2, 0, 2, 6]
+    assert _selected_rows(keys, s) == [
+        [0, 1, 3], [0], [0, 1, 2, 3], [1, 5], [], [0, 1], [0, 1, 2, 3, 4, 5]]
+    # coarse keys tie often: the selection is a stable sort's first s_j
+    rng = rng_from_seed(4)
+    keys = np.floor(rng.random((500, 9)) * 4) / 4
+    s = rng.integers(0, 10, size=500)
+    mask = _stable_selection(keys, s)
+    assert _selected_rows(keys, s) == [list(np.flatnonzero(row)) for row in mask]
 
 
 def test_boolean_chunk_error_propagates_and_joins_pool(monkeypatch):
@@ -342,6 +346,22 @@ def test_generation_runs_on_its_default_workers(monkeypatch, make):
     monkeypatch.setattr(generators, "ordered_block_map", spy)
     make()
     assert seen == [None]  # the passes' default
+
+
+def test_boolean_empirical_memory_checked_before_sums(monkeypatch):
+    # a mean sum of 29.0: 2,900 entries at 12 bytes, plus the pointers
+    from wideca import store
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 35_000)
+
+    def sample(*args):
+        raise AssertionError("sums drawn before the memory check")
+
+    monkeypatch.setattr(EmpiricalMarginals, "sample", sample)
+    with pytest.raises(ValidationError, match=(
+            "^a 425 x 100 power-law boolean matrix needs at least 35,204 "
+            "bytes")):
+        gen_powerlaw_boolean(425, 100, seed=1,
+                             marginals=EmpiricalMarginals([0, 58]))
 
 
 @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf, 1.0])
