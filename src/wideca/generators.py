@@ -105,12 +105,18 @@ def gen_randomwalk_signal(n: int, start: float, seed: int,
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(
                 f"{name} must be finite and positive, got {value}")
-    check_memory(f"a {n}-sample random walk", footprint(1, n))
+    check_memory(f"a {n}-sample random walk",  # the samples and two masks
+                 footprint(1, n) + 2 * n)
     rng = rng_from_seed(seed)
-    moves = rng.random(n - 1) >= p_repeat
-    signs = np.where(rng.random(n - 1) < 0.5, -1.0, 1.0)
-    steps = np.where(moves, signs * tick, 0.0)
-    values = start + np.concatenate(([0.0], np.cumsum(steps)))
+    values = np.zeros(n)
+    steps = values[1:]  # both draws, then the steps, in place
+    stays = rng.random(out=steps) < p_repeat
+    down = rng.random(out=steps) < 0.5
+    steps.fill(tick)
+    steps[down] = -tick
+    steps[stays] = 0.0
+    np.cumsum(steps, out=steps)
+    values += start
     if values.min() <= 0:
         raise ValidationError(
             "random walk crossed zero; raise start or lower n")

@@ -15,14 +15,15 @@ Two interchange formats are supported:
 
 Values are written with 17 significant digits so a save/load round trip is
 bit-exact for float64. Writers render a chunk of values at a time with array
-operations (``_render``), byte for byte as ``"%.17g" % v`` renders each, and
-loaders parse a whole file with one ``np.loadtxt`` call; only when that
-parse fails is the file scanned line by line, so that the ``ParseError``
-names the first bad line. A triplet header is checked before the body is
-read, and nothing is allocated from its ``nnz``. A body that passes its
-checks (in range, sorted by column then row, no duplicates) already is CSC
-storage: its rows and values become the row indices and data, and only the
-column pointers are computed.
+operations (``_render``), byte for byte as ``"%.17g" % v`` renders each.
+Loaders read UTF-8 text through ``_read_text``: one ``np.loadtxt`` call,
+and on any ValueError the one line scanner, which reads the text again and
+hands each line to the format's line rule, so that the ``ParseError``
+names the first bad line, one with a byte that is not UTF-8 included. A
+triplet header is checked before the body is read, and nothing is allocated
+from its ``nnz``. A body that passes its checks (in range, sorted by column
+then row, no duplicates) already is CSC storage: its rows and values become
+the row indices and data, and only the column pointers are computed.
 
 Sparse storage is three numpy arrays (``CountMatrix.csc``); only the sparse
 analysis kernels' scipy view (``CountMatrix.sparse``) imports scipy.
@@ -33,9 +34,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import sys
 import threading
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -588,8 +590,8 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
 
 
 # -- file I/O -----------------------------------------------------------------
-# The per-line rules live in the *_error functions, which run only after the
-# vectorised parse has failed, to name the first bad line.
+# The per-line rules live in the *_rule functions, which run only after the
+# vectorised read has failed, to name the first bad line (``_read_text``).
 
 # Values rendered by one ``_render``: every temporary of a chunk stays at
 # most 768 KiB, in cache, and small enough for malloc to reuse its memory
@@ -597,14 +599,21 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
 _CHUNK_VALUES = 16_384
 _TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
                            ("value", np.float64)])
+_VALUE_DTYPE = np.dtype([("value", np.float64)])
+# The largest matrix dimension a triplet header may declare: numpy refuses
+# 8-byte arrays of close to 2**60 items with a ValueError, not a
+# MemoryError, and no machine holds 2**59 of them (4 EiB).
+_MAX_DIMENSION = 1 << 59
 
 
 def load_matrix(path: str, fmt: str = DENSE_CSV) -> CountMatrix:
     """Read a matrix file in the declared format, validating as it goes."""
     if fmt == DENSE_CSV:
-        return _load_dense_csv(path)
+        return CountMatrix.from_dense(
+            _read_text(path, _read_table, _dense_csv_rule))
     if fmt == TRIPLET:
-        return _load_triplet(path)
+        return CountMatrix._from_sorted_triplets(
+            *_read_text(path, _read_triplet, _triplet_rule))
     raise ValidationError(f"unknown matrix format {fmt!r}")
 
 
@@ -832,59 +841,60 @@ def _render(values: np.ndarray, seps: np.ndarray) -> bytes:
     return fields.reshape(-1)[keep.reshape(-1)].tobytes()
 
 
-def _data_lines(fh) -> Iterator[str] | None:
-    """The non-blank lines of ``fh``, or None when there are none (on input
-    with no data np.loadtxt warns instead of raising)."""
-    lines = (line for line in fh if not line.isspace())
-    first = next(lines, None)
-    return None if first is None else chain([first], lines)
+def _read_text(path: str, read: Callable, rule: Callable):
+    """``read(fh)`` of the UTF-8 text of ``path``; a byte that is not UTF-8
+    reads as a lone surrogate, which no parse takes.
 
-
-def _load_dense_csv(path: str) -> CountMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh)
-        if lines is None:
-            raise ParseError("empty matrix file")
-        try:
-            dense = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise _dense_csv_error(path, exc) from None
-    return CountMatrix.from_dense(dense)
-
-
-def _dense_csv_error(path: str, exc: ValueError) -> ParseError:
-    """The first line that breaks the dense-csv rules."""
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    On any ValueError ``exc``, the one loop that scans a file line by line
+    reads the same text again and raises ParseError at the first bad line:
+    one holding such a byte, or the first ``rule(exc, state, lineno, line)``
+    raises at. The rule takes each line with the state it returned for the
+    one before (None at first), then "" at the end of the file, and raises
+    at the latest at the end of the lines its format reads, there with
+    ``exc``: the read failed on something the rule takes, such as "1_0".
+    """
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            return read(fh)
+    except ValueError as exc:
+        rule = functools.partial(rule, exc)
+    lineno, state = 0, None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
             try:
-                np.array(fields, dtype=np.float64)
-            except ValueError as bad:
-                return ParseError(f"bad numeric field ({bad})", line=lineno)
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                return ParseError(
-                    f"expected {width} fields, found {len(fields)}", line=lineno)
-    return ParseError(f"bad numeric field ({exc})")
+                line.encode("utf-8")
+            except UnicodeEncodeError as bad:  # a lone surrogate 0xdc00 + byte
+                byte = ord(line[bad.start]) - 0xdc00
+                raise ParseError(f"not UTF-8 (byte {byte:#04x} at character "
+                                 f"{bad.start + 1})", line=lineno) from None
+            state = rule(state, lineno, line)
+    rule(state, lineno + 1, "")
 
 
-def _load_triplet(path: str) -> CountMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        n_rows, n_cols, nnz = _triplet_header(fh.readline())
-        lines = islice(fh, nnz)
-        first = next(lines, "")
-        if not first.strip():  # np.loadtxt would warn that there is no data
-            raise _triplet_error(path, (n_rows, n_cols, nnz))
-        try:
-            body = np.loadtxt(chain([first], lines), dtype=_TRIPLET_DTYPE,
-                              comments=None, ndmin=1)
-        except ValueError as exc:
-            raise _triplet_error(path, (n_rows, n_cols, nnz), exc) from None
+def _first_not_blank(lines: Iterator[str]) -> Iterator[str]:
+    """``lines``; ValueError when the first is blank or there is none (on
+    input with no data np.loadtxt warns instead of raising)."""
+    first = next(lines, "")
+    if not first.strip():
+        raise ValueError("no data")
+    return chain([first], lines)
+
+
+def _read_table(fh, delimiter: str | None = ",", dtype=np.float64) -> np.ndarray:
+    """The non-blank lines of ``fh`` as one table of at least two
+    dimensions."""
+    lines = _first_not_blank(filterfalse(str.isspace, fh))
+    return np.loadtxt(lines, dtype, comments=None, delimiter=delimiter, ndmin=2)
+
+
+def _read_triplet(fh) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """The shape, rows, columns and values of the header and ``nnz`` body
+    lines of ``fh``, in range, sorted by column then row, with no
+    duplicates; lines after them are not read."""
+    n_rows, n_cols, nnz = _triplet_header(fh.readline())
+    # islice counts at most sys.maxsize lines, more than a file has
+    body = np.loadtxt(_first_not_blank(islice(fh, min(nnz, sys.maxsize))),
+                      dtype=_TRIPLET_DTYPE, comments=None, ndmin=1)
     rows, cols = body["row"], body["col"]
     dc = np.diff(cols)
     if body.size < nnz or ((dc < 0) | ((dc == 0) & (np.diff(rows) <= 0))).any() \
@@ -892,9 +902,8 @@ def _load_triplet(path: str) -> CountMatrix:
             or cols.min() < 0 or cols.max() >= n_cols:
         # A blank line, the end of the file, a (col, row) pair that does not
         # ascend strictly, or an index out of range.
-        raise _triplet_error(path, (n_rows, n_cols, nnz))
-    return CountMatrix._from_sorted_triplets(
-        n_rows, n_cols, rows, cols, np.ascontiguousarray(body["value"]))
+        raise ValueError("triplets missing, out of order or out of range")
+    return n_rows, n_cols, rows, cols, np.ascontiguousarray(body["value"])
 
 
 def _triplet_header(header: str) -> tuple[int, int, int]:
@@ -908,45 +917,14 @@ def _triplet_header(header: str) -> tuple[int, int, int]:
         raise ParseError("malformed header", line=1) from None
     if n_rows <= 0 or n_cols <= 0:
         raise ParseError("matrix dimensions must be positive", line=1)
+    if max(n_rows, n_cols) > _MAX_DIMENSION:
+        raise ParseError(f"matrix dimensions {n_rows} x {n_cols} exceed 2^59",
+                         line=1)
     if nnz < 0:
         raise ParseError(f"negative triplet count {nnz}", line=1)
     if nnz == 0:
         raise ParseError("empty matrix: no triplets")
     return n_rows, n_cols, nnz
-
-
-def _triplet_error(path: str, header: tuple[int, int, int],
-                   exc: ValueError | None = None) -> ParseError:
-    """The first of the ``nnz`` body lines that breaks the triplet rules."""
-    n_rows, n_cols, nnz = header
-    prev = None
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        lineno = 1
-        for lineno, line in enumerate(islice(fh, nnz), start=2):
-            parts = line.split()
-            if len(parts) != 3:
-                return ParseError("expected '<row> <col> <value>'", line=lineno)
-            try:
-                row, col = int(parts[0]), int(parts[1])
-                float(parts[2])
-            except ValueError as bad:
-                return ParseError(f"bad field ({bad})", line=lineno)
-            if not (0 <= row < n_rows and 0 <= col < n_cols):
-                return ParseError(f"triplet index out of range (row={row}, "
-                                  f"col={col}) for a {n_rows} x {n_cols} "
-                                  "matrix", line=lineno)
-            if prev is not None:
-                if (col, row) == prev:
-                    return ParseError(f"duplicate triplet for (row={row}, "
-                                      f"col={col})", line=lineno)
-                if (col, row) < prev:
-                    return ParseError("triplets must be sorted by column then row",
-                                      line=lineno)
-            prev = (col, row)
-    if lineno - 1 < nnz:
-        return ParseError(f"expected {nnz} triplets, file ended", line=lineno + 1)
-    return ParseError(f"bad field ({exc})")
 
 
 def load_signal(path: str) -> SignalSeries:
@@ -967,33 +945,80 @@ def load_marginals(path: str) -> np.ndarray:
 
 def _load_values(path: str, kind: str) -> np.ndarray:
     """The one real per non-blank line of a ``kind`` (signal or marginals)
-    file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh)
-        if lines is None:
-            raise ParseError(f"empty {kind} file")
+    file; its one-field dtype fails the parse of a line of several."""
+    table = _read_text(path, lambda fh: _read_table(fh, None, _VALUE_DTYPE),
+                       functools.partial(_values_rule, kind))
+    return table["value"].reshape(-1)
+
+
+def _dense_csv_rule(exc: ValueError, width: int | None, lineno: int,
+                    line: str) -> int | None:
+    """Dense-csv: every non-blank line holds reals separated by commas, as
+    many as the first (``width``); some line does."""
+    if not line:
+        raise ParseError("empty matrix file" if width is None
+                         else f"bad numeric field ({exc})")
+    line = line.strip()
+    if not line:
+        return width
+    fields = line.split(",")
+    try:
+        np.array(fields, dtype=np.float64)
+    except ValueError as bad:
+        raise ParseError(f"bad numeric field ({bad})", line=lineno) from None
+    if width is not None and len(fields) != width:
+        raise ParseError(f"expected {width} fields, found {len(fields)}",
+                         line=lineno)
+    return len(fields)
+
+
+def _triplet_rule(exc: ValueError, state: tuple | None, lineno: int,
+                  line: str) -> tuple:
+    """Triplet: the header (``_triplet_header``), then ``nnz`` lines
+    ``<row> <col> <value>``, in range, sorted by column then row, with no
+    duplicates; lines after them are not read. ``state`` is the header and
+    the last (col, row)."""
+    if lineno == 1:
+        return _triplet_header(line), (-1, -1)
+    (n_rows, n_cols, nnz), prev = state
+    if not line:
+        raise ParseError(f"expected {nnz} triplets, file ended", line=lineno)
+    parts = line.split()
+    if len(parts) != 3:
+        raise ParseError("expected '<row> <col> <value>'", line=lineno)
+    try:
+        row, col = int(parts[0]), int(parts[1])
+        float(parts[2])
+    except ValueError as bad:
+        raise ParseError(f"bad field ({bad})", line=lineno) from None
+    if not (0 <= row < n_rows and 0 <= col < n_cols):
+        raise ParseError(f"triplet index out of range (row={row}, col={col}) "
+                         f"for a {n_rows} x {n_cols} matrix", line=lineno)
+    if (col, row) == prev:
+        raise ParseError(f"duplicate triplet for (row={row}, col={col})",
+                         line=lineno)
+    if (col, row) < prev:
+        raise ParseError("triplets must be sorted by column then row",
+                         line=lineno)
+    if lineno > nnz:  # the last of the nnz body lines
+        raise ParseError(f"bad field ({exc})")
+    return state[0], (col, row)
+
+
+def _values_rule(kind: str, exc: ValueError, seen: bool | None, lineno: int,
+                 line: str) -> bool:
+    """Signal or marginals: every non-blank line is one real; some line is
+    (``seen``)."""
+    if not line:
+        raise ParseError(f"bad {kind} value ({exc})" if seen
+                         else f"empty {kind} file")
+    line = line.strip()
+    if line:
         try:
-            values = np.loadtxt(lines, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise _values_error(path, kind, exc) from None
-    if values.shape[1] != 1:  # several values on one line
-        raise _values_error(path, kind)
-    return values[:, 0]
-
-
-def _values_error(path: str, kind: str,
-                  exc: ValueError | None = None) -> ParseError:
-    """The first line that is not a single real."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                float(line)
-            except ValueError:
-                return ParseError(f"bad {kind} value {line!r}", line=lineno)
-    return ParseError(f"bad {kind} value ({exc})")
+            float(line)
+        except ValueError:
+            raise ParseError(f"bad {kind} value {line!r}", line=lineno) from None
+    return seen or bool(line)
 
 
 def save_signal(sig: SignalSeries, path: str) -> None:

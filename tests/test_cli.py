@@ -310,8 +310,10 @@ def _unreachable(*args, **kw):
     (["analyze", "IN"], 300,
      "the analysis of a 2 x 2 matrix needs at least 304 bytes",
      "wideca.engine.ordered_block_map"),
-    (["gen", "signal", "--len", 1000], 7_999,
-     "a 1000-sample random walk needs at least 8,000 bytes",
+    # the samples and two masks, 10 bytes a sample: 9,000 bytes, above the
+    # 8 a sample once counted and below the walk's peak, is refused
+    (["gen", "signal", "--len", 1000], 9_000,
+     "a 1000-sample random walk needs at least 10,000 bytes",
      "wideca.generators.rng_from_seed"),
     (["embed", "--signal", "SIG", "--windows", 2, "--stride", 1,
       "--length", 2], 31, "a 2 x 2 embedding needs at least 32 bytes",
@@ -419,6 +421,73 @@ def test_exit_code_bad_triplet_header(tmp_path, capsys, header, message):
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_exit_code_huge_nnz_beyond_maxsize(tmp_path, capsys):
+    mat = tmp_path / "m.tpl"
+    mat.write_text("%3 4 99999999999999999999\n0 0 1\n")
+    assert run("analyze", mat, "--format", "triplet", "-o", tmp_path / "r") == 1
+    assert capsys.readouterr().err == \
+        "error: line 3: expected 99999999999999999999 triplets, file ended\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit"])
+@pytest.mark.parametrize("header", [
+    "%399999999999999999999 2 3", "%3 99999999999999999999 3",
+    "%3 1152921504606846974 1", "%9223372036854775807 2 1",
+    "%1152921504606846976 2 1", "%1152921504606846975 2 1",
+])
+def test_exit_code_triplet_dimension_too_large(tmp_path, capsys, command, header):
+    # Dimensions numpy cannot hold an array of are refused at line 1,
+    # before any array is built from them.
+    mat = tmp_path / "m.tpl"
+    mat.write_text(header + "\n0 0 1\n")
+    out = tmp_path / ("r" if command == "analyze" else "r.json")
+    assert run(command, mat, "--format", "triplet", "-o", out) == 1
+    n_rows, n_cols, _ = header[1:].split()
+    assert capsys.readouterr().err == (f"error: line 1: matrix dimensions "
+                                       f"{n_rows} x {n_cols} exceed 2^59\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tpl"]
+
+
+# Text inputs with a byte that is not UTF-8: (command, bytes, line named).
+# "after-8k" puts the byte past the first 8 KB, which a text read decodes
+# at once; the first bad line is named, whichever rule it breaks; lines
+# end at "\r" too, as they do for the vectorised read.
+UNDECODABLE = {
+    "dense-csv": ("analyze", b"1,2\n3,\xff\n", 2),
+    "dense-csv-after-8k": ("analyze", b"1,2\n" * 5000 + b"1,\xff\n", 5001),
+    "dense-csv-before-bad-value": ("analyze", b"1,2\n\xc3,4\n1,x\n", 2),
+    "dense-csv-cr": ("analyze", b"1,2\r3,4\r\xff,1\r", 3),
+    "triplet": ("analyze-triplet", b"%3 2 2\n0 0 1\n1 0 \xc3\n", 3),
+    "triplet-header": ("analyze-triplet", b"%3 \xff 2\n0 0 1\n1 0 1\n", 1),
+    "triplet-fit": ("fit-triplet", b"%3 2 2\n0 0 1\n\xff 0 1\n", 3),
+    "signal": ("embed", b"1\n2\n\xff\n4\n", 3),
+    "marginals": ("gen-marginals", b"3\n\n1\xff\n", 3),
+}
+COMMANDS = {
+    "analyze": ["analyze", "IN", "-o", "OUT"],
+    "analyze-triplet": ["analyze", "IN", "--format", "triplet", "-o", "OUT"],
+    "fit-triplet": ["fit", "IN", "--format", "triplet", "-o", "OUT.json"],
+    "embed": ["embed", "--signal", "IN", "--windows", 2, "--stride", 1,
+              "--length", 2, "-o", "OUT.csv"],
+    "gen-marginals": ["gen", "powerlaw", "--rows", 3, "--cols", 4,
+                      "--marginals", "IN", "-o", "OUT.tpl"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_exit_code_undecodable_byte_names_line(tmp_path, capsys, case):
+    command, data, line = UNDECODABLE[case]
+    src = tmp_path / "in.txt"
+    src.write_bytes(data)
+    assert run(*[src if a == "IN" else str(a).replace("OUT", str(tmp_path / "out"))
+                 for a in COMMANDS[command]]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: line {line}: not UTF-8 \(byte 0x(ff|c3) at "
+                        r"character \d+\)\n", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
 
 
 def test_exit_code_out_of_memory(tmp_path):

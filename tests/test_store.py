@@ -1007,3 +1007,38 @@ def test_footprint_counts_and_unknown_memory(monkeypatch):
             "^a job needs at least 101 bytes, more than the 100 bytes of "
             "physical memory$")):
         store.check_memory("a job", 101)
+
+
+def test_triplet_bytes_past_nnz_not_read(tmp_path):
+    # Lines after the nnz-th body line are never read, so a byte there that
+    # is not UTF-8 is ignored, as a malformed line there is.
+    p = tmp_path / "m.tpl"
+    p.write_bytes(b"%3 2 2\n0 0 1\n2 1 4\n\xff\xfe 1\n")
+    m = load_matrix(str(p), TRIPLET)
+    np.testing.assert_array_equal(m.to_dense(), [[1, 0], [0, 0], [0, 4]])
+
+
+@pytest.mark.parametrize("dim, refused", [
+    (1 << 59, False), ((1 << 59) + 1, True), (10 ** 20, True)])
+def test_triplet_header_dimension_limit(dim, refused):
+    from wideca.store import _triplet_header
+    for header in (f"%{dim} 2 1", f"%2 {dim} 1"):
+        if refused:
+            with pytest.raises(ParseError, match=r"^line 1: matrix dimensions "
+                                                 r"\d+ x \d+ exceed 2\^59$"):
+                _triplet_header(header)
+        else:
+            assert max(_triplet_header(header)[:2]) == dim
+
+
+@pytest.mark.parametrize("kind", ["signal", "marginals"])
+def test_values_file_of_several_columns_names_line(tmp_path, kind):
+    # Every line holds two values, so the vectorised parse sees a table of
+    # two columns; the one-field dtype refuses it.
+    from wideca.store import load_marginals
+    from wideca import load_signal
+    p = tmp_path / "v.txt"
+    p.write_text("1 2\n3 4\n")
+    load = load_signal if kind == "signal" else load_marginals
+    with pytest.raises(ParseError, match=f"^line 1: bad {kind} value '1 2'$"):
+        load(str(p))
