@@ -36,13 +36,14 @@ The column statistics are reductions over the engine's column blocks
 S = sqrt(f_j) G, so S^2 is exactly the contribution f_j G_a(j)^2. One
 column-pass function does the whole reduction: each block's S is squared in
 place inside the worker that computed it; the worker writes that block's
-slice of the per-column arrays (column sums of S^2 for the absolute, the
-inverse denominators times S^2 for the relative contributions), and only
-per-axis sums of S^2 and the block's largest |G| = sqrt(max_a S^2) / sqrt(f_j)
-come back, merged in block order. The pass runs once with the inverse
-eigenvalues, and again with the inverse axis inertias only when the gap check
-fails; the rerun rewrites the absolute contributions with the same bits and
-its sums are discarded.
+columns of the per-column arrays (a slice of them for dense storage, the
+block's fill-ordered column indices for sparse storage): column sums of S^2
+for the absolute, the inverse denominators times S^2 for the relative
+contributions. Only per-axis sums of S^2 and the block's largest
+|G| = sqrt(max_a S^2) / sqrt(f_j) come back, merged in block order. The pass
+runs once with the inverse eigenvalues, and again with the inverse axis
+inertias only when the gap check fails; the rerun rewrites the absolute
+contributions with the same bits and its sums are discarded.
 """
 
 from __future__ import annotations
@@ -141,16 +142,16 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
 
     def column_pass(inv_denominators: np.ndarray) -> tuple[np.ndarray, float]:
         """Write abs_col and rel_col; return (I_a, max |G|)."""
-        def block(j0: int, j1: int,
+        def block(cols: slice | np.ndarray,
                   S: np.ndarray) -> tuple[float, np.ndarray]:
-            f = fj[j0:j1]
+            f = fj[cols]
             S2 = np.multiply(S, S, out=S)
-            abs_col[j0:j1] = trivial * f + S2.sum(axis=0)
-            rel_col[j0:j1] = trivial * f + inv_denominators @ S2
+            abs_col[cols] = trivial * f + S2.sum(axis=0)
+            rel_col[cols] = trivial * f + inv_denominators @ S2
             # max |G| = sqrt(f_j G^2) / sqrt(f_j); an empty block leaves
             # the running max alone
             top = float((np.sqrt(S2.max(axis=0))
-                         * fm.col_scale[j0:j1]).max()) if S2.size else 0.0
+                         * fm.col_scale[cols]).max()) if S2.size else 0.0
             return top, S2.sum(axis=1)
 
         inertia = np.zeros(fd.n_nontrivial)

@@ -17,32 +17,39 @@ coordinates are recovered afterwards by the transition formula
 in a second streaming pass, which keeps cost and memory linear in the number
 of columns. Row coordinates are F_a(i) = sqrt(lambda_a) u_a(i) / sqrt(f_i).
 
-Each pass is one block function over the fixed column-block grid. The
-mass-unit scales 1/sqrt(f_i) and 1/sqrt(f_j) are built once, by
-``build_frequency_model``, and every reader in mass units takes them from
-the model; the W pass keeps its own count-unit scales, fixed once per pass.
-The W pass (``block_gram`` in ``decompose``) scales each block of K into a
-scratch buffer and returns its Gram matrix, formed by BLAS. Sparse storage
-scatters a block's entries, already scaled, into the buffer one slab of at
-most ``_SLAB_ELEMS`` cells at a time; only a block too sparse for that to
-pay (``_dense_gram``) is multiplied by scipy's sparse product. The
+Each pass is one block function over the fixed column-block grid. Dense
+storage lays the grid over its columns as they are; sparse storage lays it
+over its columns sorted by entry count (``_fill_order``, a stable sort made
+once per pass), so each block holds columns of like fill and takes one
+kernel for all of them. The mass-unit scales 1/sqrt(f_i) and 1/sqrt(f_j)
+are built once, by ``build_frequency_model``, and every reader in mass units
+takes them from the model; the W pass keeps its own count-unit scales,
+fixed once per pass. The W pass (``block_gram`` in ``decompose``) scales
+each block of K into a scratch buffer and returns its Gram matrix, formed by
+BLAS. A sparse block whose fill makes BLAS pay (``_dense_gram``) has its
+entries, already scaled, scattered into that buffer one slab of at most
+``_SLAB_ELEMS`` cells at a time; a lighter one sums the products of its
+columns' entry pairs with ``np.bincount`` (``_pair_gram``), which fills
+only the lower triangle ``eigh`` reads. The W pass imports no scipy. The
 projection pass (``map_projection_blocks``) folds the row scaling into the
 basis, so a block's projections come from one product that reads K where it
 is stored, and hands the standardized S = sqrt(f_j) G to the caller's
-reduction inside the same worker. scipy's kernels need sparse storage's
-scipy view (``CountMatrix.sparse``); a pass takes it in the calling thread,
-before its pool starts, and the W pass only when some block needs the
-sparse product. Both passes run on ``store.ordered_block_map``, with BLAS
-on one thread and by default one worker per usable CPU, at most 2
-(``store.resolve_workers``); ``eigh`` runs on one BLAS thread too, so no
-output's bits depend on BLAS's thread setting. The calling thread and the
-pool share the blocks in ascending order, with no barrier between them, and
-the calling thread computes the next free block whenever the next result is
-not ready. Each thread has one scratch buffer per pass, reused by its next
-block: one block, or one slab for the sparse W pass. Only small per-block
-partials leave a worker, and they are merged in block order: outputs do not
-depend on the worker count. Per-column contributions and chi-squared
-distances come from the contribution report.
+reduction inside the same worker. A sparse block above
+``_DENSE_PROJECTION_FILL`` is scattered into slabs for BLAS; a lighter one
+takes scipy's sparse product, which needs sparse storage's scipy view
+(``CountMatrix.sparse``), taken in the calling thread before the pool
+starts, and only when some block is light. Both passes run on
+``store.ordered_block_map``, with BLAS on one thread and by default one
+worker per usable CPU, at most 2 (``store.resolve_workers``); ``eigh`` runs
+on one BLAS thread too, so no output's bits depend on BLAS's thread
+setting. The calling thread and the pool share the blocks in ascending
+order, with no barrier between them, and the calling thread computes the
+next free block whenever the next result is not ready. Each thread has one
+scratch buffer per pass, reused by its next block: one block, or one slab
+for the sparse W pass, plus one slab for the sparse projection pass. Only
+small per-block partials leave a worker, and they are merged in block
+order: outputs do not depend on the worker count. Per-column contributions
+and chi-squared distances come from the contribution report.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); ``decompose`` refuses one whose analysis exceeds physical
@@ -67,13 +74,18 @@ _REL_EIG_TOL = 1e-12
 # Eigenvalues below n_rows * eps are indistinguishable from the deflation
 # residual of the unit-norm trivial axis, whatever the data.
 _ABS_EIG_FLOOR_PER_ROW = np.finfo(np.float64).eps
-# The W pass forms a sparse block's Gram matrix with BLAS, over dense slabs
-# of at most _SLAB_ELEMS cells (2 MB of float64), when the sparse product's
-# work sum_j nnz_j^2 is at least _DENSE_GRAM_RATIO * n_rows^2 * width. On
-# 1M-cell blocks of 86 to 2,000 rows the kernel this ratio chose was within
-# 1.4x of the faster one. Slabs, not whole blocks, keep peak memory flat.
+# Sparse storage lays the column-block grid over its columns in fill order.
+# The W pass forms a block's Gram matrix with BLAS, over dense slabs of at
+# most _SLAB_ELEMS cells (2 MB of float64), when the pair-count kernel's work
+# sum_j nnz_j^2 is at least _DENSE_GRAM_RATIO * n_rows^2 * width (see
+# ``_dense_gram``); the pair-count kernel takes at most _SLAB_ELEMS pairs per
+# ``np.bincount``. The projection pass multiplies a block by BLAS, in the same
+# slabs, when its entries fill more than _DENSE_PROJECTION_FILL of its cells,
+# and by scipy's sparse product otherwise. Slabs, not whole blocks, keep peak
+# memory flat.
 _SLAB_ELEMS = 1 << 18
 _DENSE_GRAM_RATIO = 0.0025
+_DENSE_PROJECTION_FILL = 0.12
 
 
 @dataclass
@@ -167,14 +179,102 @@ def _inv_pos(x: np.ndarray) -> np.ndarray:
 def _dense_gram(counts: np.ndarray, n_rows: int) -> bool:
     """Whether the W pass forms a sparse block's Gram matrix densely.
 
-    ``counts`` holds the block's entries per column. scipy's sparse product
-    does about sum_j nnz_j^2 multiply-adds, BLAS ``syrk`` on the densified
-    block about n_rows^2 * width / 2, but each of those costs some 200 times
-    less (about 9 ns against 0.04 ns on a 425-row block). The rule reads only
-    the block's pointers and shape, never the worker count.
+    ``counts`` holds the block's entries per column. The pair-count kernel
+    (``_pair_gram``) does sum_j nnz_j (nnz_j + 1) / 2 pair products, about
+    half of sum_j nnz_j^2; BLAS ``syrk`` on the block, scattered into slabs,
+    about n_rows^2 * width / 2 multiply-adds. On fill-ordered power-law
+    blocks (one thread of a 2 MiB-L2 Xeon) a pair took 9 to 15 ns at 425
+    rows and 20 to 40 ns at 2,000, where the n_rows^2 triangle leaves the
+    cache; a BLAS multiply-add, scatter included, took 0.05 to 0.07 ns at
+    425 and 2,000 rows and 0.15 to 0.45 ns at 86. The kernels cross near a
+    ratio sum_j nnz_j^2 / (n_rows^2 * width) of 0.002 at 2,000 rows, 0.007
+    at 425 and 0.02 at 86; ``_DENSE_GRAM_RATIO`` errs towards BLAS, whose
+    time does not grow with the fill. The rule reads only the block's counts
+    and shape, never the worker count.
     """
     c = counts.astype(np.float64)
     return float(c @ c) >= _DENSE_GRAM_RATIO * n_rows * n_rows * c.size
+
+
+def _dense_projection(counts: np.ndarray, n_rows: int) -> bool:
+    """Whether the projection pass multiplies a sparse block by BLAS: its
+    ``counts`` entries fill more than ``_DENSE_PROJECTION_FILL`` of its
+    cells. scipy's product costs about nnz * axes multiply-adds, BLAS about
+    n_rows * width * axes at a fifth of the price or less; on fill-ordered
+    power-law blocks they crossed near 12 % fill at 425 and 2,000 rows and
+    near 28 % at 86."""
+    return int(counts.sum()) > _DENSE_PROJECTION_FILL * n_rows * counts.size
+
+
+def _fill_order(m: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(entries per column, columns by ascending entry count) of sparse
+    storage; the stable sort keeps equal counts in column order."""
+    counts = np.diff(m.csc.indptr).astype(np.int64)
+    return counts, np.argsort(counts, kind="stable")
+
+
+def _entries(indptr: np.ndarray, cols: np.ndarray,
+             counts: np.ndarray) -> np.ndarray:
+    """Storage positions of the entries of CSC columns ``cols``, column by
+    column; ``counts`` holds those columns' entry counts."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(indptr[cols] - starts, counts)
+
+
+def _scatter(buf: np.ndarray, rows: np.ndarray, values: np.ndarray,
+             counts: np.ndarray) -> None:
+    """Zero ``buf`` and write ``values``, held column by column with
+    ``counts`` entries per column, at their ``rows``."""
+    buf.fill(0.0)
+    buf[rows, np.repeat(np.arange(counts.size), counts)] = values
+
+
+def _pair_gram(rows: np.ndarray, values: np.ndarray, counts: np.ndarray,
+               n_rows: int) -> np.ndarray:
+    """Lower triangle of the Gram matrix of sparse columns, zeros above it,
+    from the products of their entry pairs.
+
+    ``rows`` and ``values`` hold the entries column by column, rows ascending
+    within a column, and ``counts`` the entries per column. A column of c
+    entries adds v_a v_b at (r_b, r_a) for each of its c (c + 1) / 2 pairs
+    a <= b, all on or below the diagonal. Columns of equal count, adjacent in
+    fill order, are taken together as (c, columns) arrays, so each pair's
+    gather is one row copy. The pairs' flat indices and products go to
+    buffers of ``_SLAB_ELEMS`` pairs (larger only for a column of more
+    pairs), and each full buffer is summed into the triangle by one
+    ``np.bincount``, in buffer order.
+    """
+    lower = np.zeros(n_rows * n_rows)
+    keys, weights = np.empty(_SLAB_ELEMS, np.int64), np.empty(_SLAB_ELEMS)
+    filled = 0
+    ends = np.cumsum(counts)
+    runs = np.flatnonzero(np.diff(counts)) + 1
+    for r0, r1 in zip(np.r_[0, runs], np.r_[runs, counts.size]):
+        c = int(counts[r0])
+        if not c:
+            continue
+        a, b = np.triu_indices(c)
+        step = max(1, _SLAB_ELEMS // a.size)
+        for k0 in range(r0, r1, step):
+            k1 = min(k0 + step, r1)
+            size = a.size * (k1 - k0)
+            if filled + size > keys.size:
+                lower += np.bincount(keys[:filled], weights[:filled],
+                                     minlength=lower.size)
+                filled = 0
+                if size > keys.size:
+                    keys, weights = np.empty(size, np.int64), np.empty(size)
+            e0, e1 = ends[k0] - c, ends[k1 - 1]
+            r = rows[e0:e1].reshape(-1, c).T.astype(np.int64)
+            v = np.ascontiguousarray(values[e0:e1].reshape(-1, c).T)
+            key = keys[filled:filled + size].reshape(a.size, -1)
+            np.multiply(r[b], n_rows, out=key)
+            key += r[a]
+            np.multiply(v[a], v[b], out=weights[filled:filled + size]
+                        .reshape(a.size, -1))
+            filled += size
+    lower += np.bincount(keys[:filled], weights[:filled], minlength=lower.size)
+    return lower.reshape(n_rows, n_rows)
 
 
 class _Scratch(threading.local):
@@ -206,56 +306,54 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     inv_sqrt_kj = np.sqrt(_inv_pos(column_sums(m)))
     scratch = _Scratch()
     slab = max(1, _SLAB_ELEMS // m.n_rows)
-    blocks = list(column_blocks(m.n_rows, m.n_cols))
     if m.is_sparse:
         indptr, indices, data = m.csc
-        sparse_blocks = {j0 for j0, j1 in blocks if not _dense_gram(
-            np.diff(indptr[j0:j1 + 1]), m.n_rows)}
-        # The scipy view is built here, in the calling thread, if at all.
-        sparse = m.sparse if sparse_blocks else None
+        counts, by_fill = _fill_order(m)
+
+    def scaled_entries(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values of B) of the entries of sparse columns ``cols``,
+        column by column, each scaled in the dense path's order."""
+        n = counts[cols]
+        pos = _entries(indptr, cols, n)
+        rows = indices[pos]
+        return rows, data[pos] * inv_sqrt_ki[rows] * np.repeat(inv_sqrt_kj[cols], n)
 
     def block_gram(j0: int, j1: int) -> np.ndarray:
-        """Gram matrix of columns [j0, j1) of B = diag(1/sqrt(k_i)) K
+        """Gram matrix of one block of columns of B = diag(1/sqrt(k_i)) K
         diag(1/sqrt(k_j)); in count units W = B B^T exactly. A dense block
-        is scaled into the thread's scratch buffer. A sparse block that
-        ``_dense_gram`` accepts is scattered, already scaled, into that
-        buffer one slab of ``_SLAB_ELEMS`` cells at a time, and the slab
-        Grams are summed in slab order; a sparser one is scaled in a fresh
-        CSC copy and multiplied sparse."""
+        is columns [j0, j1), scaled into the thread's scratch buffer. A
+        sparse block is positions [j0, j1) of the fill order, its entries
+        scaled in the dense path's order, so each has its bits. If
+        ``_dense_gram`` accepts it, they are scattered into that buffer one
+        slab of ``_SLAB_ELEMS`` cells at a time and the slab Grams are summed
+        in slab order; otherwise ``_pair_gram`` sums their pair products."""
         if not m.is_sparse:
             buf = scratch.take((m.n_rows, j1 - j0))
             np.multiply(m.dense[:, j0:j1], inv_sqrt_ki[:, None], out=buf)
             np.multiply(buf, inv_sqrt_kj[None, j0:j1], out=buf)
             return buf @ buf.T
-        counts = np.diff(indptr[j0:j1 + 1])
-        if j0 in sparse_blocks:
-            blk = sparse[:, j0:j1].astype(np.float64, copy=True)
-            blk.data *= inv_sqrt_ki[blk.indices]
-            blk.data *= np.repeat(inv_sqrt_kj[j0:j1], counts)
-            return (blk @ blk.T).toarray()
+        cols = by_fill[j0:j1]
+        if not _dense_gram(counts[cols], m.n_rows):
+            return _pair_gram(*scaled_entries(cols), counts[cols], m.n_rows)
         gram = np.zeros((m.n_rows, m.n_rows))
-        for s0 in range(j0, j1, slab):
-            s1 = min(s0 + slab, j1)
-            p0, p1 = indptr[s0], indptr[s1]
-            rows = indices[p0:p1]
-            cols = np.repeat(np.arange(s1 - s0), counts[s0 - j0:s1 - j0])
-            buf = scratch.take((m.n_rows, s1 - s0))
-            buf.fill(0.0)
-            # Scaled in the dense path's order, so each entry has its bits.
-            buf[rows, cols] = (data[p0:p1] * inv_sqrt_ki[rows]
-                               * inv_sqrt_kj[s0:s1][cols])
+        for s0 in range(0, cols.size, slab):
+            c = cols[s0:s0 + slab]
+            buf = scratch.take((m.n_rows, c.size))
+            _scatter(buf, *scaled_entries(c), counts[c])
             gram += buf @ buf.T
         return gram
 
     W = np.zeros((m.n_rows, m.n_rows))
-    for part in ordered_block_map(block_gram, blocks, workers):
+    for part in ordered_block_map(block_gram, column_blocks(m.n_rows, m.n_cols),
+                                  workers):
         W += part
 
+    # Pair-count parts fill only W's lower triangle, the one ``eigh`` reads.
     u0 = np.sqrt(fm.row_masses)
     Wc = W - np.outer(u0, u0)
     try:
         with one_blas_thread():  # bits independent of BLAS's thread count
-            lams, U = np.linalg.eigh(Wc)
+            lams, U = np.linalg.eigh(Wc, UPLO="L")
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from None
     if lams.size and lams.min() < -1e-8:
@@ -297,46 +395,66 @@ def _canonical_signs(U: np.ndarray) -> None:
 def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
                           reduce: Callable,
                           workers: int | None = None) -> Iterator:
-    """Yield ``reduce(j0, j1, S)`` for every column block, in block order.
+    """Yield ``reduce(cols, S)`` for every column block, in block order.
 
-    S, of shape (n_nontrivial, j1 - j0), holds the block's standardized
-    non-trivial projections S = sqrt(f_j) G, so S^2 is exactly the
-    contribution f_j G_a(j)^2; zero-mass columns hold zeros. In mass units
-    the transition formula collapses to
+    ``cols`` indexes the block's columns: a slice for dense storage, an
+    array of column indices in fill order for sparse storage (see the
+    module docstring). S, of shape (n_nontrivial, block width), holds the
+    block's standardized non-trivial projections S = sqrt(f_j) G, so S^2 is
+    exactly the contribution f_j G_a(j)^2; zero-mass columns hold zeros. In
+    mass units the transition formula collapses to
 
         G_a(j) = (1 / f_j) sum_i u_a(i) f_ij / sqrt(f_i)
 
     since the sqrt(lambda_a) in F and the 1/sqrt(lambda_a) prefactor cancel.
     The model's row scale is folded into the basis once per pass,
-    Ub = U^T diag(1/sqrt(f_i)) / k, so the block product H = Ub K[:, j0:j1]
+    Ub = U^T diag(1/sqrt(f_i)) / k, so the block product H = Ub K[:, cols]
     reads K where it is stored, with no scaled copy, and one in-place column
     pass by the model's column scale gives S = H / sqrt(f_j). S keeps the
     range that H^2 / f_j would lose for columns of relative mass below about
     1e-154.
 
     ``reduce`` runs inside the worker that computed S and may overwrite it,
-    but must not keep it: a dense S is the worker's scratch buffer, reused by
-    its next block. Sparse storage gives a fresh F-ordered S, the transpose
-    of a sparse-times-dense product. That layout fixes the summation order
-    of reductions over S, so it is part of the output contract. The block
-    grid is fixed by the matrix shape (see ``column_blocks``), so merging the
-    results in the order they come keeps every reduction independent of
-    ``workers``.
+    but must not keep it: a BLAS block's S, dense or sparse, is the worker's
+    scratch buffer, reused by its next block. A block of scipy's product
+    gives a fresh F-ordered S, the transpose of a sparse-times-dense
+    product. Those layouts fix the summation order of reductions over S, so
+    they are part of the output contract. The block grid is fixed by the
+    matrix shape (see ``column_blocks``) and the fill order by the stored
+    entries, so merging the results in the order they come keeps every
+    reduction independent of ``workers``.
     """
     m = fm.matrix
     # Ub^T, C-ordered: scipy's sparse-times-dense product takes it as it
     # is, and its transpose is the BLAS operand Ub.
     UbT = fd.basis * fm.row_scale[:, None] / fm.grand_total
-    scratch = _Scratch()
-    sparse = m.sparse if m.is_sparse else None  # built in the calling thread
+    scratch, slab_scratch = _Scratch(), _Scratch()
+    slab = max(1, _SLAB_ELEMS // m.n_rows)
+    if m.is_sparse:
+        indptr, indices, data = m.csc
+        counts, by_fill = _fill_order(m)
+        light = any(not _dense_projection(counts[by_fill[j0:j1]], m.n_rows)
+                    for j0, j1 in column_blocks(m.n_rows, m.n_cols))
+        sparse = m.sparse if light else None  # built in the calling thread
 
     def block(j0: int, j1: int):
-        if sparse is not None:
-            S = (sparse[:, j0:j1].T @ UbT).T
-        else:
-            S = np.matmul(UbT.T, m.dense[:, j0:j1],
+        if not m.is_sparse:
+            cols = slice(j0, j1)
+            S = np.matmul(UbT.T, m.dense[:, cols],
                           out=scratch.take((UbT.shape[1], j1 - j0)))
-        np.multiply(S, fm.col_scale[None, j0:j1], out=S)
-        return reduce(j0, j1, S)
+        else:
+            cols = by_fill[j0:j1]
+            if _dense_projection(counts[cols], m.n_rows):
+                S = scratch.take((UbT.shape[1], cols.size))
+                for s0 in range(0, cols.size, slab):
+                    c = cols[s0:s0 + slab]
+                    pos = _entries(indptr, c, counts[c])
+                    buf = slab_scratch.take((m.n_rows, c.size))
+                    _scatter(buf, indices[pos], data[pos], counts[c])
+                    np.matmul(UbT.T, buf, out=S[:, s0:s0 + c.size])
+            else:
+                S = (sparse[:, cols].T @ UbT).T
+        np.multiply(S, fm.col_scale[None, cols], out=S)
+        return reduce(cols, S)
 
     return ordered_block_map(block, column_blocks(fm.n_rows, fm.n_cols), workers)

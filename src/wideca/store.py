@@ -645,19 +645,26 @@ def _write_values(fh, columns: tuple[np.ndarray, ...], line: bytes) -> None:
     The values go in blocks of whole lines, as many as fit in
     ``_CHUNK_VALUES`` (at least one), and each block in chunks of at most
     ``_CHUNK_VALUES`` values, one ``_render`` each. So every chunk takes its
-    separators as one slice of the block's.
+    separators as one slice of the block's. The chunks are rendered on
+    ``ordered_block_map`` and written in chunk order, so the bytes do not
+    depend on the worker count.
     """
     width = len(columns)
     n = width * columns[0].size
     block = np.frombuffer(line * max(1, _CHUNK_VALUES // len(line)),
                           dtype=np.uint8)
-    for b0 in range(0, n, block.size):
-        for k0 in range(b0, min(b0 + block.size, n), _CHUNK_VALUES):
-            k1 = min(k0 + _CHUNK_VALUES, b0 + block.size, n)
-            values = np.column_stack([c[k0 // width:k1 // width]
-                                      for c in columns])
-            fh.write(_render(values.reshape(-1).astype(np.float64, copy=False),
-                             block[k0 - b0:k1 - b0]))
+
+    def render(k0: int, k1: int) -> bytes:
+        b0 = k0 - k0 % block.size
+        values = np.column_stack([c[k0 // width:k1 // width] for c in columns])
+        return _render(values.reshape(-1).astype(np.float64, copy=False),
+                       block[k0 - b0:k1 - b0])
+
+    chunks = [(k0, min(k0 + _CHUNK_VALUES, b0 + block.size, n))
+              for b0 in range(0, n, block.size)
+              for k0 in range(b0, min(b0 + block.size, n), _CHUNK_VALUES)]
+    for text in ordered_block_map(render, chunks):
+        fh.write(text)
 
 
 # -- value rendering ------------------------------------------------------------

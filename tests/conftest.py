@@ -66,11 +66,14 @@ def column_projections(fm, fd, workers: int = 1) -> np.ndarray:
     """Non-trivial column projections G of every column, (axes, n_cols),
     from the report's kernel: G = S / sqrt(f_j), 0 for zero-mass columns.
     Each block's G is a new array, since S is the kernel's scratch."""
-    def projections(j0, j1, S):
-        sqrt_f = np.sqrt(fm.col_masses[j0:j1])
-        return np.divide(S, sqrt_f, out=np.zeros_like(S), where=sqrt_f > 0)
-    return np.concatenate(list(map_projection_blocks(fm, fd, projections,
-                                                     workers)), axis=1)
+    def projections(cols, S):
+        sqrt_f = np.sqrt(fm.col_masses[cols])
+        return cols, np.divide(S, sqrt_f, out=np.zeros_like(S),
+                               where=sqrt_f > 0)
+    G = np.zeros((fd.n_nontrivial, fm.n_cols))
+    for cols, G_block in map_projection_blocks(fm, fd, projections, workers):
+        G[:, cols] = G_block
+    return G
 
 
 def two_pass_relative(fm, fd) -> tuple[np.ndarray, np.ndarray]:
@@ -79,16 +82,16 @@ def two_pass_relative(fm, fd) -> tuple[np.ndarray, np.ndarray]:
     sum_a f_j G_a(j)^2 / I_a, the two-pass computation. It keeps the
     kernel's blocks of S^2 = f_j G^2 (see ``column_projections``) and merges
     them in block order, so its bits are those of a second report pass."""
-    blocks = list(map_projection_blocks(
-        fm, fd, lambda j0, j1, S: (j0, j1, S * S)))
+    blocks = list(map_projection_blocks(fm, fd, lambda cols, S: (cols, S * S)))
     inertia = np.zeros(fd.n_nontrivial)
-    for _, _, S2 in blocks:
+    for _, S2 in blocks:
         inertia += S2.sum(axis=1)
     inv = _inv_pos(inertia)
     trivial = 1.0 if fd.include_trivial else 0.0
     f = fm.col_masses
-    rel = np.concatenate([trivial * f[j0:j1] + inv @ S2
-                          for j0, j1, S2 in blocks])
+    rel = np.zeros(fm.n_cols)
+    for cols, S2 in blocks:
+        rel[cols] = trivial * f[cols] + inv @ S2
     return rel, inertia
 
 

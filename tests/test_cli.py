@@ -581,8 +581,10 @@ def test_dense_commands_do_not_load_scipy(tmp_path):
 
 
 def test_only_sparse_analysis_loads_scipy(tmp_path):
-    """Generating, fitting and table 3 keep their sparse matrices as numpy
-    arrays; the sparse analysis kernels load scipy."""
+    """Generating, fitting, table 3 and the analysis of a matrix whose
+    column blocks all fill more than 12 % of their cells keep their sparse
+    matrices as numpy arrays; the projection pass loads scipy for a lighter
+    block."""
     script = (
         "import sys\n"
         "from wideca.cli import main\n"
@@ -595,11 +597,39 @@ def test_only_sparse_analysis_loads_scipy(tmp_path):
         "run('fit', 'p.tpl', '--format', 'triplet', '-o', 'f')\n"
         "run('reproduce', '--table', '3', '--dims', '200', '--seeds', '1',"
         " '-o', 't3.csv')\n"
-        "assert main(['analyze', 'p.tpl', '--format', 'triplet', '-o', 'r']) == 0\n"
+        "run('analyze', 'p.tpl', '--format', 'triplet', '-o', 'r')\n"
+        "run('gen', 'powerlaw', '--rows', 425, '--cols', 300, '-o', 'q.tpl',"
+        " '--format', 'triplet')\n"
+        "assert main(['analyze', 'q.tpl', '--format', 'triplet', '-o', 's']) == 0\n"
         "assert 'scipy' in sys.modules\n"
     )
     _run_fresh_python(script, tmp_path)
-    assert (tmp_path / "r.csv").exists()
+    assert (tmp_path / "r.csv").exists() and (tmp_path / "s.csv").exists()
+
+
+def test_w_pass_loads_no_scipy(tmp_path):
+    """``decompose`` of a triplet-built matrix at 0.5 % fill, whose blocks
+    all take the pair-count kernel, leaves scipy unloaded; the report's
+    projection pass loads it."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wideca import CountMatrix\n"
+        "from wideca.engine import build_frequency_model, decompose\n"
+        "from wideca.contributions import concentration_report\n"
+        "rng = np.random.default_rng(3)\n"
+        "K = (rng.random((300, 10_000)) < 0.005).astype(float)\n"
+        "K[:, 0] = 1.0\n"
+        "m = CountMatrix.from_triplets(300, 10_000, *np.nonzero(K),"
+        " K[np.nonzero(K)])\n"
+        "fm = build_frequency_model(m)\n"
+        "for workers in (1, 2):\n"
+        "    assert decompose(fm, workers=workers).nu > 1\n"
+        "assert 'scipy' not in sys.modules\n"
+        "concentration_report(fm, decompose(fm))\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    _run_fresh_python(script, tmp_path)
 
 
 def test_exit_code_bad_flags():

@@ -461,6 +461,114 @@ def test_sparse_and_dense_storage_agree(rng, monkeypatch):
     _assert_reports_close(sparse, dense, rtol=1e-11)
 
 
+# -- the kernels of the sparse passes -------------------------------------------
+# Sparse storage lays the block grid over its columns in fill order, and each
+# block takes one kernel per pass: BLAS or pair counts in the W pass, BLAS or
+# scipy's sparse product in the projection pass.
+
+def _mixed_fill(rng, n_rows, n_cols, fill):
+    """Dense values whose columns draw their entry counts from ``fill``, a
+    list of (share of columns, count range); counts of 0 and n_rows make
+    empty and full columns."""
+    K = np.zeros((n_rows, n_cols))
+    shares = np.array([share for share, _ in fill])
+    kind = rng.choice(len(fill), size=n_cols, p=shares / shares.sum())
+    for j, k in enumerate(kind):
+        lo, hi = fill[k][1]
+        rows = rng.choice(n_rows, size=rng.integers(lo, hi + 1), replace=False)
+        K[rows, j] = rng.integers(1, 5, rows.size)
+    K[K.sum(axis=1) == 0, 0] = 1.0  # no zero-mass row
+    return K
+
+
+MIXED_FILLS = {
+    # empty, full, one or two entries, about 10 % and about 50 % of the rows
+    "mixed": (60, 6_000, [(1, (0, 0)), (1, (60, 60)), (6, (1, 2)),
+                          (2, (4, 8)), (2, (25, 35))]),
+    # 0.1 % fill, mostly empty columns: every block is light in both passes
+    "fill-0.1%": (200, 12_000, [(8, (0, 0)), (1, (1, 3))]),
+}
+
+
+def _sparse_and_dense(rng, kind):
+    n_rows, n_cols, fill = MIXED_FILLS[kind]
+    K = _mixed_fill(rng, n_rows, n_cols, fill)
+    coo = np.nonzero(K)
+    return (CountMatrix.from_triplets(n_rows, n_cols, *coo, K[coo]),
+            CountMatrix.from_dense(K))
+
+
+@pytest.mark.parametrize("kind", list(MIXED_FILLS))
+def test_sparse_kernels_agree_with_dense_storage(rng, monkeypatch, kind):
+    """On a shrunk grid each sparse pass takes both of its kernels on mixed
+    fill (only the light ones at 0.1 %); eigenvalues match dense storage to
+    1e-12, report fields to 1e-11, and 1, 2 and 3 workers give the same
+    bits."""
+    import wideca.engine as engine
+    from wideca.store import column_blocks
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    ms, md = _sparse_and_dense(rng, kind)
+    assert len(list(column_blocks(ms.n_rows, ms.n_cols))) >= 3
+    taken = {"gram": set(), "projection": set()}
+
+    def spy(name, rule):
+        def spied(counts, n_rows):
+            dense = rule(counts, n_rows)
+            taken[name].add(dense)
+            return dense
+        return spied
+    monkeypatch.setattr(engine, "_dense_gram", spy("gram", engine._dense_gram))
+    monkeypatch.setattr(engine, "_dense_projection",
+                        spy("projection", engine._dense_projection))
+    _, fd_d, ref = wideca.analyze(md)
+    assert taken == {"gram": set(), "projection": set()}  # dense storage
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            _, fd, rep = wideca.analyze(ms, workers=workers)
+            outputs.append([fd.eigenvalues.tobytes(), fd.row_projections.tobytes(),
+                            rep.to_csv_row()]
+                           + [getattr(rep, name).tobytes() for name in REPORT_ARRAYS])
+    finally:
+        sys.setswitchinterval(interval)
+    both = {True, False} if kind == "mixed" else {False}
+    assert taken == {"gram": both, "projection": both}
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    np.testing.assert_allclose(fd.eigenvalues, fd_d.eigenvalues, rtol=1e-12,
+                               atol=0)
+    for name in REPORT_FIELDS:
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name),
+                                                   rel=1e-11, abs=0), name
+
+
+@pytest.mark.parametrize("slab_elems", [1 << 18, 64], ids=["default", "tiny"])
+def test_pair_gram_is_the_dense_gram(rng, monkeypatch, slab_elems):
+    """The pair-count Gram of fill-ordered columns is the lower triangle of
+    the dense Gram of the same columns, with zeros above: equal for counts,
+    whose sums are exact, and within the two summations' error bound,
+    2 (columns) eps relative, once scaled. A tiny pair buffer flushes often
+    and grows for a full column."""
+    from wideca.engine import _entries, _fill_order, _pair_gram
+    monkeypatch.setattr("wideca.engine._SLAB_ELEMS", slab_elems)
+    ms, md = _sparse_and_dense(rng, "mixed")
+    indptr, indices, data = ms.csc
+    counts, by_fill = _fill_order(ms)
+    scale = rng.random(ms.n_rows) + 0.5
+    for cols in (by_fill[:40], by_fill[:1_500], by_fill[-400:], by_fill[::7]):
+        pos = _entries(indptr, cols, counts[cols])
+        rows = indices[pos]
+        for s, rtol in ((np.ones(ms.n_rows), 0.0),
+                        (scale, 2 * cols.size * np.finfo(float).eps)):
+            gram = _pair_gram(rows, data[pos] * s[rows], counts[cols],
+                              ms.n_rows)
+            B = md.dense[:, cols] * s[:, None]
+            assert (np.triu(gram, 1) == 0).all()
+            np.testing.assert_allclose(gram, np.tril(B @ B.T), rtol=rtol,
+                                       atol=0)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("include_trivial", [True, False])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])

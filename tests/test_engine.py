@@ -289,7 +289,7 @@ def test_sparse_dense_same_decomposition(rng, shape, density):
     if densified:
         dense[:, dense.sum(axis=0) == 0] = 1.0
     # At 0.5 % a fifth of the columns are empty; they stay empty (excluded
-    # in both storages), so the sparse W pass keeps the sparse product.
+    # in both storages), so the sparse W pass takes pair counts.
     dense[dense.sum(axis=1) == 0, :] = 1.0
     md = CountMatrix.from_dense(dense)
     coo = np.nonzero(dense)
@@ -307,8 +307,7 @@ def test_sparse_dense_same_decomposition(rng, shape, density):
 
 def test_dense_gram_dispatch(rng):
     """A power-law block at the default exponent forms its W Gram matrix
-    with BLAS; a 0.5 %-dense block of the same shape keeps the sparse
-    product."""
+    with BLAS; a 0.5 %-dense block of the same shape takes pair counts."""
     from wideca import gen_powerlaw_boolean
     from wideca.engine import _dense_gram
     from wideca.store import column_blocks

@@ -660,6 +660,23 @@ def test_signal_writer_matches_per_value_rendering(tmp_path):
     assert load_signal(str(p)).values.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("fmt", [DENSE_CSV, TRIPLET])
+def test_writer_bytes_do_not_depend_on_workers(tmp_path, monkeypatch, fmt):
+    """Chunks rendered by 1, 2 and 3 workers are written in chunk order: the
+    file is the per-value rendering, chunk grid included (7 values a chunk,
+    so lines of 9 values split across chunks)."""
+    dense = _golden_matrices()["random-bits"][:, :9]
+    monkeypatch.setattr("wideca.store._CHUNK_VALUES", 7)
+    reference = (_reference_dense_csv if fmt == DENSE_CSV
+                 else _reference_triplet)(dense).encode()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr("wideca.store.resolve_workers",
+                            lambda w=None, n=workers: n)
+        p = tmp_path / f"m{workers}.dat"
+        save_matrix(CountMatrix.from_dense(dense), str(p), fmt)
+        assert p.read_bytes() == reference, workers
+
+
 def _render_reference(values, seps):
     return b"".join(b"%.17g" % v + bytes([s])
                     for v, s in zip(values.tolist(), seps.tolist()))
