@@ -25,6 +25,13 @@ of column j to the centroid is ``per_column_absolute[j] / f_j - 1``, and
 ``per_column_relative[j]`` sums column j's relative contributions over the
 retained axes; ``axis_column_inertia`` holds the empirical I_a.
 
+When the spectrum repeats an eigenvalue, ``eigh`` returns an arbitrary
+orthonormal basis of that eigenspace, so the per-axis outputs,
+``max_proj_cols`` and ``axis_column_inertia``, then depend on the storage
+form and the summation order, not on the data alone. The eigenvalues and
+sums over all axes, such as ``per_column_absolute``, do not depend on the
+basis.
+
 Summary statistics: sample standard deviation (n-1 denominator); the median
 of an even-length vector is the mean of the two central order statistics.
 Maximum projections are reported over non-trivial axes only (the trivial

@@ -36,9 +36,11 @@ basis, so a block's projections come from one product that reads K where it
 is stored, and hands the standardized S = sqrt(f_j) G to the caller's
 reduction inside the same worker. A sparse block above
 ``_DENSE_PROJECTION_FILL`` is scattered into slabs for BLAS; a lighter one
-takes scipy's sparse product, which needs sparse storage's scipy view
-(``CountMatrix.sparse``), taken in the calling thread before the pool
-starts, and only when some block is light. Both passes run on
+takes scipy's sparse product when, over the whole pass, what that product
+saves on the light blocks pays for importing ``scipy.sparse``
+(``_scipy_pays``), and the BLAS slabs too otherwise. scipy's product needs
+sparse storage's scipy view (``CountMatrix.sparse``), taken in the calling
+thread before the pool starts, and only when scipy pays. Both passes run on
 ``store.ordered_block_map``, with BLAS on one thread and by default one
 worker per usable CPU, at most 2 (``store.resolve_workers``); ``eigh`` runs
 on one BLAS thread too, so no output's bits depend on BLAS's thread
@@ -86,6 +88,11 @@ _ABS_EIG_FLOOR_PER_ROW = np.finfo(np.float64).eps
 _SLAB_ELEMS = 1 << 18
 _DENSE_GRAM_RATIO = 0.0025
 _DENSE_PROJECTION_FILL = 0.12
+# The light blocks take scipy's product only when it saves, over the whole
+# pass, at least the cost of importing ``scipy.sparse``: 0.17-0.20 s after
+# numpy (9 fresh interpreters on a 2-vCPU Xeon), about 4e9 BLAS
+# multiply-adds at 0.04-0.045 ns each, scatter included (``_scipy_pays``).
+_SCIPY_IMPORT_MADDS = 4e9
 
 
 @dataclass
@@ -204,6 +211,23 @@ def _dense_projection(counts: np.ndarray, n_rows: int) -> bool:
     power-law blocks they crossed near 12 % fill at 425 and 2,000 rows and
     near 28 % at 86."""
     return int(counts.sum()) > _DENSE_PROJECTION_FILL * n_rows * counts.size
+
+
+def _scipy_pays(counts: np.ndarray, by_fill: np.ndarray, n_rows: int,
+                axes: int) -> bool:
+    """Whether the projection pass takes scipy's product for its light
+    blocks (those ``_dense_projection`` refuses): what scipy saves over
+    BLAS on them, axes * sum (n_rows * width - nnz / _DENSE_PROJECTION_FILL)
+    BLAS multiply-adds, reaches ``_SCIPY_IMPORT_MADDS``, the cost of
+    importing ``scipy.sparse``. Otherwise every block takes BLAS and scipy
+    is not imported. The rule reads only the matrix's shape and fill, never
+    whether scipy is loaded, so the output bits depend on the data alone."""
+    saving = 0.0
+    for j0, j1 in column_blocks(n_rows, counts.size):
+        c = counts[by_fill[j0:j1]]
+        if not _dense_projection(c, n_rows):
+            saving += n_rows * c.size - int(c.sum()) / _DENSE_PROJECTION_FILL
+    return axes * saving >= _SCIPY_IMPORT_MADDS
 
 
 def _fill_order(m: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -433,9 +457,9 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     if m.is_sparse:
         indptr, indices, data = m.csc
         counts, by_fill = _fill_order(m)
-        light = any(not _dense_projection(counts[by_fill[j0:j1]], m.n_rows)
-                    for j0, j1 in column_blocks(m.n_rows, m.n_cols))
-        sparse = m.sparse if light else None  # built in the calling thread
+        # built in the calling thread, and only when scipy's product pays
+        sparse = m.sparse if _scipy_pays(counts, by_fill, m.n_rows,
+                                         UbT.shape[1]) else None
 
     def block(j0: int, j1: int):
         if not m.is_sparse:
@@ -444,7 +468,7 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
                           out=scratch.take((UbT.shape[1], j1 - j0)))
         else:
             cols = by_fill[j0:j1]
-            if _dense_projection(counts[cols], m.n_rows):
+            if sparse is None or _dense_projection(counts[cols], m.n_rows):
                 S = scratch.take((UbT.shape[1], cols.size))
                 for s0 in range(0, cols.size, slab):
                     c = cols[s0:s0 + slab]

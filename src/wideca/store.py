@@ -20,10 +20,11 @@ Loaders read UTF-8 text through ``_read_text``: one ``np.loadtxt`` call,
 and on any ValueError the one line scanner, which reads the text again and
 hands each line to the format's line rule, so that the ``ParseError``
 names the first bad line, one with a byte that is not UTF-8 included. A
-triplet header is checked before the body is read, and nothing is allocated
-from its ``nnz``. A body that passes its checks (in range, sorted by column
-then row, no duplicates) already is CSC storage: its rows and values become
-the row indices and data, and only the column pointers are computed.
+triplet header is checked, against physical memory too (a MemoryError),
+before the body is read, and nothing is allocated from its ``nnz``. A body
+that passes its checks (in range, sorted by column then row, no
+duplicates) already is CSC storage: its rows and values become the row
+indices and data, and only the column pointers are computed.
 
 Sparse storage is three numpy arrays (``CountMatrix.csc``); only the sparse
 analysis kernels' scipy view (``CountMatrix.sparse``) imports scipy.
@@ -178,7 +179,12 @@ class CountMatrix:
         no duplicates: the arrays are the CSC row indices and data as they
         are, and column j's entries start at the first index with col >= j."""
         dtype = _index_dtype(n_rows, n_cols, rows.size)
-        indptr = np.searchsorted(cols, np.arange(n_cols + 1)).astype(dtype)
+        # Each stored column's first position, repeated over the columns up
+        # to it; the empty columns after the last stored one point at nnz.
+        # Only the result is n_cols + 1 long.
+        first = np.flatnonzero(np.diff(cols, prepend=-1))
+        indptr = np.repeat(np.r_[first, rows.size].astype(dtype),
+                           np.diff(np.r_[-1, cols[first], n_cols]))
         return cls._from_csc(n_rows, n_cols,
                              CSC(indptr, rows.astype(dtype), values))
 
@@ -404,12 +410,14 @@ def footprint(n_rows: int, n_cols: int, nnz: int | None = None,
     return size + analysis * 8 * (_ANALYSIS_COLUMNS * n_cols + 6 * n_rows ** 2)
 
 
-def check_memory(job: str, size: int) -> None:
-    """Refuse ``job`` when its ``size`` bytes (``footprint``) exceed the
-    physical memory, which, like ``resolve_workers``, sees no cgroup limit."""
+def check_memory(job: str, size: int,
+                 error: type[Exception] = ValidationError) -> None:
+    """Refuse ``job`` with ``error`` when its ``size`` bytes (``footprint``)
+    exceed the physical memory, which, like ``resolve_workers``, sees no
+    cgroup limit."""
     if 0 < _PHYSICAL_MEMORY < size:
-        raise ValidationError(f"{job} needs at least {size:,} bytes, more than "
-                              f"the {_PHYSICAL_MEMORY:,} bytes of physical memory")
+        raise error(f"{job} needs at least {size:,} bytes, more than "
+                    f"the {_PHYSICAL_MEMORY:,} bytes of physical memory")
 
 
 @functools.cache
@@ -899,6 +907,11 @@ def _read_triplet(fh) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
     lines of ``fh``, in range, sorted by column then row, with no
     duplicates; lines after them are not read."""
     n_rows, n_cols, nnz = _triplet_header(fh.readline())
+    # The loaders' MemoryError: the header is well formed, the matrix it
+    # declares does not fit. A count above n_rows * n_cols fails the parse.
+    check_memory(f"a {n_rows} x {n_cols} triplet matrix",
+                 footprint(n_rows, n_cols, min(nnz, n_rows * n_cols)),
+                 MemoryError)
     # islice counts at most sys.maxsize lines, more than a file has
     body = np.loadtxt(_first_not_blank(islice(fh, min(nnz, sys.maxsize))),
                       dtype=_TRIPLET_DTYPE, comments=None, ndmin=1)

@@ -9,10 +9,21 @@ first per-seed dict. Seeds are ``base_seed + i`` and are shared across
 dimensionalities, so per-seed comparisons between dimensions are paired; the
 embedding table draws one signal per seed and embeds it at every dim.
 
+A dim whose matrix is one column block (``store.column_blocks``: at most
+10^6 cells) runs its seeds as jobs on ``store.ordered_block_map``,
+``workers`` at a time: each job builds its matrix and reduces it on one
+worker, where one block runs anyway, and the per-seed dicts come back in
+seed order, so no row depends on ``workers``. A dim of several blocks runs
+its seeds one after another, each on all the workers.
+
 Every dim is checked before any matrix is built, against physical memory
-too (``store.check_memory``). The paper's sizes run in seconds: one seed on
-a 2-vCPU Xeon took 1.0-1.3 s for table 1 at 10^6 columns and 8.3-10.1 s for
-table 4 at 1,052,000.
+too (``store.check_memory``), with one matrix and analysis counted per job
+in flight. The paper's sizes run in seconds: one seed on a 2-vCPU Xeon
+took 1.3 s for table 1 at 10^6 columns and 8.9-9.5 s for table 4 at
+1,052,000. The four ``reproduce`` commands of the ``sweep-small`` benchmark
+(default dims; seeds 10, 3, 3 and 3) took 1.91-1.93 s (median of ten
+20-second runs, at seeds 1 and 1512), against 2.17-2.31 s with the seeds
+run one at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +36,8 @@ from .generators import (DEFAULT_EXPONENT, ParametricMarginals, embed_signal,
                          gen_powerlaw_boolean, gen_randomwalk_signal,
                          gen_uniform)
 from .powerlaw import fit_exponent
-from .store import check_memory, column_sums, footprint
+from .store import (check_memory, column_blocks, column_sums, footprint,
+                    ordered_block_map, resolve_workers)
 
 UNIFORM_ROWS = 86
 UNIFORM_DIMS = (100, 1000, 10_000)
@@ -45,12 +57,22 @@ POWERLAW_DIMS = (1052, 10_520)
 # Table ids and their default dimensionalities.
 TABLE_DIMS = {"1": UNIFORM_DIMS, "2-synthetic": EMBED_DIMS,
               "3": POWERLAW_DIMS, "4": POWERLAW_DIMS}
+TABLE_ROWS = {"1": UNIFORM_ROWS, "2-synthetic": EMBED_WINDOWS,
+              "3": POWERLAW_ROWS, "4": POWERLAW_ROWS}
 
 _STAT_COLS = ("abs_mean", "abs_sd", "abs_median", "rel_mean", "rel_sd",
               "rel_median", "max_proj_cols", "max_proj_rows")
 
 
-def _check_sweep(table, dims, seeds: int, marg: ParametricMarginals) -> None:
+def _jobs(table: str, dim: int, seeds: int, workers: int) -> int:
+    """How many of a dim's (dim, seed) jobs run at once: up to ``workers``
+    when its matrix is one column block, else one."""
+    one_block = len(list(column_blocks(TABLE_ROWS[table], dim))) == 1
+    return min(workers, seeds) if one_block else 1
+
+
+def _check_sweep(table, dims, seeds: int, marg: ParametricMarginals,
+                 workers: int) -> None:
     if seeds < 1:
         raise ValidationError(f"seeds must be at least 1, got {seeds}")
     for d in dims:
@@ -59,14 +81,15 @@ def _check_sweep(table, dims, seeds: int, marg: ParametricMarginals) -> None:
         if table == "2-synthetic" and d > EMBED_MAX_DIM:
             raise ValidationError(f"dimension {d} exceeds {EMBED_MAX_DIM}, "
                                   f"the longest window of table 2-synthetic")
+        rows = TABLE_ROWS[table]
         if table in ("3", "4"):  # CSC storage at the law's mean column sum
-            nnz = int(marg.mean_sum(POWERLAW_ROWS) * d)
-            size = footprint(POWERLAW_ROWS, d, nnz, analysis=table == "4")
-        elif table == "1":
-            size = footprint(UNIFORM_ROWS, d, analysis=True)
-        else:  # every seed's signal is held for the whole sweep
-            size = footprint(EMBED_WINDOWS, d, analysis=True) \
-                + footprint(seeds, SIGNAL_LEN)
+            size = footprint(rows, d, int(marg.mean_sum(rows) * d),
+                             analysis=table == "4")
+        else:
+            size = footprint(rows, d, analysis=True)
+        size *= _jobs(table, d, seeds, workers)
+        if table == "2-synthetic":  # every seed's signal is held throughout
+            size += footprint(seeds, SIGNAL_LEN)
         check_memory(f"table {table} at dimension {d}", size)
 
 
@@ -103,7 +126,8 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
         raise ValidationError(f"unknown table {table!r}")
     dims = TABLE_DIMS[table] if dims is None else dims
     marg = ParametricMarginals(exponent=exponent)
-    _check_sweep(table, dims, seeds, marg)
+    workers = resolve_workers(workers)
+    _check_sweep(table, dims, seeds, marg, workers)
 
     def uniform(seed):
         return lambda dim: gen_uniform(UNIFORM_ROWS, dim, seed)
@@ -117,18 +141,19 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
         return lambda dim: gen_powerlaw_boolean(POWERLAW_ROWS, dim, seed,
                                                 marginals=marg)
 
-    def concentration(m) -> dict:
+    def concentration(m, workers: int) -> dict:
         d = analyze(m, include_trivial, workers).report.to_dict()
         return {c: d[c] for c in _STAT_COLS}
 
-    def exponent_fit(m) -> dict:
+    def exponent_fit(m, workers: int) -> dict:
         sums = column_sums(m)
         fit = fit_exponent(sums, x_min=float(marg.body_start),
                            x_max=float(np.percentile(sums, 90.0)))
         return {"exponent": -fit.alpha, "r_squared": fit.r_squared}
 
-    def density(m) -> dict:
-        return {**concentration(m), "density": m.nnz / (m.n_rows * m.n_cols)}
+    def density(m, workers: int) -> dict:
+        return {**concentration(m, workers),
+                "density": m.nnz / (m.n_rows * m.n_cols)}
 
     factory, stats = {"1": (uniform, concentration),
                       "2-synthetic": (embedding, concentration),
@@ -137,12 +162,18 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
     matrices = [factory(base_seed + i) for i in range(seeds)]
     rows = []
     for dim in dims:
-        per_seed = []
-        for matrix in matrices:
-            # m stays alive until the next matrix replaces it, as in a plain
-            # loop: freeing each matrix before the next is built made table 1
-            # about 4 % slower (allocator reuse).
-            m = matrix(dim)
-            per_seed.append(stats(m))
+        if _jobs(table, dim, seeds, workers) > 1:
+            # One job per seed; the results come back in seed order.
+            per_seed = list(ordered_block_map(
+                lambda i, _: stats(matrices[i](dim), 1),
+                ((i, i + 1) for i in range(seeds)), workers))
+        else:
+            per_seed = []
+            for matrix in matrices:
+                # m stays alive until the next matrix replaces it, as in a
+                # plain loop: freeing each matrix before the next is built
+                # made table 1 about 4 % slower (allocator reuse).
+                m = matrix(dim)
+                per_seed.append(stats(m, workers))
         rows.append(_aggregate(dim, per_seed))
     return rows

@@ -514,6 +514,30 @@ def test_exit_code_out_of_memory(tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_triplet_header_checked_against_memory(tmp_path, monkeypatch, capsys):
+    """A triplet header whose matrix does not fit is refused as the
+    loaders' MemoryError before anything n_cols long is allocated: 4-byte
+    column pointers for 9 * 10^8 columns need 3.6 GB of a 1 GiB memory."""
+    import tracemalloc
+    from wideca import store
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 1 << 30)
+    mat = tmp_path / "m.tpl"
+    mat.write_text("%3 900000000 1\n0 0 1\n")
+    tracemalloc.start()
+    try:
+        code = run("analyze", mat, "--format", "triplet", "-o", tmp_path / "r")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: not enough memory: a 3 x 900000000 triplet matrix needs at "
+        "least 3,600,000,016 bytes, more than the 1,073,741,824 bytes of "
+        "physical memory\n")
+    assert peak < 1 << 20
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tpl"]
+
+
 @pytest.mark.parametrize("kind, denominator", [
     ("uniform", "eigenvalues"), ("embedding", "axis_inertia")])
 def test_analyze_diagnostics(tmp_path, kind, denominator):
@@ -584,10 +608,12 @@ def test_only_sparse_analysis_loads_scipy(tmp_path):
     """Generating, fitting, table 3 and the analysis of a matrix whose
     column blocks all fill more than 12 % of their cells keep their sparse
     matrices as numpy arrays; the projection pass loads scipy for a lighter
-    block."""
+    block once any saving pays for the import."""
     script = (
         "import sys\n"
+        "import wideca.engine\n"
         "from wideca.cli import main\n"
+        "wideca.engine._SCIPY_IMPORT_MADDS = 1\n"
         "def run(*argv):\n"
         "    assert main([str(a) for a in argv]) == 0, argv\n"
         "    assert 'scipy' not in sys.modules, argv\n"
@@ -610,7 +636,7 @@ def test_only_sparse_analysis_loads_scipy(tmp_path):
 def test_w_pass_loads_no_scipy(tmp_path):
     """``decompose`` of a triplet-built matrix at 0.5 % fill, whose blocks
     all take the pair-count kernel, leaves scipy unloaded; the report's
-    projection pass loads it."""
+    projection pass loads it once any saving pays for the import."""
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -626,10 +652,55 @@ def test_w_pass_loads_no_scipy(tmp_path):
         "for workers in (1, 2):\n"
         "    assert decompose(fm, workers=workers).nu > 1\n"
         "assert 'scipy' not in sys.modules\n"
+        "import wideca.engine\n"
+        "wideca.engine._SCIPY_IMPORT_MADDS = 1\n"
         "concentration_report(fm, decompose(fm))\n"
         "assert 'scipy' in sys.modules\n"
     )
     _run_fresh_python(script, tmp_path)
+
+
+def test_small_sparse_analyses_load_no_scipy(tmp_path):
+    """The triplet ``analyze`` of a 425 x 10,520 power-law matrix and
+    ``reproduce --table 4`` at its default dims save less than the import
+    of ``scipy.sparse`` costs, so neither loads it."""
+    run("gen", "powerlaw", "--rows", 425, "--cols", 10_520, "--seed", 1,
+        "--format", "triplet", "-o", tmp_path / "p.tpl")
+    script = (
+        "import sys\n"
+        "from wideca.cli import main\n"
+        "assert main(['analyze', 'p.tpl', '--format', 'triplet', '-o', 'r'])"
+        " == 0\n"
+        "assert main(['reproduce', '--table', '4', '--seeds', '1',"
+        " '-o', 't4.csv']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    _run_fresh_python(script, tmp_path)
+
+
+def test_scipy_rule_ignores_loaded_modules(tmp_path):
+    """A sparse matrix under the import threshold gives the same report
+    bits in a fresh interpreter whether or not ``scipy.sparse`` was
+    imported first."""
+    run("gen", "powerlaw", "--rows", 425, "--cols", 3_000, "--seed", 2,
+        "--format", "triplet", "-o", tmp_path / "p.tpl")
+    script = (
+        "import sys\n"
+        "if sys.argv[1] == 'scipy':\n"
+        "    import scipy.sparse\n"
+        "from wideca import analyze, load_matrix\n"
+        "rep = analyze(load_matrix('p.tpl', 'triplet')).report\n"
+        "assert ('scipy' in sys.modules) == (sys.argv[1] == 'scipy')\n"
+        "with open(sys.argv[1] + '.bin', 'wb') as fh:\n"
+        "    fh.write(repr(rep.to_csv_row()).encode())\n"
+        "    for a in (rep.per_column_absolute, rep.per_column_relative,\n"
+        "              rep.axis_column_inertia):\n"
+        "        fh.write(a.tobytes())\n"
+    )
+    for first in ("scipy", "none"):
+        _run_fresh_python(script.replace("sys.argv[1]", repr(first)), tmp_path)
+    assert (tmp_path / "scipy.bin").read_bytes() == \
+        (tmp_path / "none.bin").read_bytes()
 
 
 def test_exit_code_bad_flags():

@@ -372,10 +372,12 @@ SMALL_BLOCK_ELEMS = 60_000  # 2,000 columns per block at 30 rows
 
 
 def test_sparse_view_built_before_the_pool(rng, monkeypatch):
-    """Sparse storage whose scipy view is not built yet: the W pass (with
-    its sparse product) and the projection passes build it in the calling
-    thread, and 1, 2 and 3 workers give the same bits."""
+    """Sparse storage whose scipy view is not built yet: the projection
+    passes, whose light blocks take scipy's product once any saving pays
+    for the import, build it in the calling thread, and 1, 2 and 3 workers
+    give the same bits."""
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    monkeypatch.setattr("wideca.engine._SCIPY_IMPORT_MADDS", 1)
     K = np.where(rng.random((30, 9_000)) < 0.02, rng.random((30, 9_000)), 0.0)
     outputs = []
     for workers in (1, 2, 3):
@@ -500,13 +502,15 @@ def _sparse_and_dense(rng, kind):
 
 @pytest.mark.parametrize("kind", list(MIXED_FILLS))
 def test_sparse_kernels_agree_with_dense_storage(rng, monkeypatch, kind):
-    """On a shrunk grid each sparse pass takes both of its kernels on mixed
+    """On a shrunk grid, with scipy's product taken once any saving pays
+    for its import, each sparse pass takes both of its kernels on mixed
     fill (only the light ones at 0.1 %); eigenvalues match dense storage to
     1e-12, report fields to 1e-11, and 1, 2 and 3 workers give the same
     bits."""
     import wideca.engine as engine
     from wideca.store import column_blocks
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    monkeypatch.setattr(engine, "_SCIPY_IMPORT_MADDS", 1)
     ms, md = _sparse_and_dense(rng, kind)
     assert len(list(column_blocks(ms.n_rows, ms.n_cols))) >= 3
     taken = {"gram": set(), "projection": set()}
@@ -535,12 +539,35 @@ def test_sparse_kernels_agree_with_dense_storage(rng, monkeypatch, kind):
         sys.setswitchinterval(interval)
     both = {True, False} if kind == "mixed" else {False}
     assert taken == {"gram": both, "projection": both}
+    assert ms._sparse is not None  # the light blocks took scipy's product
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     np.testing.assert_allclose(fd.eigenvalues, fd_d.eigenvalues, rtol=1e-12,
                                atol=0)
     for name in REPORT_FIELDS:
         assert getattr(rep, name) == pytest.approx(getattr(ref, name),
                                                    rel=1e-11, abs=0), name
+
+
+def test_repeated_eigenvalue_storage_agreement(rng):
+    """Ten rows whose entries sit only in their own single-entry columns
+    make eigenvalue 1 repeat ten times beyond the trivial axis. ``eigh``
+    may return any basis of that eigenspace, so per-axis outputs such as
+    ``max_proj_cols`` may differ between storage forms; the eigenvalues and
+    each column's total over the axes, ``per_column_absolute``, do not."""
+    K = np.zeros((30, 1_550))
+    K[:20, :1_500] = np.where(rng.random((20, 1_500)) < 0.1,
+                              rng.integers(1, 4, (20, 1_500)), 0)
+    K[np.repeat(np.arange(20, 30), 5), np.arange(1_500, 1_550)] = \
+        rng.integers(1, 4, 50)
+    coo = np.nonzero(K)
+    _, fd_s, sparse = wideca.analyze(
+        CountMatrix.from_triplets(*K.shape, *coo, K[coo]))
+    _, fd_d, dense = wideca.analyze(CountMatrix.from_dense(K))
+    assert np.count_nonzero(np.abs(fd_d.eigenvalues - 1.0) < 1e-9) == 11
+    np.testing.assert_allclose(fd_s.eigenvalues, fd_d.eigenvalues,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sparse.per_column_absolute,
+                               dense.per_column_absolute, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("slab_elems", [1 << 18, 64], ids=["default", "tiny"])

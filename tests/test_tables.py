@@ -1,3 +1,7 @@
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from wideca import ValidationError
@@ -44,16 +48,17 @@ def test_embedding_table_shares_one_signal_per_seed(monkeypatch):
         return sig
 
     def embed_spy(sig, *args):
-        embedded.append(sig)
+        embedded.append((args[-1], id(sig)))
         return embed(sig, *args)
 
     monkeypatch.setattr(tables, "gen_randomwalk_signal", gen_spy)
     monkeypatch.setattr(tables, "embed_signal", embed_spy)
     sweep("2-synthetic", dims=(100, 300), seeds=2, base_seed=5)
     assert [seed for seed, _ in drawn] == [5, 6]
-    signals = [sig for _, sig in drawn]
-    # dims outer, seeds inner: every dim embeds the same two signals
-    assert [id(s) for s in embedded] == [id(s) for s in signals * 2]
+    # every dim embeds the same two signals, each once; a dim's seeds may
+    # run at once, so the order of the calls is not fixed
+    assert Counter(embedded) == Counter(
+        (dim, id(sig)) for dim in (100, 300) for _, sig in drawn)
 
 
 def test_exponent_table_signs_and_regime():
@@ -130,13 +135,35 @@ def test_large_dims_gated(monkeypatch):
 
 
 def test_table2_signals_counted(monkeypatch):
-    """Table 2 holds each seed's 760,088-byte signal for the whole sweep."""
+    """Table 2 holds each seed's 760,088-byte signal for the whole sweep.
+    One worker runs one job at a time, so one embedding is counted."""
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 1 << 30)
     _spy_generators(monkeypatch)
     with pytest.raises(Built):
-        sweep("2-synthetic", dims=(100,), seeds=1000)
+        sweep("2-synthetic", dims=(100,), seeds=1000, workers=1)
     with _refused("table 2-synthetic at dimension 100", 1_520_603_808):
-        sweep("2-synthetic", dims=(100,), seeds=2000)
+        sweep("2-synthetic", dims=(100,), seeds=2000, workers=1)
+
+
+def test_jobs_in_flight_counted(monkeypatch):
+    """A one-block dim counts one matrix and analysis per job in flight,
+    min(workers, seeds); a multi-block dim counts one, whatever the
+    workers."""
+    # 8 * (86 * 10^4 + 5 * 10^4 + 6 * 86^2) bytes a table 1 job at 10^4
+    one = 7_635_008
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 3 * one)
+    _spy_generators(monkeypatch)
+    for workers, seeds in ((1, 5), (3, 5), (5, 3)):
+        with pytest.raises(Built):
+            sweep("1", dims=(10_000,), seeds=seeds, workers=workers)
+    with pytest.raises(ValidationError, match=(
+            f"^table 1 at dimension 10000 needs at least {4 * one:,} bytes")):
+        sweep("1", dims=(10_000,), seeds=5, workers=4)
+    # 425 x 10,520 is five blocks: one job at a time, about 12.8 MB
+    with pytest.raises(Built):
+        sweep("4", dims=(10_520,), seeds=5, workers=4)
+    with pytest.raises(ValidationError, match="^table 4 at dimension 1052 "):
+        sweep("4", dims=(10_520, 1052), seeds=5, workers=4)
 
 
 def test_dims_checked_before_any_matrix(monkeypatch):
@@ -168,3 +195,56 @@ def test_seeds_are_paired_across_dims():
     # single seed: min == max == mean
     for r in rows:
         assert r["abs_mean"] == r["abs_mean_min"] == r["abs_mean_max"]
+
+
+# -- concurrent (dim, seed) jobs -----------------------------------------------
+# A dim whose matrix is one column block runs its seeds as concurrent jobs,
+# each analyzing at one worker; a multi-block dim runs them one at a time.
+
+WORKER_CASES = {"1": (50, 11_700), "2-synthetic": (100,), "3": (1052, 2400),
+                "4": (300, 2400)}
+
+
+@pytest.mark.parametrize("table", list(WORKER_CASES))
+def test_sweep_rows_do_not_depend_on_workers(table):
+    """Rows are bit-identical at 1, 2 and 3 workers, for one-block dims and
+    multi-block dims (the second of tables 1, 3 and 4), with threads
+    switching every 10 microseconds."""
+    dims = WORKER_CASES[table]
+    assert [len(list(store.column_blocks(tables.TABLE_ROWS[table], d))) > 1
+            for d in dims] == [False, True][:len(dims)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rows = [repr(sweep(table, dims=dims, seeds=3, workers=w))
+                for w in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+def test_one_block_dims_run_seeds_concurrently(monkeypatch):
+    """Both seeds of the one-block dim are in flight at once, each at one
+    worker; the two-block dim's seeds run one at a time at two workers."""
+    analyze, lock = tables.analyze, threading.Lock()
+    in_flight, calls = [0], []
+    meet = threading.Barrier(2, timeout=30)
+
+    def spy(m, include_trivial, workers):
+        with lock:
+            in_flight[0] += 1
+            calls.append((m.n_cols, workers, in_flight[0]))
+        try:
+            if m.n_cols == 100:
+                meet.wait()  # BrokenBarrierError unless both seeds meet
+            return analyze(m, include_trivial, workers)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(tables, "analyze", spy)
+    sweep("1", dims=(100, 11_700), seeds=2, workers=2)
+    assert sorted((d, w) for d, w, _ in calls) == [(100, 1), (100, 1),
+                                                   (11_700, 2), (11_700, 2)]
+    assert max(n for d, _, n in calls if d == 100) == 2
+    assert max(n for d, _, n in calls if d == 11_700) == 1
