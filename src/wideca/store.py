@@ -28,6 +28,9 @@ indices and data, and only the column pointers are computed.
 
 Sparse storage is three numpy arrays (``CountMatrix.csc``); only the sparse
 analysis kernels' scipy view (``CountMatrix.sparse``) imports scipy.
+Validation and ``to_dense`` read either storage one column block at a time,
+and the triplet writer one chunk of columns, so none holds an array of one
+item per stored entry.
 """
 
 from __future__ import annotations
@@ -107,15 +110,9 @@ class CountMatrix:
     take the scipy view ``sparse``: the given matrix if its values were
     kept, or one built over the arrays, without a copy, on first use.
 
-    Validation keeps the row sums. For dense storage it is one marginal
-    pass over the column blocks (``_dense_marginals``), which keeps the
-    column sums for ``column_sums`` too; it runs on the default worker count
-    (``resolve_workers()``), since loaders take no worker count. Sparse
-    storage is checked block by block (``_check_csc``) and its columns are
-    summed on first use. Its row sums are the given matrix's
-    ``csc.sum(axis=1)`` when it is kept, else one ``np.bincount`` over the
-    stored entries, which adds each row's entries in stored order as
-    scipy's sum does, without importing scipy.
+    Validation (``_validate``) is one pass over the column blocks for either
+    storage; it checks a CSC block's arrays before it sums them, and keeps
+    the row and column sums.
     """
 
     def __init__(self, dense=None, sparse: sp.csc_matrix | None = None):
@@ -139,7 +136,6 @@ class CountMatrix:
         self.n_rows, self.n_cols = shape
         self._dense = dense
         self._csc = csc
-        self._col_sums: np.ndarray | None = None
         self._validate()
 
     # -- construction ------------------------------------------------------
@@ -197,37 +193,39 @@ class CountMatrix:
         m._init((n_rows, n_cols), None, csc)
         return m
 
-    def _validate(self) -> None:
+    def _validate(self, workers: int | None = None) -> None:
+        """One pass over the column blocks on ``ordered_block_map``: a block
+        writes its columns' sums and hands back its rows' entries, which the
+        calling thread adds to the row sums in block order (``np.add.at``).
+        So each row is summed in stored order, whatever ``workers`` (loaders
+        take the default): dense row sums of one block get the bits of
+        ``dense.sum(axis=1)``, sparse ones those of one ``np.bincount`` and
+        of scipy's ``sum(axis=1)``. Overflow and a NaN or infinite entry
+        are reported below, not as numpy warnings."""
         if self.n_rows <= 0 or self.n_cols <= 0:
             raise ValidationError("matrix dimensions must be positive")
-        # Overflow and a NaN or infinite entry are reported below, not as
-        # numpy warnings.
-        if self._dense is not None:
-            vals = self._dense
-            self._row_sums, self._col_sums, low = _dense_marginals(vals)
-        else:
-            indptr, indices, vals = self._csc
-            _check_csc(self.n_rows, self.n_cols, indptr, indices)
-            if self._sparse is not None:  # given: scipy's sum is faster
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self._row_sums = np.asarray(self._sparse.sum(axis=1)).ravel()
-            else:
-                self._row_sums = np.bincount(indices, weights=vals,
-                                             minlength=self.n_rows)
-            low = vals.min() if vals.size else 0.0
+        self._col_sums = np.empty(self.n_cols)
+        block = functools.partial(_csc_block if self.is_sparse else _dense_block,
+                                  self)
+        self._row_sums, low = np.zeros(self.n_rows), np.inf
         with np.errstate(over="ignore", invalid="ignore"):
+            for rows, values, part_low in ordered_block_map(
+                    block, column_blocks(self.n_rows, self.n_cols), workers):
+                np.add.at(self._row_sums, rows, values)
+                low = min(low, part_low)  # means something if all are finite
             total = self.grand_total
+        vals = self._dense if self._dense is not None else self._csc.data
         # A NaN or infinite entry makes its row sum non-finite, so the values
         # are scanned for one only when a row sum is.
         if not np.isfinite(self._row_sums).all() and not np.isfinite(vals).all():
             raise ValidationError("matrix contains NaN or infinite values")
         if low < 0:
             if self._dense is not None:
-                i, j = np.unravel_index(int(np.argmin(self._dense)), self._dense.shape)
+                i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
             else:
                 nz = int(np.argmin(vals))
-                i = int(indices[nz])
-                j = int(np.searchsorted(indptr, nz, side="right")) - 1
+                i = int(self._csc.indices[nz])
+                j = int(np.searchsorted(self._csc.indptr, nz, side="right")) - 1
             raise ValidationError(f"negative value at (row={i}, col={j})")
         if not np.isfinite(total):
             raise ValidationError("matrix totals overflow float64")
@@ -271,7 +269,7 @@ class CountMatrix:
             import scipy.sparse as sp  # deferred: only the sparse kernels need scipy
             view = sp.csc_matrix((data, indices, indptr),
                                  shape=(self.n_rows, self.n_cols), copy=False)
-            view.has_canonical_format = True  # checked by _check_csc
+            view.has_canonical_format = True  # checked by _csc_block
             self._sparse = view
         return self._sparse
 
@@ -283,12 +281,29 @@ class CountMatrix:
         return float(self._row_sums.sum())
 
     def to_dense(self) -> np.ndarray:
+        """Dense storage, or a copy of sparse storage filled block by block;
+        MemoryError, before it is allocated, when the copy would not fit."""
         if not self.is_sparse:
             return self._dense
-        indptr, indices, data = self._csc
+        check_memory(f"a dense copy of a {self.n_rows} x {self.n_cols} matrix",
+                     footprint(self.n_rows, self.n_cols), MemoryError)
         out = np.zeros((self.n_rows, self.n_cols))
-        out[indices, _csc_columns(indptr)] = data
+        for j0, j1 in column_blocks(self.n_rows, self.n_cols):
+            rows, cols, values = self._entries(j0, j1)
+            out[rows, cols] = values
         return out
+
+    def _entries(self, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the stored (sparse) or nonzero
+        (dense) entries of columns j0:j1, sorted by column then row."""
+        if self.is_sparse:
+            indptr, indices, data = self._csc
+            p0, p1 = indptr[j0], indptr[j1]
+            cols = np.repeat(np.arange(j0, j1), np.diff(indptr[j0:j1 + 1]))
+            return indices[p0:p1], cols, data[p0:p1]
+        cols, rows = np.nonzero(self._dense[:, j0:j1].T)  # column-major
+        cols += j0
+        return rows, cols, self._dense[rows, cols]
 
 
 _NOT_CANONICAL = "sparse storage must be a CSC matrix with sorted, unique row indices"
@@ -299,30 +314,6 @@ def _index_dtype(n_rows: int, n_cols: int, nnz: int) -> type:
     int32 while the shape and nnz fit it, else int64."""
     fits = max(n_rows, n_cols, nnz) <= np.iinfo(np.int32).max
     return np.int32 if fits else np.int64
-
-
-def _check_csc(n_rows: int, n_cols: int, indptr: np.ndarray,
-               indices: np.ndarray) -> None:
-    """Column pointers, then row order and range, of CSC arrays.
-
-    The pointers go first, over the whole matrix: the row-order check reads
-    the entries through them. Both run block by block on the column grid,
-    so no temporary exceeds one block; the arrays are only read.
-    """
-    blocks = list(column_blocks(n_rows, n_cols))
-    if any((np.diff(indptr[j0:j1 + 1]) < 0).any() for j0, j1 in blocks):
-        raise ValidationError("sparse column pointers must be non-decreasing")
-    for j0, j1 in blocks:
-        p0 = indptr[j0]
-        rows = indices[p0:indptr[j1]]
-        descent = rows[1:] <= rows[:-1]
-        # A column's first entry may be below the last entry before it.
-        firsts = indptr[j0 + 1:j1] - p0
-        descent[firsts[(firsts > 0) & (firsts < rows.size)] - 1] = False
-        if descent.any():
-            raise ValidationError(_NOT_CANONICAL)
-    if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
-        raise ValidationError(f"sparse row index out of range for {n_rows} rows")
 
 
 @dataclass(frozen=True)
@@ -347,26 +338,16 @@ class SignalSeries:
 # -- operations --------------------------------------------------------------
 
 def column_sums(m: CountMatrix) -> np.ndarray:
-    """Per-column totals; their sum equals the grand total.
+    """Per-column totals, kept by validation; they sum to the grand total.
 
     Both storage forms add each column's entries one at a time in row order:
     numpy sums a C-ordered array of two or more columns down its rows that
     way, and ``np.bincount`` adds the CSC entries in stored order. So sparse
     and dense storage of a matrix with two or more columns give the same
     sums bit for bit. (Dense storage of a single column is contiguous, and
-    numpy sums it pairwise.) Dense storage returns the sums its validation
-    took; sparse storage takes them on first use.
+    numpy sums it pairwise.)
     """
-    if m._col_sums is None:
-        indptr, _, data = m.csc
-        m._col_sums = np.bincount(_csc_columns(indptr), weights=data,
-                                  minlength=m.n_cols)
     return m._col_sums
-
-
-def _csc_columns(indptr: np.ndarray) -> np.ndarray:
-    """Column index of each stored entry of CSC storage."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def column_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
@@ -466,46 +447,44 @@ def one_blas_thread() -> Iterator[None]:
                 set_(_pin["saved"])
 
 
-def _dense_marginals(dense: np.ndarray, workers: int | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row sums, column sums and minimum of C-ordered dense storage, in one
-    pass over the column blocks on ``ordered_block_map``.
-
-    A block's column sums and minimum are taken chunk by chunk, each chunk
-    of at most ``_CHUNK_ELEMS`` cells read twice while it is in cache, and
-    its row sums over the whole block. Each column is summed down its rows as
-    ``dense.sum(axis=0)`` sums it, so the column sums have its bits; the
-    row sums merge the block partials in block order, so a matrix of one
-    block gets the bits of ``dense.sum(axis=1)``. None depends on
-    ``workers``. The minimum means something only when every value is
-    finite. Overflow and non-finite values raise no warning here.
-    """
-    n_rows, n_cols = dense.shape
-    col_sums = np.empty(n_cols)
-    step = max(1, _CHUNK_ELEMS // n_rows)
-
-    def block(j0: int, j1: int) -> tuple[np.ndarray, float]:
-        low = np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c0 in range(j0, j1, step):
-                c1 = min(c0 + step, j1)
-                chunk = dense[:, c0:c1]
-                if c1 - c0 == 1 and n_cols > 1:
-                    # numpy would sum one strided column pairwise, not in
-                    # row order as it sums two or more.
-                    col_sums[c0] = np.cumsum(chunk[:, 0])[-1]
-                else:
-                    np.sum(chunk, axis=0, out=col_sums[c0:c1])
-                low = min(low, chunk.min())
-            return dense[:, j0:j1].sum(axis=1), low
-
-    parts = ordered_block_map(block, column_blocks(n_rows, n_cols), workers)
-    row_sums, low = next(parts)
+def _dense_block(m: CountMatrix, j0: int, j1: int
+                 ) -> tuple[slice, np.ndarray, float]:
+    """Columns j0:j1 of dense storage: their sums, each summed down its rows
+    as ``dense.sum(axis=0)`` sums it, and minimum, by chunks of at most
+    ``_CHUNK_ELEMS`` cells read twice while in cache; and the block's sum of
+    every row (``slice(None)``)."""
+    dense, col_sums = m.dense, m._col_sums
+    step = max(1, _CHUNK_ELEMS // m.n_rows)
+    low = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for part, part_low in parts:
-            row_sums += part
-            low = min(low, part_low)
-    return row_sums, col_sums, low
+        for c0 in range(j0, j1, step):
+            c1 = min(c0 + step, j1)
+            chunk = dense[:, c0:c1]
+            if c1 - c0 == 1 and m.n_cols > 1:
+                # numpy would sum one strided column pairwise, not in row
+                # order as it sums two or more.
+                col_sums[c0] = np.cumsum(chunk[:, 0])[-1]
+            else:
+                np.sum(chunk, axis=0, out=col_sums[c0:c1])
+            low = min(low, chunk.min())
+        return slice(None), dense[:, j0:j1].sum(axis=1), low
+
+
+def _csc_block(m: CountMatrix, j0: int, j1: int
+               ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Columns j0:j1 of CSC storage, checked (non-decreasing pointers, rows
+    strictly increasing in each column and in [0, n_rows)): their sums, one
+    ``np.bincount``, and their entries' rows, values and minimum. No
+    temporary exceeds the block."""
+    if (np.diff(m._csc.indptr[j0:j1 + 1]) < 0).any():
+        raise ValidationError("sparse column pointers must be non-decreasing")
+    rows, cols, values = m._entries(j0, j1)
+    if ((rows[1:] <= rows[:-1]) & (cols[1:] == cols[:-1])).any():
+        raise ValidationError(_NOT_CANONICAL)
+    if rows.size and (rows.min() < 0 or rows.max() >= m.n_rows):
+        raise ValidationError(f"sparse row index out of range for {m.n_rows} rows")
+    m._col_sums[j0:j1] = np.bincount(cols - j0, weights=values, minlength=j1 - j0)
+    return rows, values, values.min() if values.size else np.inf
 
 
 def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
@@ -601,9 +580,8 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
 # The per-line rules live in the *_rule functions, which run only after the
 # vectorised read has failed, to name the first bad line (``_read_text``).
 
-# Values rendered by one ``_render``: every temporary of a chunk stays at
-# most 768 KiB, in cache, and small enough for malloc to reuse its memory
-# for the next chunk (65,536 values took half again as long).
+# Values rendered by one ``_render``: each working array of a chunk stays at
+# most 768 KiB, in cache (65,536 values took half again as long).
 _CHUNK_VALUES = 16_384
 _TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
                            ("value", np.float64)])
@@ -627,51 +605,54 @@ def load_matrix(path: str, fmt: str = DENSE_CSV) -> CountMatrix:
 
 def save_matrix(m: CountMatrix, path: str, fmt: str = DENSE_CSV) -> None:
     if fmt == DENSE_CSV:
+        flat = m.to_dense().reshape(-1)  # before the file is opened: it may not fit
         with open(path, "wb") as fh:
-            _write_values(fh, (m.to_dense().reshape(-1),),
-                          b"," * (m.n_cols - 1) + b"\n")
+            _write_values(fh, lambda k0, k1: (k0, (flat[k0:k1],)),
+                          b"," * (m.n_cols - 1) + b"\n",
+                          np.r_[0:flat.size:_CHUNK_VALUES, flat.size], _CHUNK_VALUES)
         return
     if fmt == TRIPLET:
-        if m.is_sparse:  # canonical CSC: already sorted by (col, row)
-            indptr, rows, vals = m.csc
-            cols = _csc_columns(indptr)
-        else:
-            cols, rows = np.nonzero(m.dense.T)  # column-major: sorted by (col, row)
-            vals = m.dense[rows, cols]
+        counts = np.diff(m.csc.indptr) if m.is_sparse else np.concatenate(
+            [np.count_nonzero(m.dense[:, j0:j1], axis=0)
+             for j0, j1 in column_blocks(m.n_rows, m.n_cols)])
+        # Chunks of columns: at most `per` entries, or one column, each.
+        ends, per = np.cumsum(counts), _CHUNK_VALUES // 3
+        cuts = np.r_[0, np.searchsorted(ends, np.arange(per, ends[-1], per),
+                                        side="right"), m.n_cols]
+        cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # np.unique imports numpy.ma
         with open(path, "wb") as fh:
-            fh.write(b"%%%d %d %d\n" % (m.n_rows, m.n_cols, rows.size))
-            _write_values(fh, (rows, cols, vals), b"  \n")
+            fh.write(b"%%%d %d %d\n" % (m.n_rows, m.n_cols, ends[-1]))
+            _write_values(fh, lambda c0, c1: (0, m._entries(c0, c1)), b"  \n",
+                          cuts, 3 * (per + int(counts.max())))
         return
     raise ValidationError(f"unknown matrix format {fmt!r}")
 
 
-def _write_values(fh, columns: tuple[np.ndarray, ...], line: bytes) -> None:
-    """Write entry i of each column in turn, for every i, the k-th value
-    written followed by the byte ``line[k % len(line)]``; ``len(line)`` is a
-    multiple of the number of columns.
+def _write_values(fh, read: Callable, line: bytes, bounds: np.ndarray,
+                  size: int) -> None:
+    """Write chunk (a, b) for each two successive ``bounds`` in turn.
+    ``read(a, b)`` gives its first value's index k0 and its columns, of
+    whole entries and at most ``size`` values in all: entry i of each column
+    in turn, for every i, the value k0 + k followed by
+    ``line[(k0 + k) % len(line)]``. The chunks are rendered on
+    ``ordered_block_map``, one ``_render`` each in a buffer no other chunk
+    uses meanwhile, and written in order: the bytes do not depend on the
+    worker count."""
+    seps = np.frombuffer(line * (size // len(line) + 2), dtype=np.uint8)
+    workers = resolve_workers()  # at most this many chunks render at once
+    free = [_RenderBuffers(size) for _ in range(workers)]
 
-    The values go in blocks of whole lines, as many as fit in
-    ``_CHUNK_VALUES`` (at least one), and each block in chunks of at most
-    ``_CHUNK_VALUES`` values, one ``_render`` each. So every chunk takes its
-    separators as one slice of the block's. The chunks are rendered on
-    ``ordered_block_map`` and written in chunk order, so the bytes do not
-    depend on the worker count.
-    """
-    width = len(columns)
-    n = width * columns[0].size
-    block = np.frombuffer(line * max(1, _CHUNK_VALUES // len(line)),
-                          dtype=np.uint8)
+    def render(a: int, b: int) -> bytes:
+        k0, columns = read(a, b)
+        buf = free.pop()  # list.pop and append are atomic
+        values = buf.floats[7, :len(columns) * columns[0].size]
+        np.stack(columns, axis=1, out=values.reshape(-1, len(columns)))
+        k0 %= len(line)
+        text = _render(values, seps[k0:k0 + values.size], buf)
+        free.append(buf)
+        return text
 
-    def render(k0: int, k1: int) -> bytes:
-        b0 = k0 - k0 % block.size
-        values = np.column_stack([c[k0 // width:k1 // width] for c in columns])
-        return _render(values.reshape(-1).astype(np.float64, copy=False),
-                       block[k0 - b0:k1 - b0])
-
-    chunks = [(k0, min(k0 + _CHUNK_VALUES, b0 + block.size, n))
-              for b0 in range(0, n, block.size)
-              for k0 in range(b0, min(b0 + block.size, n), _CHUNK_VALUES)]
-    for text in ordered_block_map(render, chunks):
+    for text in ordered_block_map(render, zip(bounds[:-1], bounds[1:]), workers):
         fh.write(text)
 
 
@@ -703,20 +684,30 @@ _EXPONENT = _LAYOUT.index(b"e")
 _FIELD = len(_LAYOUT)
 
 
-def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _veltkamp(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     """a = hi + lo, each half of a's 53-bit significand, so the products of
     halves in Dekker's TwoProduct are exact."""
-    c = a * 134217729.0  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
+    c = np.multiply(a, 134217729.0, out=lo)  # 2**27 + 1
+    np.subtract(c, np.subtract(c, a, out=hi), out=hi)
+    np.subtract(a, hi, out=lo)
+
+
+class _RenderBuffers:
+    """Working arrays of ``_render`` for up to ``n`` values (``floats[7]``
+    holds them), reused by the next chunk instead of fresh memory."""
+
+    def __init__(self, n: int):
+        self.floats = np.empty((8, n))
+        self.ints = np.empty((9, n), dtype=np.int64)
+        self.digits = np.empty((n, 5), dtype=np.uint32)
+        self.fields = np.empty((n, _FIELD), dtype=np.uint8)
+        self.keep = np.empty((n, _FIELD), dtype=bool)
 
 
 class _Tables(NamedTuple):
     """The lookup tables of ``_render``, read-only."""
 
-    pow10: np.ndarray        # 10**k for k = 0 to 22, exact in float64
-    pow10_hi: np.ndarray     # their Veltkamp halves
-    pow10_lo: np.ndarray
+    pow10: np.ndarray        # 10**k for k = 0 to 22 (exact), hi and lo halves
     group_ascii: np.ndarray  # per group of four digits: its ASCII, as uint32
     group_zeros: np.ndarray  # and its trailing zeros (4 for the group 0)
     masks: np.ndarray        # see _masks
@@ -726,12 +717,14 @@ class _Tables(NamedTuple):
 def _tables() -> _Tables:
     """Built on the first ``_render``, so that importing the module, and
     every command that writes no matrix, skips the work and the memory."""
-    pow10 = 10.0 ** np.arange(23)  # exact: 10**22 = 2**22 * 5**22, 5**22 < 2**53
+    pow10 = np.empty((3, 23))
+    pow10[0] = 10.0 ** np.arange(23)  # exact: 10**22 = 2**22 * 5**22, 5**22 < 2**53
+    _veltkamp(*pow10)
     groups = np.arange(10_000, dtype=np.int16)[:, None]
     places = 10 ** np.arange(3, -1, -1, dtype=np.int16)  # thousands to units
     ascii_digits = (groups // places % 10 + ord("0")).astype(np.uint8)
     zeros = (groups % (10 * places) == 0).sum(axis=1)
-    tables = _Tables(pow10, *_veltkamp(pow10),
+    tables = _Tables(pow10,
                      ascii_digits.view(np.uint32).ravel(),
                      zeros.astype(np.int8), _masks())
     for table in tables:
@@ -769,40 +762,51 @@ def _masks() -> np.ndarray:
     return masks.reshape(-1, _FIELD)
 
 
-def _scaled(a: np.ndarray, x: np.ndarray,
-            tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
+def _scaled(a: np.ndarray, x: np.ndarray, tables: _Tables,
+            buf: _RenderBuffers) -> tuple[np.ndarray, np.ndarray]:
     """D = a * 10**(16 - x) rounded half to even, exactly, for x in
-    [_X_MIN, _X_MAX]; and the step (-1, 0 or +1) that takes x toward the
-    exponent that puts the exact product in [10**16, 10**17)."""
-    k = 16 - x
-    a_hi, a_lo = _veltkamp(a)
-    b_hi, b_lo = tables.pow10_hi[k], tables.pow10_lo[k]
-    p = a * tables.pow10[k]
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    [_X_MIN, _X_MAX], and the step (-1, 0 or +1) that takes x toward the
+    exponent that puts the exact product in [10**16, 10**17), in ``buf``."""
+    a_hi, a_lo, p, b_hi, b_lo, e = buf.floats[1:7, :a.size]
+    k, d, step = buf.ints[1:4, :a.size]
+    np.subtract(16, x, out=k)
+    _veltkamp(a, a_hi, a_lo)
+    for table, out in zip(tables.pow10, (p, b_hi, b_lo)):
+        np.take(table, k, out=out, mode="clip")  # "raise" would buffer
+    p *= a
+    # e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    np.subtract(np.multiply(a_hi, b_hi, out=e), p, out=e)
+    e += np.multiply(a_hi, b_lo, out=a_hi)
+    e += np.multiply(a_lo, b_hi, out=b_hi)
+    e += np.multiply(a_lo, b_lo, out=b_lo)
     # In range, p >= 10**16 > 2**53 is an even integer, so adding e rounded
     # half to even rounds p + e half to even.
-    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    up = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    down = (p < 1e16) | ((p == 1e16) & (e < 0))
-    return d, up.astype(np.int64) - down
+    np.copyto(d, p, casting="unsafe")
+    np.copyto(step, np.rint(e, out=b_hi), casting="unsafe")
+    d += step
+    np.copyto(step, (p > 1e17) | ((p == 1e17) & (e >= 0)))  # up
+    step[(p < 1e16) | ((p == 1e16) & (e < 0))] = -1  # down
+    return d, step
 
 
-def _decimal(a: np.ndarray,
-             tables: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decimal(a: np.ndarray, tables: _Tables, buf: _RenderBuffers
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D, X, missed) for magnitudes a in [1e-6, 1e17): X = floor(log10 a)
     and D = a * 10**(16 - X) rounded half to even, a rounding up to 10**17
-    carried into X + 1. ``missed`` is True where X is not found in
-    [_X_MIN, _X_MAX] (the float nearest 1e-6 is below 10**-6)."""
-    x = np.floor(np.log10(a)).astype(np.int64)
+    carried into X + 1, both in ``buf``. ``missed`` is True where X is not
+    found in [_X_MIN, _X_MAX] (the float nearest 1e-6 is below 10**-6)."""
+    x, log = buf.ints[0, :a.size], buf.floats[1, :a.size]
+    np.copyto(x, np.floor(np.log10(a, out=log), out=log), casting="unsafe")
     np.clip(x, _X_MIN, _X_MAX, out=x)
-    d, step = _scaled(a, x, tables)
+    d, step = _scaled(a, x, tables, buf)
     redo = np.flatnonzero(step)
     for _ in range(2):  # log10 is off by at most one next to a power of ten
         if not redo.size:
             break
         x[redo] += step[redo]
         redo = redo[(x[redo] >= _X_MIN) & (x[redo] <= _X_MAX)]
-        d[redo], step[redo] = _scaled(a[redo], x[redo], tables)
+        d[redo], step[redo] = _scaled(a[redo], x[redo], tables,
+                                      _RenderBuffers(redo.size))
         redo = redo[step[redo] != 0]
     carry = d == 10**17
     d[carry] = 10**16
@@ -811,43 +815,51 @@ def _decimal(a: np.ndarray,
     return d, x, missed
 
 
-def _render(values: np.ndarray, seps: np.ndarray) -> bytes:
+def _divmod(a: np.ndarray, b: int, q: np.ndarray, r: np.ndarray) -> None:
+    """q, r = a // b, a % b for int64 a >= 0, four times as fast as np.divmod."""
+    np.floor_divide(a, b, out=q)
+    np.subtract(a, np.multiply(q, b, out=r), out=r)
+
+
+def _render(values: np.ndarray, seps: np.ndarray,
+            buf: _RenderBuffers | None = None) -> bytes:
     """Each float64 of ``values`` exactly as ``"%.17g" % v`` renders it,
-    followed by its separator byte from ``seps`` (uint8, one per value)."""
+    followed by its separator byte from ``seps`` (uint8, one per value);
+    the working arrays come from ``buf``, which holds that many values."""
     n = values.size
-    mag = np.abs(values)
-    fast = (mag >= 1e-6) & (mag < 1e17)
-    a = np.where(fast, mag, 1.0)
+    buf = buf or _RenderBuffers(n)
+    a = np.abs(values, out=buf.floats[0, :n])
+    fast = (a >= 1e-6) & (a < 1e17)
+    zero = a == 0.0
+    a[~fast] = 1.0
     tables = _tables()
-    d, x, missed = _decimal(a, tables)
-    zero = mag == 0.0
+    d, x, missed = _decimal(a, tables, buf)
     d[zero] = 0  # 17 zero digits, one significant, X = 0: "0"
-    x[zero] = 0
     slow = ~(fast | zero) | missed
-    x[slow] = 0  # any mask: the field is overwritten below
-    groups = np.empty((5, n), dtype=np.int64)
+    x[zero | slow] = 0  # a slow value's mask: any, its field is overwritten
+    rest, high = buf.ints[1, :n], buf.ints[3, :n]  # free after _decimal
+    groups = buf.ints[4:, :n]
     lead, g1, g2, g3, g4 = groups
-    np.floor_divide(d, 10**16, out=lead)
-    rest = d - lead * 10**16
-    high = rest // 10**8
-    low = rest - high * 10**8
-    np.floor_divide(high, 10**4, out=g1)
-    np.subtract(high, g1 * 10**4, out=g2)
-    np.floor_divide(low, 10**4, out=g3)
-    np.subtract(low, g3 * 10**4, out=g4)
+    _divmod(d, 10**16, lead, rest)
+    _divmod(rest, 10**8, high, d)  # d: the low eight digits
+    _divmod(high, 10**4, g1, g2)
+    _divmod(d, 10**4, g3, g4)
     # A zero group of D counts 4 plus the trailing zeros before it.
     zeros = tables.group_zeros[g1]
     for g in (g2, g3, g4):
         zeros = tables.group_zeros[g] + (g == 0) * zeros
-    digits = np.take(tables.group_ascii, groups.T).view(np.uint8)[:, 3:]
-
-    fields = np.empty((n, _FIELD), dtype=np.uint8)
+    digits = np.take(tables.group_ascii, groups.T, out=buf.digits[:n],
+                     mode="clip").view(np.uint8)[:, 3:]
+    fields = buf.fields[:n]
     fields.view(np.uint64)[:] = np.frombuffer(_LAYOUT, dtype=np.uint64)
     fields[:, _DIGITS:_DIGITS + 17] = digits
     fields[:, _FRACTION:_FRACTION + 17] = digits
     fields[:, -1] = seps
-    rows = ((x - _X_MIN) * 18 + 17 - zeros) * 2 + np.signbit(values)
-    keep = np.take(tables.masks, rows, axis=0)
+    rows = np.multiply(np.subtract(x, _X_MIN, out=x), 18, out=x)
+    rows += 17 - zeros
+    rows *= 2
+    rows += np.signbit(values)  # ((X - _X_MIN) * 18 + 17 - zeros) * 2 + sign
+    keep = np.take(tables.masks, rows, axis=0, out=buf.keep[:n], mode="clip")
     for i in np.flatnonzero(slow):
         text = b"%.17g" % values[i]
         fields[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
@@ -1043,4 +1055,5 @@ def _values_rule(kind: str, exc: ValueError, seen: bool | None, lineno: int,
 
 def save_signal(sig: SignalSeries, path: str) -> None:
     with open(path, "wb") as fh:
-        _write_values(fh, (sig.values,), b"\n")
+        _write_values(fh, lambda k0, k1: (k0, (sig.values[k0:k1],)), b"\n",
+                      np.r_[0:sig.length:_CHUNK_VALUES, sig.length], _CHUNK_VALUES)

@@ -339,6 +339,30 @@ def test_exit_code_not_enough_memory(tmp_path, monkeypatch, capsys, argv,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "sig.txt"]
 
 
+def test_dense_csv_of_sparse_storage_checked_against_memory(tmp_path, monkeypatch,
+                                                            capsys):
+    """The dense copy that dense-csv writes from sparse storage is refused
+    with one line before it is allocated and before the file is opened."""
+    import tracemalloc
+    from wideca import store
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 10_000_000)  # CSC: 3.5 MB
+    out = tmp_path / "p.csv"
+    tracemalloc.start()
+    try:
+        code = run("gen", "powerlaw", "--rows", 425, "--cols", 10_000,
+                   "--format", "dense-csv", "-o", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: not enough memory: a dense copy of a 425 x 10000 matrix needs "
+        "at least 34,000,000 bytes, more than the 10,000,000 bytes of "
+        "physical memory\n")
+    assert peak < 34_000_000 // 4
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_table2_synthetic(tmp_path):
     out = tmp_path / "t2.csv"
     assert run("reproduce", "--table", "2-synthetic", "--dims", "100,1000",

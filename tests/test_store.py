@@ -574,13 +574,152 @@ def test_marginal_pass_one_block_row_sums_bits(monkeypatch, rng):
 
 
 def test_marginal_pass_independent_of_workers(small_grid, rng):
-    from wideca.store import _dense_marginals
     dense = rng.random((12, 45)) * 10.0 ** rng.integers(-8, 8, (12, 45))
-    parts = [_dense_marginals(dense, workers) for workers in (1, 2, 3)]
-    for row_sums, col_sums, low in parts[1:]:
+    m = CountMatrix.from_dense(dense)
+    parts = []
+    for workers in (1, 2, 3):
+        m._validate(workers)
+        parts.append((m.row_sums(), column_sums(m)))
+    for row_sums, col_sums in parts[1:]:
         assert row_sums.tobytes() == parts[0][0].tobytes()
         assert col_sums.tobytes() == parts[0][1].tobytes()
-        assert low == parts[0][2] == dense.min()
+    dense[4, 31] = -1.0  # the block minima merge to the first minimum
+    for workers in (1, 2, 3):
+        with pytest.raises(ValidationError,
+                           match=r"^negative value at \(row=4, col=31\)$"):
+            m._validate(workers)
+
+
+# -- the marginal pass over sparse storage ------------------------------------------
+
+def _wide_range(rng, shape, density=0.4):
+    """Non-integer values over 16 decades, so the order of a sum shows in
+    its bits; about ``density`` of the cells are stored, (0, 0) always."""
+    dense = np.where(rng.random(shape) < density,
+                     rng.random(shape) * 10.0 ** rng.uniform(-8, 8, shape), 0.0)
+    dense[0, 0] = 1.0
+    return dense
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every 10 microseconds, so block passes interleave."""
+    import sys
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shape", [(12, 45), (30, 400)],
+                         ids=["5-blocks", "100-blocks"])
+@pytest.mark.parametrize("storage", ["built", "given"])
+def test_marginal_pass_sparse_bits(small_grid, fast_switching, rng, shape,
+                                   storage):
+    """Row sums have the bits of one whole-matrix np.bincount and of scipy's
+    sum(axis=1), column sums those of one np.bincount over every entry's
+    column, at any worker count."""
+    import scipy.sparse as sp
+    dense = _wide_range(rng, shape)
+    m = (_build("sparse", dense) if storage == "built"
+         else CountMatrix(sparse=sp.csc_matrix(dense)))
+    indptr, indices, data = m.csc
+    rows = np.bincount(indices, weights=data, minlength=shape[0]).tobytes()
+    assert rows == np.asarray(m.sparse.sum(axis=1)).ravel().tobytes()
+    cols = np.bincount(np.repeat(np.arange(shape[1]), np.diff(indptr)),
+                       weights=data, minlength=shape[1]).tobytes()
+    for workers in (1, 2, 3):
+        m._validate(workers)
+        assert m.row_sums().tobytes() == rows
+        assert column_sums(m).tobytes() == cols
+
+
+def _make_defect(kind, indptr, indices, data, j):
+    """Put one defect in column j of full CSC arrays (12 rows); its
+    message."""
+    p = indptr[j]
+    if kind == "decreasing-pointer":
+        indptr[j + 1] = p - 1
+        return "^sparse column pointers must be non-decreasing$"
+    if kind in ("unsorted", "duplicate"):
+        indices[p:p + 2] = [1, 0] if kind == "unsorted" else [0, 0]
+        return NOT_CANONICAL
+    if kind == "row-out-of-range":
+        indices[indptr[j + 1] - 1] = 12
+        return "^sparse row index out of range for 12 rows$"
+    data[p + 5] = {"nan": np.nan, "inf": np.inf, "negative": -0.5}[kind]
+    if kind == "negative":
+        return rf"^negative value at \(row=5, col={j}\)$"
+    return "^matrix contains NaN or infinite values$"
+
+
+@pytest.mark.parametrize("kind", [
+    "decreasing-pointer", "unsorted", "duplicate", "row-out-of-range", "nan",
+    "inf", "negative"])
+@pytest.mark.parametrize("j", [2, 22, 43], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("storage", ["built", "given"])
+def test_csc_defect_named_in_any_block(small_grid, kind, j, storage):
+    """Each defect keeps its message in the first, a middle and the last of
+    the five blocks of a 12 x 45 matrix."""
+    import scipy.sparse as sp
+    from wideca.store import CSC
+    indptr = np.arange(0, 12 * 46, 12, dtype=np.int32)
+    indices = np.tile(np.arange(12, dtype=np.int32), 45)
+    data = np.linspace(0.5, 1.5, indices.size)
+    message = _make_defect(kind, indptr, indices, data, j)
+    with pytest.raises(ValidationError, match=message):
+        if storage == "built":
+            CountMatrix._from_csc(12, 45, CSC(indptr, indices, data))
+        else:
+            CountMatrix(sparse=sp.csc_matrix((data, indices, indptr),
+                                             shape=(12, 45)))
+
+
+def test_sparse_passes_hold_no_array_of_every_entry(monkeypatch, tmp_path, rng):
+    """Column sums, validation, the triplet writer (of either storage) and
+    to_dense, beyond its output, allocate at most a block's entries and the
+    writer's chunk buffers, never an array with one item per stored entry."""
+    import tracemalloc
+    from wideca.store import _tables
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 4_000)  # 20 columns
+    monkeypatch.setattr("wideca.store._CHUNK_VALUES", 512)
+    monkeypatch.setattr("wideca.store.resolve_workers", lambda w=None: w or 1)
+    dense = np.where(rng.random((200, 2_500)) < 0.5, rng.random((200, 2_500)), 0.0)
+    m = _build("sparse", dense)
+    bound = 8 * m.nnz // 4  # a quarter of one int64 per entry: 0.5 MB
+    _tables()  # the renderer's lookup tables, built once per process
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: column_sums(m)) < bound
+    assert peak(m._validate) < bound
+    for storage in (m, CountMatrix.from_dense(dense)):
+        assert peak(lambda: save_matrix(storage, str(tmp_path / "m.tpl"),
+                                        TRIPLET)) < bound
+    assert peak(m.to_dense) - dense.nbytes < bound
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_triplet_writer_multi_block_bytes(small_grid, fast_switching, monkeypatch,
+                                          tmp_path, rng, workers):
+    """Triplet files of dense and sparse storage of one matrix of five
+    blocks, in chunks of 7 values whose render buffers the workers share,
+    are the per-value rendering."""
+    dense = _wide_range(rng, (12, 45))
+    monkeypatch.setattr("wideca.store._CHUNK_VALUES", 7)
+    monkeypatch.setattr("wideca.store.resolve_workers",
+                        lambda w=None, n=workers: n)
+    for storage in ("dense", "sparse"):
+        p = tmp_path / f"{storage}.tpl"
+        save_matrix(_build(storage, dense), str(p), TRIPLET)
+        assert p.read_bytes() == _reference_triplet(dense).encode(), storage
+    assert _build("sparse", dense).to_dense().tobytes() == dense.tobytes()
 
 
 def test_signal_roundtrip(tmp_path, rng):
