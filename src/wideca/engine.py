@@ -19,39 +19,44 @@ of columns. Row coordinates are F_a(i) = sqrt(lambda_a) u_a(i) / sqrt(f_i).
 
 Each pass is one block function over the fixed column-block grid. Dense
 storage lays the grid over its columns as they are; sparse storage lays it
-over its columns sorted by entry count (``_fill_order``, a stable sort made
-once per pass), so each block holds columns of like fill and takes one
-kernel for all of them. The mass-unit scales 1/sqrt(f_i) and 1/sqrt(f_j)
-are built once, by ``build_frequency_model``, and every reader in mass units
-takes them from the model; the W pass keeps its own count-unit scales,
-fixed once per pass. The W pass (``block_gram`` in ``decompose``) scales
-each block of K into a scratch buffer and returns its Gram matrix, formed by
-BLAS. A sparse block whose fill makes BLAS pay (``_dense_gram``) has its
-entries, already scaled, scattered into that buffer one slab of at most
-``_SLAB_ELEMS`` cells at a time; a lighter one sums the products of its
-columns' entry pairs with ``np.bincount`` (``_pair_gram``), which fills
-only the lower triangle ``eigh`` reads. The W pass imports no scipy. The
-projection pass (``map_projection_blocks``) folds the row scaling into the
-basis, so a block's projections come from one product that reads K where it
-is stored, and hands the standardized S = sqrt(f_j) G to the caller's
-reduction inside the same worker. A sparse block above
-``_DENSE_PROJECTION_FILL`` is scattered into slabs for BLAS; a lighter one
-takes scipy's sparse product when, over the whole pass, what that product
-saves on the light blocks pays for importing ``scipy.sparse``
-(``_scipy_pays``), and the BLAS slabs too otherwise. scipy's product needs
-sparse storage's scipy view (``CountMatrix.sparse``), taken in the calling
-thread before the pool starts, and only when scipy pays. Both passes run on
+over its columns sorted by entry count (``CountMatrix._fill_order``, a
+stable sort made once per pass), so each block holds columns of like fill
+and takes one kernel for all of them. A block reads storage only through
+``store``: ``_slabs`` hands it to BLAS in slabs, a dense block as one slab,
+a view of its storage, and a sparse block's entries
+(``CountMatrix._entries``) scattered into a scratch buffer one slab of at
+most ``_SLAB_ELEMS`` cells at a time. So each pass makes one choice per
+block: its slabs, or a sparse block's light kernel. The mass-unit scales
+1/sqrt(f_i) and 1/sqrt(f_j) are built once, by ``build_frequency_model``,
+and every reader in mass units takes them from the model; the W pass keeps
+its own count-unit scales, fixed once per pass. The W pass (``block_gram``
+in ``decompose``) scales each slab of K into the thread's scratch buffer, a
+sparse slab in place, and sums the slabs' Gram matrices, formed by BLAS. A
+sparse block whose fill does not make BLAS pay (``_dense_gram``) sums the
+products of its columns' entry pairs with ``np.bincount`` instead
+(``_pair_gram``), which fills only the lower triangle ``eigh`` reads. The W
+pass imports no scipy. The projection pass (``map_projection_blocks``)
+folds the row scaling into the basis, so a block's projections come from
+products that read K where it is stored, and hands the standardized
+S = sqrt(f_j) G to the caller's reduction inside the same worker. A sparse
+block at most ``_DENSE_PROJECTION_FILL`` full takes scipy's sparse product
+when, over the whole pass, what that product saves on the light blocks
+pays for importing ``scipy.sparse`` (``_scipy_pays``), and the BLAS slabs
+otherwise. scipy's product needs sparse storage's scipy view
+(``CountMatrix.sparse``), taken in the calling thread before the pool
+starts, and only when scipy pays. Both passes run on
 ``store.ordered_block_map``, with BLAS on one thread and by default one
 worker per usable CPU, at most 2 (``store.resolve_workers``); ``eigh`` runs
 on one BLAS thread too, so no output's bits depend on BLAS's thread
 setting. The calling thread and the pool share the blocks in ascending
 order, with no barrier between them, and the calling thread computes the
 next free block whenever the next result is not ready. Each thread has one
-scratch buffer per pass, reused by its next block: one block, or one slab
-for the sparse W pass, plus one slab for the sparse projection pass. Only
-small per-block partials leave a worker, and they are merged in block
-order: outputs do not depend on the worker count. Per-column contributions
-and chi-squared distances come from the contribution report.
+scratch buffer per pass, reused by its next block: a dense block, or a
+sparse slab, in the W pass; a block of S, plus a sparse slab, in the
+projection pass. Only small per-block partials leave a worker, and they are
+merged in block order: outputs do not depend on the worker count.
+Per-column contributions and chi-squared distances come from the
+contribution report.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); ``decompose`` refuses one whose analysis exceeds physical
@@ -230,29 +235,6 @@ def _scipy_pays(counts: np.ndarray, by_fill: np.ndarray, n_rows: int,
     return axes * saving >= _SCIPY_IMPORT_MADDS
 
 
-def _fill_order(m: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(entries per column, columns by ascending entry count) of sparse
-    storage; the stable sort keeps equal counts in column order."""
-    counts = np.diff(m.csc.indptr).astype(np.int64)
-    return counts, np.argsort(counts, kind="stable")
-
-
-def _entries(indptr: np.ndarray, cols: np.ndarray,
-             counts: np.ndarray) -> np.ndarray:
-    """Storage positions of the entries of CSC columns ``cols``, column by
-    column; ``counts`` holds those columns' entry counts."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) + np.repeat(indptr[cols] - starts, counts)
-
-
-def _scatter(buf: np.ndarray, rows: np.ndarray, values: np.ndarray,
-             counts: np.ndarray) -> None:
-    """Zero ``buf`` and write ``values``, held column by column with
-    ``counts`` entries per column, at their ``rows``."""
-    buf.fill(0.0)
-    buf[rows, np.repeat(np.arange(counts.size), counts)] = values
-
-
 def _pair_gram(rows: np.ndarray, values: np.ndarray, counts: np.ndarray,
                n_rows: int) -> np.ndarray:
     """Lower triangle of the Gram matrix of sparse columns, zeros above it,
@@ -313,6 +295,26 @@ class _Scratch(threading.local):
         return self.buf[:size].reshape(shape)
 
 
+def _slabs(m: CountMatrix, cols: slice | np.ndarray, scratch: _Scratch
+           ) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+    """Yield (s0, c, slab): the block of columns ``cols`` as BLAS operands
+    of shape (n_rows, c's width), whose first column is the block's s0-th.
+    A dense block is one slab, a view of its storage. A sparse block's
+    entries are scattered into the ``scratch`` buffer, zeroed, one slab of
+    at most ``_SLAB_ELEMS`` cells at a time."""
+    if not m.is_sparse:
+        yield 0, cols, m.dense[:, cols]
+        return
+    step = max(1, _SLAB_ELEMS // m.n_rows)
+    for s0 in range(0, cols.size, step):
+        c = cols[s0:s0 + step]
+        rows, values, counts = m._entries(c)
+        slab = scratch.take((m.n_rows, c.size))
+        slab.fill(0.0)
+        slab[rows, np.repeat(np.arange(c.size), counts)] = values
+        yield s0, c, slab
+
+
 def decompose(fm: FrequencyModel, include_trivial: bool = True,
               workers: int | None = None) -> FactorDecomposition:
     """Eigendecompose the dual-space operator and build row projections.
@@ -329,42 +331,31 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
     inv_sqrt_kj = np.sqrt(_inv_pos(column_sums(m)))
     scratch = _Scratch()
-    slab = max(1, _SLAB_ELEMS // m.n_rows)
     if m.is_sparse:
-        indptr, indices, data = m.csc
-        counts, by_fill = _fill_order(m)
-
-    def scaled_entries(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, values of B) of the entries of sparse columns ``cols``,
-        column by column, each scaled in the dense path's order."""
-        n = counts[cols]
-        pos = _entries(indptr, cols, n)
-        rows = indices[pos]
-        return rows, data[pos] * inv_sqrt_ki[rows] * np.repeat(inv_sqrt_kj[cols], n)
+        counts, by_fill = m._fill_order()
 
     def block_gram(j0: int, j1: int) -> np.ndarray:
         """Gram matrix of one block of columns of B = diag(1/sqrt(k_i)) K
         diag(1/sqrt(k_j)); in count units W = B B^T exactly. A dense block
-        is columns [j0, j1), scaled into the thread's scratch buffer. A
-        sparse block is positions [j0, j1) of the fill order, its entries
-        scaled in the dense path's order, so each has its bits. If
-        ``_dense_gram`` accepts it, they are scattered into that buffer one
-        slab of ``_SLAB_ELEMS`` cells at a time and the slab Grams are summed
-        in slab order; otherwise ``_pair_gram`` sums their pair products."""
-        if not m.is_sparse:
-            buf = scratch.take((m.n_rows, j1 - j0))
-            np.multiply(m.dense[:, j0:j1], inv_sqrt_ki[:, None], out=buf)
-            np.multiply(buf, inv_sqrt_kj[None, j0:j1], out=buf)
-            return buf @ buf.T
-        cols = by_fill[j0:j1]
-        if not _dense_gram(counts[cols], m.n_rows):
-            return _pair_gram(*scaled_entries(cols), counts[cols], m.n_rows)
-        gram = np.zeros((m.n_rows, m.n_rows))
-        for s0 in range(0, cols.size, slab):
-            c = cols[s0:s0 + slab]
-            buf = scratch.take((m.n_rows, c.size))
-            _scatter(buf, *scaled_entries(c), counts[c])
-            gram += buf @ buf.T
+        is columns [j0, j1), a sparse block positions [j0, j1) of the fill
+        order. Unless the block is sparse and ``_dense_gram`` refuses it,
+        each of its slabs is scaled into the thread's scratch buffer (a
+        sparse slab already is that buffer) and the slab Grams are summed
+        in slab order; otherwise ``_pair_gram`` sums the pair products of
+        its entries, scaled in the slabs' order. Either way each entry of B
+        has the same bits."""
+        cols = by_fill[j0:j1] if m.is_sparse else slice(j0, j1)
+        if m.is_sparse and not _dense_gram(counts[cols], m.n_rows):
+            rows, values, n = m._entries(cols)
+            return _pair_gram(rows, values * inv_sqrt_ki[rows]
+                              * np.repeat(inv_sqrt_kj[cols], n), n, m.n_rows)
+        gram = None  # a one-slab block returns its slab's Gram
+        for _, c, slab in _slabs(m, cols, scratch):
+            buf = scratch.take(slab.shape)
+            np.multiply(slab, inv_sqrt_ki[:, None], out=buf)
+            np.multiply(buf, inv_sqrt_kj[None, c], out=buf)
+            part = buf @ buf.T
+            gram = part if gram is None else np.add(gram, part, out=gram)
         return gram
 
     W = np.zeros((m.n_rows, m.n_rows))
@@ -453,31 +444,21 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     # is, and its transpose is the BLAS operand Ub.
     UbT = fd.basis * fm.row_scale[:, None] / fm.grand_total
     scratch, slab_scratch = _Scratch(), _Scratch()
-    slab = max(1, _SLAB_ELEMS // m.n_rows)
+    sparse = None
     if m.is_sparse:
-        indptr, indices, data = m.csc
-        counts, by_fill = _fill_order(m)
+        counts, by_fill = m._fill_order()
         # built in the calling thread, and only when scipy's product pays
-        sparse = m.sparse if _scipy_pays(counts, by_fill, m.n_rows,
-                                         UbT.shape[1]) else None
+        if _scipy_pays(counts, by_fill, m.n_rows, UbT.shape[1]):
+            sparse = m.sparse
 
     def block(j0: int, j1: int):
-        if not m.is_sparse:
-            cols = slice(j0, j1)
-            S = np.matmul(UbT.T, m.dense[:, cols],
-                          out=scratch.take((UbT.shape[1], j1 - j0)))
+        cols = by_fill[j0:j1] if m.is_sparse else slice(j0, j1)
+        if sparse is not None and not _dense_projection(counts[cols], m.n_rows):
+            S = (sparse[:, cols].T @ UbT).T
         else:
-            cols = by_fill[j0:j1]
-            if sparse is None or _dense_projection(counts[cols], m.n_rows):
-                S = scratch.take((UbT.shape[1], cols.size))
-                for s0 in range(0, cols.size, slab):
-                    c = cols[s0:s0 + slab]
-                    pos = _entries(indptr, c, counts[c])
-                    buf = slab_scratch.take((m.n_rows, c.size))
-                    _scatter(buf, indices[pos], data[pos], counts[c])
-                    np.matmul(UbT.T, buf, out=S[:, s0:s0 + c.size])
-            else:
-                S = (sparse[:, cols].T @ UbT).T
+            S = scratch.take((UbT.shape[1], j1 - j0))
+            for s0, _, slab in _slabs(m, cols, slab_scratch):
+                np.matmul(UbT.T, slab, out=S[:, s0:s0 + slab.shape[1]])
         np.multiply(S, fm.col_scale[None, cols], out=S)
         return reduce(cols, S)
 

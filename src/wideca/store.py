@@ -26,11 +26,14 @@ that passes its checks (in range, sorted by column then row, no
 duplicates) already is CSC storage: its rows and values become the row
 indices and data, and only the column pointers are computed.
 
-Sparse storage is three numpy arrays (``CountMatrix.csc``); only the sparse
-analysis kernels' scipy view (``CountMatrix.sparse``) imports scipy.
-Validation and ``to_dense`` read either storage one column block at a time,
-and the triplet writer one chunk of columns, so none holds an array of one
-item per stored entry.
+Sparse storage is three numpy arrays (``CountMatrix.csc``); only scipy's
+sparse product in the projection pass takes the scipy view
+(``CountMatrix.sparse``), which imports scipy. Everything else reads the
+columns of either storage through one reader, ``CountMatrix._entries``:
+the rows and values of some columns' entries, column by column, and each
+column's entry count. Validation and ``to_dense`` read one column block at
+a time, the triplet writer one chunk of columns and the analysis passes
+one block or slab, so none holds an array of one item per stored entry.
 """
 
 from __future__ import annotations
@@ -58,10 +61,6 @@ FORMATS = (DENSE_CSV, TRIPLET)
 # Column blocks are sized so one dense block stays around 8 MB of float64;
 # a matrix of at most this many cells is one block.
 _BLOCK_ELEMS = 1_000_000
-# The marginal pass over dense storage takes column sums and the minimum
-# over chunks of at most this many cells (2 MB of float64), which stay in
-# cache between the two reads.
-_CHUNK_ELEMS = 1 << 18
 # A block pass with w workers starts block k only while k < (blocks
 # consumed) + _LOOKAHEAD_PER_WORKER * w.
 _LOOKAHEAD_PER_WORKER = 2
@@ -105,10 +104,12 @@ class CountMatrix:
     Given values are copied only to make them float64, and dense ones a 2-D
     C-ordered array. Sparse storage is given as a scipy CSC matrix
     (``sparse=``), whose arrays are kept, or built by this module from its
-    arrays (``_from_csc``, for the generators and the triplet loader). The
-    arrays (``csc``) serve everything but the sparse analysis kernels, which
-    take the scipy view ``sparse``: the given matrix if its values were
-    kept, or one built over the arrays, without a copy, on first use.
+    arrays (``_from_csc``, for the generators and the triplet loader).
+    Columns of either storage are read through ``_entries``, for a column
+    range or an array of columns, and sparse columns are ordered by entry
+    count by ``_fill_order``; only scipy's sparse product takes the scipy
+    view ``sparse``: the given matrix if its values were kept, or one built
+    over the arrays, without a copy, on first use.
 
     Validation (``_validate``) is one pass over the column blocks for either
     storage; it checks a CSC block's arrays before it sums them, and keeps
@@ -289,21 +290,38 @@ class CountMatrix:
                      footprint(self.n_rows, self.n_cols), MemoryError)
         out = np.zeros((self.n_rows, self.n_cols))
         for j0, j1 in column_blocks(self.n_rows, self.n_cols):
-            rows, cols, values = self._entries(j0, j1)
-            out[rows, cols] = values
+            rows, values, counts = self._entries(slice(j0, j1))
+            out[rows, j0 + np.repeat(np.arange(j1 - j0), counts)] = values
         return out
 
-    def _entries(self, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of the stored (sparse) or nonzero
-        (dense) entries of columns j0:j1, sorted by column then row."""
-        if self.is_sparse:
-            indptr, indices, data = self._csc
-            p0, p1 = indptr[j0], indptr[j1]
-            cols = np.repeat(np.arange(j0, j1), np.diff(indptr[j0:j1 + 1]))
-            return indices[p0:p1], cols, data[p0:p1]
-        cols, rows = np.nonzero(self._dense[:, j0:j1].T)  # column-major
-        cols += j0
-        return rows, cols, self._dense[rows, cols]
+    def _entries(self, cols: slice | np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows and values of the stored (sparse) or nonzero (dense) entries
+        of columns ``cols``, a range ``slice(j0, j1)`` or an array of column
+        indices, column by column with rows ascending, and each column's
+        entry count. For a range of sparse storage the rows and values are
+        views of the stored arrays, and the counts are the differences of
+        its column pointers as they are, unchecked."""
+        if not self.is_sparse:
+            block = self._dense[:, cols]
+            where, rows = np.nonzero(block.T)  # column-major
+            return (rows, block[rows, where],
+                    np.bincount(where, minlength=block.shape[1]))
+        indptr, indices, data = self._csc
+        if isinstance(cols, slice):
+            p0, p1 = indptr[cols.start], indptr[cols.stop]
+            return (indices[p0:p1], data[p0:p1],
+                    np.diff(indptr[cols.start:cols.stop + 1]))
+        counts = (indptr[cols + 1] - indptr[cols]).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        pos = np.arange(int(counts.sum())) + np.repeat(indptr[cols] - starts, counts)
+        return indices[pos], data[pos], counts
+
+    def _fill_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(entries per column, columns by ascending entry count) of sparse
+        storage; the stable sort keeps equal counts in column order."""
+        counts = np.diff(self._csc.indptr).astype(np.int64)
+        return counts, np.argsort(counts, kind="stable")
 
 
 _NOT_CANONICAL = "sparse storage must be a CSC matrix with sorted, unique row indices"
@@ -450,24 +468,17 @@ def one_blas_thread() -> Iterator[None]:
 def _dense_block(m: CountMatrix, j0: int, j1: int
                  ) -> tuple[slice, np.ndarray, float]:
     """Columns j0:j1 of dense storage: their sums, each summed down its rows
-    as ``dense.sum(axis=0)`` sums it, and minimum, by chunks of at most
-    ``_CHUNK_ELEMS`` cells read twice while in cache; and the block's sum of
+    as ``dense.sum(axis=0)`` sums it, and minimum; and the block's sum of
     every row (``slice(None)``)."""
-    dense, col_sums = m.dense, m._col_sums
-    step = max(1, _CHUNK_ELEMS // m.n_rows)
-    low = np.inf
+    block = m.dense[:, j0:j1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for c0 in range(j0, j1, step):
-            c1 = min(c0 + step, j1)
-            chunk = dense[:, c0:c1]
-            if c1 - c0 == 1 and m.n_cols > 1:
-                # numpy would sum one strided column pairwise, not in row
-                # order as it sums two or more.
-                col_sums[c0] = np.cumsum(chunk[:, 0])[-1]
-            else:
-                np.sum(chunk, axis=0, out=col_sums[c0:c1])
-            low = min(low, chunk.min())
-        return slice(None), dense[:, j0:j1].sum(axis=1), low
+        if j1 - j0 == 1 and m.n_cols > 1:
+            # numpy would sum one strided column pairwise, not in row order
+            # as it sums two or more.
+            m._col_sums[j0] = np.cumsum(block[:, 0])[-1]
+        else:
+            np.sum(block, axis=0, out=m._col_sums[j0:j1])
+        return slice(None), block.sum(axis=1), block.min()
 
 
 def _csc_block(m: CountMatrix, j0: int, j1: int
@@ -476,14 +487,15 @@ def _csc_block(m: CountMatrix, j0: int, j1: int
     strictly increasing in each column and in [0, n_rows)): their sums, one
     ``np.bincount``, and their entries' rows, values and minimum. No
     temporary exceeds the block."""
-    if (np.diff(m._csc.indptr[j0:j1 + 1]) < 0).any():
+    rows, values, counts = m._entries(slice(j0, j1))
+    if (counts < 0).any():
         raise ValidationError("sparse column pointers must be non-decreasing")
-    rows, cols, values = m._entries(j0, j1)
+    cols = np.repeat(np.arange(j1 - j0), counts)
     if ((rows[1:] <= rows[:-1]) & (cols[1:] == cols[:-1])).any():
         raise ValidationError(_NOT_CANONICAL)
     if rows.size and (rows.min() < 0 or rows.max() >= m.n_rows):
         raise ValidationError(f"sparse row index out of range for {m.n_rows} rows")
-    m._col_sums[j0:j1] = np.bincount(cols - j0, weights=values, minlength=j1 - j0)
+    m._col_sums[j0:j1] = np.bincount(cols, weights=values, minlength=j1 - j0)
     return rows, values, values.min() if values.size else np.inf
 
 
@@ -620,10 +632,14 @@ def save_matrix(m: CountMatrix, path: str, fmt: str = DENSE_CSV) -> None:
         cuts = np.r_[0, np.searchsorted(ends, np.arange(per, ends[-1], per),
                                         side="right"), m.n_cols]
         cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # np.unique imports numpy.ma
+
+        def triplets(c0: int, c1: int) -> tuple[int, tuple[np.ndarray, ...]]:
+            rows, values, n = m._entries(slice(c0, c1))
+            return 0, (rows, c0 + np.repeat(np.arange(c1 - c0), n), values)
         with open(path, "wb") as fh:
             fh.write(b"%%%d %d %d\n" % (m.n_rows, m.n_cols, ends[-1]))
-            _write_values(fh, lambda c0, c1: (0, m._entries(c0, c1)), b"  \n",
-                          cuts, 3 * (per + int(counts.max())))
+            _write_values(fh, triplets, b"  \n", cuts,
+                          3 * (per + int(counts.max())))
         return
     raise ValidationError(f"unknown matrix format {fmt!r}")
 

@@ -577,23 +577,68 @@ def test_pair_gram_is_the_dense_gram(rng, monkeypatch, slab_elems):
     whose sums are exact, and within the two summations' error bound,
     2 (columns) eps relative, once scaled. A tiny pair buffer flushes often
     and grows for a full column."""
-    from wideca.engine import _entries, _fill_order, _pair_gram
+    from wideca.engine import _pair_gram
     monkeypatch.setattr("wideca.engine._SLAB_ELEMS", slab_elems)
     ms, md = _sparse_and_dense(rng, "mixed")
-    indptr, indices, data = ms.csc
-    counts, by_fill = _fill_order(ms)
+    _, by_fill = ms._fill_order()
     scale = rng.random(ms.n_rows) + 0.5
     for cols in (by_fill[:40], by_fill[:1_500], by_fill[-400:], by_fill[::7]):
-        pos = _entries(indptr, cols, counts[cols])
-        rows = indices[pos]
+        rows, values, counts = ms._entries(cols)
         for s, rtol in ((np.ones(ms.n_rows), 0.0),
                         (scale, 2 * cols.size * np.finfo(float).eps)):
-            gram = _pair_gram(rows, data[pos] * s[rows], counts[cols],
-                              ms.n_rows)
+            gram = _pair_gram(rows, values * s[rows], counts, ms.n_rows)
             B = md.dense[:, cols] * s[:, None]
             assert (np.triu(gram, 1) == 0).all()
             np.testing.assert_allclose(gram, np.tril(B @ B.T), rtol=rtol,
                                        atol=0)
+
+
+def test_slabs_are_the_dense_columns(rng, monkeypatch):
+    """A sparse block comes from ``_slabs`` as slabs of at most
+    ``_SLAB_ELEMS`` cells, in order, each with the bits of the dense
+    columns it covers; a dense block is one slab, a view of its storage."""
+    from wideca.engine import _Scratch, _slabs
+    monkeypatch.setattr("wideca.engine._SLAB_ELEMS", 600)  # 10 columns
+    ms, md = _sparse_and_dense(rng, "mixed")
+    K = md.dense
+    _, by_fill = ms._fill_order()
+    scratch = _Scratch()
+    for cols in (by_fill[:95], by_fill[-7:], by_fill[::-3][:33]):
+        seen = 0
+        for s0, c, slab in _slabs(ms, cols, scratch):
+            assert s0 == seen and 1 <= c.size <= 10
+            assert c.tolist() == cols[s0:s0 + c.size].tolist()
+            assert slab.tobytes() == K[:, c].tobytes()
+            seen += c.size
+        assert seen == cols.size
+    (s0, c, slab), = _slabs(md, slice(5, 1_500), scratch)
+    assert s0 == 0 and c == slice(5, 1_500)
+    assert np.shares_memory(slab, K) and (slab == K[:, 5:1_500]).all()
+
+
+def test_sparse_passes_read_storage_only_through_the_reader(rng, monkeypatch):
+    """With scipy's product off, ``decompose`` and ``concentration_report``
+    of sparse storage read it through ``CountMatrix._entries`` and
+    ``_fill_order`` alone: once the matrix is validated, its CSC arrays'
+    accessor may raise and no output bit changes."""
+    import wideca.engine as engine
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    monkeypatch.setattr(engine, "_scipy_pays", lambda *args: False)
+    ms, _ = _sparse_and_dense(rng, "mixed")
+    fm = build_frequency_model(ms)
+    fd = decompose(fm, workers=2)
+    ref = concentration_report(fm, fd, workers=2)
+
+    def blocked(self):
+        raise AssertionError("a pass read the CSC arrays")
+    monkeypatch.setattr(CountMatrix, "csc", property(blocked))
+    got = decompose(fm, workers=2)
+    rep = concentration_report(fm, got, workers=2)
+    for name in ("eigenvalues", "row_projections", "basis"):
+        assert getattr(got, name).tobytes() == getattr(fd, name).tobytes()
+    assert rep.to_dict() == ref.to_dict()
+    for name in REPORT_ARRAYS:
+        assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -512,15 +512,48 @@ def test_column_sums_sparse_dense_bit_identical(rng, shape, density):
     assert column_sums(ms).tobytes() == column_sums(md).tobytes()
 
 
+# -- the column reader ------------------------------------------------------------
+
+@pytest.mark.parametrize("storage", ["dense", "built", "given"])
+def test_reader_gives_the_columns_entries(rng, storage):
+    """``CountMatrix._entries`` gives the nonzero entries of
+    ``to_dense()[:, cols]`` column by column, rows ascending, and each
+    column's count, for a range and for arrays of columns (fill-ordered,
+    reversed, with empty columns); a range of sparse storage reads views
+    of the stored arrays, whose ``_fill_order`` is the stable sort of its
+    counts."""
+    import scipy.sparse as sp
+    dense = _wide_range(rng, (12, 45), density=0.3)
+    dense[:, [3, 20, 44]] = 0.0
+    m = {"dense": lambda: CountMatrix.from_dense(dense),
+         "built": lambda: _build("sparse", dense),
+         "given": lambda: CountMatrix(sparse=sp.csc_matrix(dense))}[storage]()
+    counts = np.count_nonzero(dense, axis=0)
+    by_fill = np.argsort(counts, kind="stable")
+    for cols in (slice(0, 45), slice(10, 21), by_fill, by_fill[::-1],
+                 np.array([20, 3, 7, 44]), np.array([], dtype=np.int64)):
+        rows, values, n = m._entries(cols)
+        block = m.to_dense()[:, cols]
+        where, expected = np.nonzero(block.T)
+        assert n.tolist() == np.count_nonzero(block, axis=0).tolist()
+        assert rows.tolist() == expected.tolist()
+        assert values.tobytes() == block[expected, where].tobytes()
+    if storage != "dense":
+        rows, values, _ = m._entries(slice(10, 21))
+        assert np.shares_memory(rows, m.csc.indices)
+        assert np.shares_memory(values, m.csc.data)
+        fill_counts, order = m._fill_order()
+        assert fill_counts.tolist() == counts.tolist()
+        assert order.tolist() == by_fill.tolist()
+
+
 # -- the marginal pass over dense storage ----------------------------------------
 
 @pytest.fixture
 def small_grid(monkeypatch):
-    """10 columns per block at 12 rows, 3 per chunk: chunks of 3, 3, 3 and
-    1. From 8 rows up numpy sums one strided column pairwise, not in row
-    order."""
+    """10 columns per block at 12 rows. From 8 rows up numpy sums one
+    strided column pairwise, not in row order."""
     monkeypatch.setattr("wideca.store._BLOCK_ELEMS", 120)
-    monkeypatch.setattr("wideca.store._CHUNK_ELEMS", 36)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -565,8 +598,7 @@ def test_marginal_pass_column_sums_bits(small_grid, rng, shape):
     assert column_sums(m).tobytes() == dense.sum(axis=0).tobytes()
 
 
-def test_marginal_pass_one_block_row_sums_bits(monkeypatch, rng):
-    monkeypatch.setattr("wideca.store._CHUNK_ELEMS", 300)  # 10 per chunk
+def test_marginal_pass_one_block_row_sums_bits(rng):
     dense = rng.random((30, 995))
     m = CountMatrix.from_dense(dense)
     assert m.row_sums().tobytes() == dense.sum(axis=1).tobytes()
