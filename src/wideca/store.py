@@ -20,11 +20,11 @@ Loaders read UTF-8 text through ``_read_text``: one ``np.loadtxt`` call,
 and on any ValueError the one line scanner, which reads the text again and
 hands each line to the format's line rule, so that the ``ParseError``
 names the first bad line, one with a byte that is not UTF-8 included. A
-triplet header is checked, against physical memory too (a MemoryError),
-before the body is read, and nothing is allocated from its ``nnz``. A body
-that passes its checks (in range, sorted by column then row, no
-duplicates) already is CSC storage: its rows and values become the row
-indices and data, and only the column pointers are computed.
+triplet header is checked, against physical memory too (a MemoryError,
+counting the storage and the parsed body), before the body is read, and
+nothing is allocated from its ``nnz``. Triplets sorted by column then row,
+from the loader or ``CountMatrix.from_triplets``, become CSC arrays through
+one function that checks them once, ``_sorted_triplets_csc``.
 
 Sparse storage is three numpy arrays (``CountMatrix.csc``); only scipy's
 sparse product in the projection pass takes the scipy view
@@ -104,7 +104,7 @@ class CountMatrix:
     Given values are copied only to make them float64, and dense ones a 2-D
     C-ordered array. Sparse storage is given as a scipy CSC matrix
     (``sparse=``), whose arrays are kept, or built by this module from its
-    arrays (``_from_csc``, for the generators and the triplet loader).
+    arrays (``_from_csc``, for the generators and ``_sorted_triplets_csc``).
     Columns of either storage are read through ``_entries``, for a column
     range or an array of columns, and sparse columns are ordered by entry
     count by ``_fill_order``; only scipy's sparse product takes the scipy
@@ -147,6 +147,9 @@ class CountMatrix:
 
     @classmethod
     def from_triplets(cls, n_rows: int, n_cols: int, rows, cols, values) -> "CountMatrix":
+        """Sparse storage of the entries ``values`` at (``rows``, ``cols``),
+        in any order; ValidationError for arrays of unequal length, a
+        dimension below 1, an index out of range or a repeated entry."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -154,36 +157,9 @@ class CountMatrix:
             raise ValidationError("triplet arrays must have identical length")
         if n_rows <= 0 or n_cols <= 0:
             raise ValidationError("matrix dimensions must be positive")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_rows:
-                raise ValidationError("triplet row index out of range")
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValidationError("triplet column index out of range")
         order = np.lexsort((rows, cols))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size > 1:
-            dup = (np.diff(cols) == 0) & (np.diff(rows) == 0)
-            if dup.any():
-                j = int(np.flatnonzero(dup)[0])
-                raise ValidationError(
-                    f"duplicate triplet for (row={rows[j]}, col={cols[j]})")
-        return cls._from_sorted_triplets(n_rows, n_cols, rows, cols, values)
-
-    @classmethod
-    def _from_sorted_triplets(cls, n_rows: int, n_cols: int, rows: np.ndarray,
-                              cols: np.ndarray, values: np.ndarray) -> "CountMatrix":
-        """CSC storage of in-range triplets sorted by column then row, with
-        no duplicates: the arrays are the CSC row indices and data as they
-        are, and column j's entries start at the first index with col >= j."""
-        dtype = _index_dtype(n_rows, n_cols, rows.size)
-        # Each stored column's first position, repeated over the columns up
-        # to it; the empty columns after the last stored one point at nnz.
-        # Only the result is n_cols + 1 long.
-        first = np.flatnonzero(np.diff(cols, prepend=-1))
-        indptr = np.repeat(np.r_[first, rows.size].astype(dtype),
-                           np.diff(np.r_[-1, cols[first], n_cols]))
-        return cls._from_csc(n_rows, n_cols,
-                             CSC(indptr, rows.astype(dtype), values))
+        return cls._from_csc(n_rows, n_cols, _sorted_triplets_csc(
+            n_rows, n_cols, rows[order], cols[order], values[order]))
 
     @classmethod
     def _from_csc(cls, n_rows: int, n_cols: int, csc: CSC) -> "CountMatrix":
@@ -332,6 +308,32 @@ def _index_dtype(n_rows: int, n_cols: int, nnz: int) -> type:
     int32 while the shape and nnz fit it, else int64."""
     fits = max(n_rows, n_cols, nnz) <= np.iinfo(np.int32).max
     return np.int32 if fits else np.int64
+
+
+def _sorted_triplets_csc(n_rows: int, n_cols: int, rows: np.ndarray,
+                         cols: np.ndarray, values: np.ndarray) -> CSC:
+    """CSC arrays of triplets sorted by column then row: the rows and values
+    as they stand, and pointers summed from the per-column counts.
+    ValidationError, before any of them is built, for an index out of
+    range, then at the first (col, row) that does not strictly ascend."""
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValidationError("triplet row index out of range")
+    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+        raise ValidationError("triplet column index out of range")
+    bad = cols[1:] == cols[:-1]
+    bad &= rows[1:] <= rows[:-1]
+    bad |= cols[1:] < cols[:-1]
+    if bad.any():
+        k = int(bad.argmax()) + 1
+        if (rows[k], cols[k]) == (rows[k - 1], cols[k - 1]):
+            raise ValidationError(
+                f"duplicate triplet for (row={rows[k]}, col={cols[k]})")
+        raise ValidationError("triplets must be sorted by column then row")
+    del bad  # freed before the storage is built
+    dtype = _index_dtype(n_rows, n_cols, rows.size)
+    indptr = np.zeros(n_cols + 1, dtype=dtype)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+    return CSC(indptr, rows.astype(dtype), np.ascontiguousarray(values))
 
 
 @dataclass(frozen=True)
@@ -595,8 +597,6 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
 # Values rendered by one ``_render``: each working array of a chunk stays at
 # most 768 KiB, in cache (65,536 values took half again as long).
 _CHUNK_VALUES = 16_384
-_TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
-                           ("value", np.float64)])
 _VALUE_DTYPE = np.dtype([("value", np.float64)])
 # The largest matrix dimension a triplet header may declare: numpy refuses
 # 8-byte arrays of close to 2**60 items with a ValueError, not a
@@ -610,7 +610,7 @@ def load_matrix(path: str, fmt: str = DENSE_CSV) -> CountMatrix:
         return CountMatrix.from_dense(
             _read_text(path, _read_table, _dense_csv_rule))
     if fmt == TRIPLET:
-        return CountMatrix._from_sorted_triplets(
+        return CountMatrix._from_csc(
             *_read_text(path, _read_triplet, _triplet_rule))
     raise ValidationError(f"unknown matrix format {fmt!r}")
 
@@ -930,28 +930,26 @@ def _read_table(fh, delimiter: str | None = ",", dtype=np.float64) -> np.ndarray
     return np.loadtxt(lines, dtype, comments=None, delimiter=delimiter, ndmin=2)
 
 
-def _read_triplet(fh) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """The shape, rows, columns and values of the header and ``nnz`` body
-    lines of ``fh``, in range, sorted by column then row, with no
-    duplicates; lines after them are not read."""
+def _read_triplet(fh) -> tuple[int, int, CSC]:
+    """The shape and CSC arrays (``_sorted_triplets_csc``) of the header and
+    ``nnz`` body lines of ``fh``; lines after them are not read."""
     n_rows, n_cols, nnz = _triplet_header(fh.readline())
     # The loaders' MemoryError: the header is well formed, the matrix it
-    # declares does not fit. A count above n_rows * n_cols fails the parse.
+    # declares and its parsed body do not fit. A count above n_rows * n_cols
+    # fails the parse, as does an index too wide for ``index``.
+    stored = min(nnz, n_rows * n_cols)
+    index = _index_dtype(n_rows, n_cols, stored)
+    body_dtype = np.dtype([("row", index), ("col", index), ("value", np.float64)])
     check_memory(f"a {n_rows} x {n_cols} triplet matrix",
-                 footprint(n_rows, n_cols, min(nnz, n_rows * n_cols)),
+                 footprint(n_rows, n_cols, stored) + stored * body_dtype.itemsize,
                  MemoryError)
     # islice counts at most sys.maxsize lines, more than a file has
     body = np.loadtxt(_first_not_blank(islice(fh, min(nnz, sys.maxsize))),
-                      dtype=_TRIPLET_DTYPE, comments=None, ndmin=1)
-    rows, cols = body["row"], body["col"]
-    dc = np.diff(cols)
-    if body.size < nnz or ((dc < 0) | ((dc == 0) & (np.diff(rows) <= 0))).any() \
-            or rows.min() < 0 or rows.max() >= n_rows \
-            or cols.min() < 0 or cols.max() >= n_cols:
-        # A blank line, the end of the file, a (col, row) pair that does not
-        # ascend strictly, or an index out of range.
-        raise ValueError("triplets missing, out of order or out of range")
-    return n_rows, n_cols, rows, cols, np.ascontiguousarray(body["value"])
+                      dtype=body_dtype, comments=None, ndmin=1)
+    if body.size < nnz:  # a blank line or the end of the file
+        raise ValueError(f"expected {nnz} triplets, read {body.size}")
+    return n_rows, n_cols, _sorted_triplets_csc(
+        n_rows, n_cols, body["row"], body["col"], body["value"])
 
 
 def _triplet_header(header: str) -> tuple[int, int, int]:

@@ -541,7 +541,8 @@ def test_exit_code_out_of_memory(tmp_path):
 def test_triplet_header_checked_against_memory(tmp_path, monkeypatch, capsys):
     """A triplet header whose matrix does not fit is refused as the
     loaders' MemoryError before anything n_cols long is allocated: 4-byte
-    column pointers for 9 * 10^8 columns need 3.6 GB of a 1 GiB memory."""
+    column pointers for 9 * 10^8 columns need 3.6 GB of a 1 GiB memory
+    (and the one entry 12 bytes of storage and 16 of parsed body)."""
     import tracemalloc
     from wideca import store
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 1 << 30)
@@ -556,9 +557,29 @@ def test_triplet_header_checked_against_memory(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: not enough memory: a 3 x 900000000 triplet matrix needs at "
-        "least 3,600,000,016 bytes, more than the 1,073,741,824 bytes of "
+        "least 3,600,000,032 bytes, more than the 1,073,741,824 bytes of "
         "physical memory\n")
     assert peak < 1 << 20
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tpl"]
+
+
+def test_triplet_parsed_body_checked_against_memory(tmp_path, monkeypatch,
+                                                    capsys):
+    """The header check counts the parsed body (16 bytes an entry at int32
+    indices) beside the storage: a matrix whose storage and analysis fit,
+    but not beside its body, is refused with one line before it is read."""
+    from wideca import store
+    from wideca.store import TRIPLET, save_matrix
+    mat = tmp_path / "m.tpl"
+    save_matrix(wideca.CountMatrix.from_dense(np.ones((20, 200))), str(mat),
+                TRIPLET)
+    need = store.footprint(20, 200, 4_000) + 4_000 * 16
+    assert store.footprint(20, 200, 4_000, analysis=True) < need - 1
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need - 1)
+    assert run("analyze", mat, "--format", "triplet", "-o", tmp_path / "r") == 1
+    assert capsys.readouterr().err == (
+        f"error: not enough memory: a 20 x 200 triplet matrix needs at least "
+        f"{need:,} bytes, more than the {need - 1:,} bytes of physical memory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tpl"]
 
 

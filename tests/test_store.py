@@ -145,6 +145,9 @@ TRIPLET_CASES = {
     "unsorted-rows": ("2 0 1\n1 0 1\n", 2, UNSORTED, 3),
     "unsorted-before-bad-value": ("0 1 1\n0 0 1\n1 0 x\n", 3, UNSORTED, 3),
     "bad-value-before-end": ("0 0 1\n1 x 1\n", 5, "bad field", 3),
+    "index-beyond-int32": ("0 0 1\n3000000000 0 1\n", 2,
+                           r"triplet index out of range \(row=3000000000, "
+                           r"col=0\) for a 3 x 2 matrix$", 3),
 }
 
 
@@ -304,6 +307,49 @@ def test_triplet_index_out_of_range_names_line(tmp_path, body, line):
 def test_triplet_out_of_range_rejected():
     with pytest.raises(ValidationError, match="out of range"):
         CountMatrix.from_triplets(2, 2, [0, 2], [0, 1], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ([1, 0, 1], [1, 0, 1], "duplicate triplet for (row=1, col=1)"),
+    ([1, 5, 1], [1, 0, 1], "triplet row index out of range"),
+    ([1, 0, 1], [1, 5, 1], "triplet column index out of range"),
+], ids=["duplicate", "duplicate-and-row", "duplicate-and-col"])
+def test_from_triplets_messages(rows, cols, message):
+    # The range is checked before the order, whatever the entries' order.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        CountMatrix.from_triplets(2, 2, rows, cols, [1.0, 2.0, 3.0])
+
+
+def test_triplet_routes_build_the_same_storage(tmp_path, rng):
+    """from_triplets of a power-law file's entries, shuffled, and the
+    loader of that file build the generator's CSC arrays and dtypes."""
+    m = gen_powerlaw_boolean(425, 2_000, seed=1)
+    p = tmp_path / "p.tpl"
+    save_matrix(m, str(p), TRIPLET)
+    rows, cols, values = np.loadtxt(p, skiprows=1, unpack=True)
+    order = rng.permutation(rows.size)
+    built = CountMatrix.from_triplets(m.n_rows, m.n_cols, rows[order].astype(int),
+                                      cols[order].astype(int), values[order])
+    for other in (load_matrix(str(p), TRIPLET), built):
+        for mine, theirs in zip(m.csc, other.csc):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
+
+
+def test_triplet_load_peak_per_entry(tmp_path):
+    """The loader holds the parsed body (16 bytes an entry at int32
+    indices) and the storage it builds (12), and little else."""
+    import tracemalloc
+    p = tmp_path / "p.tpl"
+    save_matrix(gen_powerlaw_boolean(425, 18_000, seed=1), str(p), TRIPLET)
+    tracemalloc.start()
+    try:
+        m = load_matrix(str(p), TRIPLET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz >= 500_000
+    assert peak < 32 * m.nnz, peak / m.nnz
 
 
 NOT_CANONICAL = "^sparse storage must be a CSC matrix with sorted, unique row indices$"
