@@ -115,9 +115,14 @@ def gen_randomwalk_signal(n: int, start: float, seed: int,
     steps.fill(tick)
     steps[down] = -tick
     steps[stays] = 0.0
-    np.cumsum(steps, out=steps)
-    values += start
-    if values.min() <= 0:
+    with np.errstate(over="ignore"):
+        np.cumsum(steps, out=steps)
+        values += start
+    low, high = values.min(), values.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValidationError(
+            "random walk overflows float64; lower start or tick")
+    if low <= 0:
         raise ValidationError(
             "random walk crossed zero; raise start or lower n")
     return SignalSeries(values)

@@ -402,13 +402,13 @@ def footprint(n_rows: int, n_cols: int, nnz: int | None = None,
               analysis: bool = False) -> int:
     """Bytes of a job's arrays, a lower bound on its peak: dense storage
     (``nnz`` None) or CSC storage of ``nnz`` entries, plus with ``analysis``
-    ``_ANALYSIS_COLUMNS`` per-column float64 arrays and 6 n_rows^2 float64 for
-    W, its deflated copy and ``eigh`` (measured: 5.0 n^2 beyond W at 2,000
+    ``_ANALYSIS_COLUMNS`` per-column float64 arrays and 5 n_rows^2 float64 for
+    W, deflated in place, and ``eigh`` (measured: 4.2 n^2 beyond W at 2,000
     rows)."""
     index = np.dtype(_index_dtype(n_rows, n_cols, nnz or 0)).itemsize
     size = 8 * n_rows * n_cols if nnz is None else \
         nnz * (8 + index) + (n_cols + 1) * index
-    return size + analysis * 8 * (_ANALYSIS_COLUMNS * n_cols + 6 * n_rows ** 2)
+    return size + analysis * 8 * (_ANALYSIS_COLUMNS * n_cols + 5 * n_rows ** 2)
 
 
 def check_memory(job: str, size: int,
@@ -651,24 +651,19 @@ def _write_values(fh, read: Callable, line: bytes, bounds: np.ndarray,
     whole entries and at most ``size`` values in all: entry i of each column
     in turn, for every i, the value k0 + k followed by
     ``line[(k0 + k) % len(line)]``. The chunks are rendered on
-    ``ordered_block_map``, one ``_render`` each in a buffer no other chunk
-    uses meanwhile, and written in order: the bytes do not depend on the
-    worker count."""
+    ``ordered_block_map``, one ``_render`` each in its thread's buffers,
+    and written in order: the bytes do not depend on the worker count."""
     seps = np.frombuffer(line * (size // len(line) + 2), dtype=np.uint8)
-    workers = resolve_workers()  # at most this many chunks render at once
-    free = [_RenderBuffers(size) for _ in range(workers)]
+    buf = _RenderBuffers(size)
 
     def render(a: int, b: int) -> bytes:
         k0, columns = read(a, b)
-        buf = free.pop()  # list.pop and append are atomic
         values = buf.floats[7, :len(columns) * columns[0].size]
         np.stack(columns, axis=1, out=values.reshape(-1, len(columns)))
         k0 %= len(line)
-        text = _render(values, seps[k0:k0 + values.size], buf)
-        free.append(buf)
-        return text
+        return _render(values, seps[k0:k0 + values.size], buf)
 
-    for text in ordered_block_map(render, zip(bounds[:-1], bounds[1:]), workers):
+    for text in ordered_block_map(render, zip(bounds[:-1], bounds[1:])):
         fh.write(text)
 
 
@@ -708,9 +703,10 @@ def _veltkamp(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     np.subtract(a, hi, out=lo)
 
 
-class _RenderBuffers:
-    """Working arrays of ``_render`` for up to ``n`` values (``floats[7]``
-    holds them), reused by the next chunk instead of fresh memory."""
+class _RenderBuffers(threading.local):
+    """Per-thread working arrays of ``_render`` for up to ``n`` values
+    (``floats[7]`` holds them), reused by the thread's next chunk instead of
+    fresh memory."""
 
     def __init__(self, n: int):
         self.floats = np.empty((8, n))

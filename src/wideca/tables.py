@@ -9,18 +9,21 @@ first per-seed dict. Seeds are ``base_seed + i`` and are shared across
 dimensionalities, so per-seed comparisons between dimensions are paired; the
 embedding table draws one signal per seed and embeds it at every dim.
 
+Every dim runs its seeds as jobs on ``store.ordered_block_map``. A job
+builds its matrix, reduces it and frees it, so it holds one matrix. The
+per-seed dicts come back in seed order, so no row depends on ``workers``.
 A dim whose matrix is one column block (``store.column_blocks``: at most
-10^6 cells) runs its seeds as jobs on ``store.ordered_block_map``,
-``workers`` at a time: each job builds its matrix and reduces it on one
-worker, where one block runs anyway, and the per-seed dicts come back in
-seed order, so no row depends on ``workers``. A dim of several blocks runs
-its seeds one after another, each on all the workers.
+10^6 cells) runs ``workers`` jobs at a time, each on one worker, where one
+block runs anyway; a dim of several blocks runs one job at a time on all
+the workers.
 
 Every dim is checked before any matrix is built, against physical memory
 too (``store.check_memory``), with one matrix and analysis counted per job
-in flight. The paper's sizes run in seconds: one seed on a 2-vCPU Xeon
-took 1.3 s for table 1 at 10^6 columns and 8.9-9.5 s for table 4 at
-1,052,000. The four ``reproduce`` commands of the ``sweep-small`` benchmark
+in flight. The paper's sizes run in seconds and hold one matrix at a time
+at any number of seeds: on a 2-vCPU Xeon, table 1 at 10^6 columns took
+1.3 s for one seed and 2.4-2.9 s at 766 MiB peak for two, table 4 at
+1,052,000 took 8.9-9.5 s for one and 21.6-23.0 s at 505-509 MiB for two.
+The four ``reproduce`` commands of the ``sweep-small`` benchmark
 (default dims; seeds 10, 3, 3 and 3) took 1.91-1.93 s (median of ten
 20-second runs, at seeds 1 and 1512), against 2.17-2.31 s with the seeds
 run one at a time.
@@ -162,18 +165,11 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
     matrices = [factory(base_seed + i) for i in range(seeds)]
     rows = []
     for dim in dims:
-        if _jobs(table, dim, seeds, workers) > 1:
-            # One job per seed; the results come back in seed order.
-            per_seed = list(ordered_block_map(
-                lambda i, _: stats(matrices[i](dim), 1),
-                ((i, i + 1) for i in range(seeds)), workers))
-        else:
-            per_seed = []
-            for matrix in matrices:
-                # m stays alive until the next matrix replaces it, as in a
-                # plain loop: freeing each matrix before the next is built
-                # made table 1 about 4 % slower (allocator reuse).
-                m = matrix(dim)
-                per_seed.append(stats(m, workers))
+        # One job per seed, each building, reducing and freeing its matrix;
+        # the results come back in seed order.
+        jobs = _jobs(table, dim, seeds, workers)
+        per_seed = list(ordered_block_map(
+            lambda i, _: stats(matrices[i](dim), 1 if jobs > 1 else workers),
+            ((i, i + 1) for i in range(seeds)), jobs))
         rows.append(_aggregate(dim, per_seed))
     return rows

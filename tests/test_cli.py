@@ -291,9 +291,9 @@ def _unreachable(*args, **kw):
 
 
 @pytest.mark.parametrize("argv, memory, message, spy", [
-    # 8 * (86 * 100 + 5 * 100 + 6 * 86^2) bytes
+    # 8 * (86 * 100 + 5 * 100 + 5 * 86^2) bytes
     (["reproduce", "--table", "1", "--dims", 100, "--seeds", 1], 1_000,
-     "table 1 at dimension 100 needs at least 427,808 bytes",
+     "table 1 at dimension 100 needs at least 368,640 bytes",
      "wideca.tables.gen_uniform"),
     (["gen", "uniform", "--rows", 2, "--cols", 2], 31,
      "a 2 x 2 uniform matrix needs at least 32 bytes",
@@ -306,9 +306,9 @@ def _unreachable(*args, **kw):
     (["gen", "powerlaw", "--rows", 425, "--cols", 100, "--seed", 4], 36_000,
      "a 425 x 100 power-law boolean matrix needs at least 36,968 bytes",
      "wideca.generators.ordered_block_map"),
-    # 8 * (2 * 2 + 5 * 2 + 6 * 2^2) bytes, checked after the file is read
-    (["analyze", "IN"], 300,
-     "the analysis of a 2 x 2 matrix needs at least 304 bytes",
+    # 8 * (2 * 2 + 5 * 2 + 5 * 2^2) bytes, checked after the file is read
+    (["analyze", "IN"], 271,
+     "the analysis of a 2 x 2 matrix needs at least 272 bytes",
      "wideca.engine.ordered_block_map"),
     # the samples and two masks, 10 bytes a sample: 9,000 bytes, above the
     # 8 a sample once counted and below the walk's peak, is refused
@@ -851,6 +851,25 @@ def test_exit_code_gen_signal_non_finite(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     name = flag[2:]
     assert err == f"error: {name} must be finite and positive, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start, tick, p_repeat", [
+    ("1", "1e308", "0.9"), ("1e308", "1e308", "0.5")])
+def test_exit_code_gen_signal_overflow(tmp_path, start, tick, p_repeat):
+    """A walk that leaves float64 is refused with one line, no numpy
+    warning and no claim that it crossed zero."""
+    out = tmp_path / "s.txt"
+    src = str(Path(wideca.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wideca.cli", "gen", "signal", "--len", "5",
+         "--start", start, "--tick", tick, "--p-repeat", p_repeat,
+         "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: random walk overflows float64; "
+                           "lower start or tick\n")
     assert not out.exists()
 
 

@@ -332,11 +332,11 @@ def test_worker_count_does_not_change_bits(rng):
 
 def test_row_limit_rejected(monkeypatch):
     """The rows a machine can analyze are bounded by its memory: W and
-    ``eigh`` take 6 n^2 float64 beside the storage and 5 per-column arrays.
+    ``eigh`` take 5 n^2 float64 beside the storage and 5 per-column arrays.
     decompose refuses an analysis that does not fit before its W pass."""
     from wideca import engine, store
     fm = build_frequency_model(CountMatrix.from_dense(np.ones((40, 3))))
-    need = 8 * (40 * 3 + 5 * 3 + 6 * 40 * 40)
+    need = 8 * (40 * 3 + 5 * 3 + 5 * 40 * 40)
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need)
     assert decompose(fm).nu == 1
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need - 1)

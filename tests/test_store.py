@@ -787,8 +787,8 @@ def test_sparse_passes_hold_no_array_of_every_entry(monkeypatch, tmp_path, rng):
 def test_triplet_writer_multi_block_bytes(small_grid, fast_switching, monkeypatch,
                                           tmp_path, rng, workers):
     """Triplet files of dense and sparse storage of one matrix of five
-    blocks, in chunks of 7 values whose render buffers the workers share,
-    are the per-value rendering."""
+    blocks, in chunks of 7 values that each thread renders in its own
+    reused buffers, are the per-value rendering."""
     dense = _wide_range(rng, (12, 45))
     monkeypatch.setattr("wideca.store._CHUNK_VALUES", 7)
     monkeypatch.setattr("wideca.store.resolve_workers",
@@ -1232,7 +1232,7 @@ def test_footprint_counts_and_unknown_memory(monkeypatch):
         3_051_177 * 12 + 105_201 * 4
     assert store.footprint(2, 3_000_000_000, 0) == 3_000_000_001 * 8
     assert store.footprint(2, 3, 4, analysis=True) == \
-        4 * 12 + 4 * 4 + 8 * (5 * 3 + 6 * 2 * 2)
+        4 * 12 + 4 * 4 + 8 * (5 * 3 + 5 * 2 * 2)
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 0)
     store.check_memory("any job", 10 ** 30)
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 100)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -120,14 +121,14 @@ def test_large_dims_gated(monkeypatch):
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 1 << 30)
     _spy_generators(monkeypatch)
     for table, fits, refused, need in (
-            # 86 x d float64 plus 5 per-column arrays and 6 * 86^2 for the
-            # dual operator: 728,355,008 bytes at 10^6 columns
-            ("1", 1_000_000, 2_000_000, 1_456_355_008),
+            # 86 x d float64 plus 5 per-column arrays and 5 * 86^2 for the
+            # dual operator: 728,295,840 bytes at 10^6 columns
+            ("1", 1_000_000, 2_000_000, 1_456_295_840),
             # 29.0 ones per column, 12 bytes each, plus 4-byte column
             # pointers: 370,349,196 bytes at 1,052,000 columns; table 4 adds
             # the analysis
             ("3", 1_052_000, 10_520_000, 3_703_491_936),
-            ("4", 1_052_000, 10_520_000, 4_132_961_936)):
+            ("4", 1_052_000, 10_520_000, 4_131_516_936)):
         with pytest.raises(Built):
             sweep(table, dims=(fits,), seeds=1)
         with _refused(f"table {table} at dimension {refused}", need):
@@ -141,7 +142,7 @@ def test_table2_signals_counted(monkeypatch):
     _spy_generators(monkeypatch)
     with pytest.raises(Built):
         sweep("2-synthetic", dims=(100,), seeds=1000, workers=1)
-    with _refused("table 2-synthetic at dimension 100", 1_520_603_808):
+    with _refused("table 2-synthetic at dimension 100", 1_520_544_640):
         sweep("2-synthetic", dims=(100,), seeds=2000, workers=1)
 
 
@@ -149,8 +150,8 @@ def test_jobs_in_flight_counted(monkeypatch):
     """A one-block dim counts one matrix and analysis per job in flight,
     min(workers, seeds); a multi-block dim counts one, whatever the
     workers."""
-    # 8 * (86 * 10^4 + 5 * 10^4 + 6 * 86^2) bytes a table 1 job at 10^4
-    one = 7_635_008
+    # 8 * (86 * 10^4 + 5 * 10^4 + 5 * 86^2) bytes a table 1 job at 10^4
+    one = 7_575_840
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 3 * one)
     _spy_generators(monkeypatch)
     for workers, seeds in ((1, 5), (3, 5), (5, 3)):
@@ -200,6 +201,7 @@ def test_seeds_are_paired_across_dims():
 # -- concurrent (dim, seed) jobs -----------------------------------------------
 # A dim whose matrix is one column block runs its seeds as concurrent jobs,
 # each analyzing at one worker; a multi-block dim runs them one at a time.
+# Either way each job builds and frees its own matrix.
 
 WORKER_CASES = {"1": (50, 11_700), "2-synthetic": (100,), "3": (1052, 2400),
                 "4": (300, 2400)}
@@ -248,3 +250,16 @@ def test_one_block_dims_run_seeds_concurrently(monkeypatch):
                                                    (11_700, 2), (11_700, 2)]
     assert max(n for d, _, n in calls if d == 100) == 2
     assert max(n for d, _, n in calls if d == 11_700) == 1
+
+
+def test_multi_block_dim_holds_one_matrix_at_a_time():
+    """The seeds of a multi-block dim run one after another, and each
+    seed's matrix is freed before the next is built: the traced peak stays
+    well below two matrices."""
+    tracemalloc.start()
+    try:
+        sweep("1", dims=(100_000,), seeds=2, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * store.footprint(tables.UNIFORM_ROWS, 100_000)
