@@ -24,14 +24,14 @@ stable sort made once per pass), so each block holds columns of like fill
 and takes one kernel for all of them. A block reads storage only through
 ``store``: ``_slabs`` hands it to BLAS in slabs, a dense block as one slab,
 a view of its storage, and a sparse block's entries
-(``CountMatrix._entries``) scattered into a scratch buffer one slab of at
-most ``_SLAB_ELEMS`` cells at a time. So each pass makes one choice per
+(``CountMatrix._entries``) scattered into the thread's ``slab`` buffer, in
+slabs of at most ``_SLAB_ELEMS`` cells. So each pass makes one choice per
 block: its slabs, or a sparse block's light kernel. The mass-unit scales
 1/sqrt(f_i) and 1/sqrt(f_j) are built once, by ``build_frequency_model``,
 and every reader in mass units takes them from the model; the W pass keeps
 its own count-unit scales, fixed once per pass. The W pass (``block_gram``
-in ``decompose``) scales each slab of K into the thread's scratch buffer, a
-sparse slab in place, and sums the slabs' Gram matrices, formed by BLAS. A
+in ``decompose``) scales each slab of K into the thread's ``slab`` buffer,
+a sparse slab in place, and sums the slabs' Gram matrices, formed by BLAS. A
 sparse block whose fill does not make BLAS pay (``_dense_gram``) sums the
 products of its columns' entry pairs with ``np.bincount`` instead
 (``_pair_gram``), which fills only the lower triangle ``eigh`` reads. The W
@@ -50,30 +50,30 @@ worker per usable CPU, at most 2 (``store.resolve_workers``); ``eigh`` runs
 on one BLAS thread too, so no output's bits depend on BLAS's thread
 setting. The calling thread and the pool share the blocks in ascending
 order, with no barrier between them, and the calling thread computes the
-next free block whenever the next result is not ready. Each thread has one
-scratch buffer per pass, reused by its next block: a dense block, or a
-sparse slab, in the W pass; a block of S, plus a sparse slab, in the
-projection pass. Only small per-block partials leave a worker, and they are
-merged in block order: outputs do not depend on the worker count.
+next free block whenever the next result is not ready. Each pass makes one
+``store._Scratch``, whose buffers each thread reuses for its next block:
+``slab``, ``keys`` and ``weights`` in the W pass (freed before ``eigh``),
+``S`` and ``slab`` in the projection pass. Only per-block partials leave a
+worker, merged in block order: outputs do not depend on the worker count.
 Per-column contributions and chi-squared distances come from the
 contribution report.
 
 The dual route is appropriate while n_rows stays small (designed for roughly
 86 to 10^4 rows); ``decompose`` refuses one whose analysis exceeds physical
-memory (``store.check_memory``), about 14,500 rows on 8 GB.
+memory (``store.check_memory``), past about 12,300 rows on 8 GB.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .store import (CountMatrix, check_memory, column_blocks, column_sums,
-                    footprint, one_blas_thread, ordered_block_map)
+from .store import (CountMatrix, _Scratch, check_memory, column_blocks,
+                    column_sums, footprint, one_blas_thread, ordered_block_map,
+                    resolve_workers)
 
 # Non-trivial axes below _REL_EIG_TOL times the largest non-trivial
 # eigenvalue are dropped.
@@ -236,7 +236,7 @@ def _scipy_pays(counts: np.ndarray, by_fill: np.ndarray, n_rows: int,
 
 
 def _pair_gram(rows: np.ndarray, values: np.ndarray, counts: np.ndarray,
-               n_rows: int) -> np.ndarray:
+               n_rows: int, scratch: _Scratch) -> np.ndarray:
     """Lower triangle of the Gram matrix of sparse columns, zeros above it,
     from the products of their entry pairs.
 
@@ -245,14 +245,15 @@ def _pair_gram(rows: np.ndarray, values: np.ndarray, counts: np.ndarray,
     entries adds v_a v_b at (r_b, r_a) for each of its c (c + 1) / 2 pairs
     a <= b, all on or below the diagonal. Columns of equal count, adjacent in
     fill order, are taken together as (c, columns) arrays, so each pair's
-    gather is one row copy. The pairs' flat indices and products go to
-    buffers of ``_SLAB_ELEMS`` pairs (larger only for a column of more
-    pairs), and each full buffer is summed into the triangle by one
-    ``np.bincount``, in buffer order.
+    gather is one row copy. The pairs' flat indices and products go to views
+    of ``_SLAB_ELEMS`` pairs of the ``keys`` and ``weights`` of ``scratch``
+    (larger only for a column of more pairs), whatever the buffers' size,
+    and each full view is summed into the triangle by one ``np.bincount``,
+    in order: the bits depend on the columns alone.
     """
     lower = np.zeros(n_rows * n_rows)
-    keys, weights = np.empty(_SLAB_ELEMS, np.int64), np.empty(_SLAB_ELEMS)
-    filled = 0
+    keys = scratch.take("keys", _SLAB_ELEMS, np.int64)
+    weights, filled = scratch.take("weights", _SLAB_ELEMS), 0
     ends = np.cumsum(counts)
     runs = np.flatnonzero(np.diff(counts)) + 1
     for r0, r1 in zip(np.r_[0, runs], np.r_[runs, counts.size]):
@@ -269,7 +270,8 @@ def _pair_gram(rows: np.ndarray, values: np.ndarray, counts: np.ndarray,
                                      minlength=lower.size)
                 filled = 0
                 if size > keys.size:
-                    keys, weights = np.empty(size, np.int64), np.empty(size)
+                    keys = scratch.take("keys", size, np.int64)
+                    weights = scratch.take("weights", size)
             e0, e1 = ends[k0] - c, ends[k1 - 1]
             r = rows[e0:e1].reshape(-1, c).T.astype(np.int64)
             v = np.ascontiguousarray(values[e0:e1].reshape(-1, c).T)
@@ -283,25 +285,13 @@ def _pair_gram(rows: np.ndarray, values: np.ndarray, counts: np.ndarray,
     return lower.reshape(n_rows, n_rows)
 
 
-class _Scratch(threading.local):
-    """Per-thread scratch buffer, reused by the thread's next block."""
-
-    buf: np.ndarray | None = None
-
-    def take(self, shape: tuple[int, int]) -> np.ndarray:
-        size = shape[0] * shape[1]
-        if self.buf is None or self.buf.size < size:
-            self.buf = np.empty(size)
-        return self.buf[:size].reshape(shape)
-
-
 def _slabs(m: CountMatrix, cols: slice | np.ndarray, scratch: _Scratch
            ) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
     """Yield (s0, c, slab): the block of columns ``cols`` as BLAS operands
     of shape (n_rows, c's width), whose first column is the block's s0-th.
     A dense block is one slab, a view of its storage. A sparse block's
-    entries are scattered into the ``scratch`` buffer, zeroed, one slab of
-    at most ``_SLAB_ELEMS`` cells at a time."""
+    entries are scattered into the thread's ``slab`` buffer of ``scratch``,
+    zeroed, one slab of at most ``_SLAB_ELEMS`` cells at a time."""
     if not m.is_sparse:
         yield 0, cols, m.dense[:, cols]
         return
@@ -309,7 +299,7 @@ def _slabs(m: CountMatrix, cols: slice | np.ndarray, scratch: _Scratch
     for s0 in range(0, cols.size, step):
         c = cols[s0:s0 + step]
         rows, values, counts = m._entries(c)
-        slab = scratch.take((m.n_rows, c.size))
+        slab = scratch.take("slab", (m.n_rows, c.size))
         slab.fill(0.0)
         slab[rows, np.repeat(np.arange(c.size), counts)] = values
         yield s0, c, slab
@@ -325,9 +315,10 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     min(effective rows, effective cols) - 1 non-trivial axes.
     """
     m = fm.matrix
+    workers = resolve_workers(workers)
     check_memory(f"the analysis of a {m.n_rows} x {m.n_cols} matrix",
                  footprint(m.n_rows, m.n_cols, m.nnz if m.is_sparse else None,
-                           analysis=True))
+                           workers))
     inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
     inv_sqrt_kj = np.sqrt(_inv_pos(column_sums(m)))
     scratch = _Scratch()
@@ -339,7 +330,7 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
         diag(1/sqrt(k_j)); in count units W = B B^T exactly. A dense block
         is columns [j0, j1), a sparse block positions [j0, j1) of the fill
         order. Unless the block is sparse and ``_dense_gram`` refuses it,
-        each of its slabs is scaled into the thread's scratch buffer (a
+        each of its slabs is scaled into the thread's ``slab`` buffer (a
         sparse slab already is that buffer) and the slab Grams are summed
         in slab order; otherwise ``_pair_gram`` sums the pair products of
         its entries, scaled in the slabs' order. Either way each entry of B
@@ -347,11 +338,11 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
         cols = by_fill[j0:j1] if m.is_sparse else slice(j0, j1)
         if m.is_sparse and not _dense_gram(counts[cols], m.n_rows):
             rows, values, n = m._entries(cols)
-            return _pair_gram(rows, values * inv_sqrt_ki[rows]
-                              * np.repeat(inv_sqrt_kj[cols], n), n, m.n_rows)
+            return _pair_gram(rows, values * inv_sqrt_ki[rows] * np.repeat(
+                inv_sqrt_kj[cols], n), n, m.n_rows, scratch)
         gram = None  # a one-slab block returns its slab's Gram
         for _, c, slab in _slabs(m, cols, scratch):
-            buf = scratch.take(slab.shape)
+            buf = scratch.take("slab", slab.shape)
             np.multiply(slab, inv_sqrt_ki[:, None], out=buf)
             np.multiply(buf, inv_sqrt_kj[None, c], out=buf)
             part = buf @ buf.T
@@ -362,6 +353,8 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     for part in ordered_block_map(block_gram, column_blocks(m.n_rows, m.n_cols),
                                   workers):
         W += part
+        del part  # freed before the next block runs
+    del block_gram, scratch  # and the pass's buffers before ``eigh``
 
     # Pair-count parts fill only W's lower triangle, the one ``eigh`` reads.
     u0 = np.sqrt(fm.row_masses)
@@ -443,7 +436,7 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     # Ub^T, C-ordered: scipy's sparse-times-dense product takes it as it
     # is, and its transpose is the BLAS operand Ub.
     UbT = fd.basis * fm.row_scale[:, None] / fm.grand_total
-    scratch, slab_scratch = _Scratch(), _Scratch()
+    scratch = _Scratch()
     sparse = None
     if m.is_sparse:
         counts, by_fill = m._fill_order()
@@ -456,8 +449,8 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
         if sparse is not None and not _dense_projection(counts[cols], m.n_rows):
             S = (sparse[:, cols].T @ UbT).T
         else:
-            S = scratch.take((UbT.shape[1], j1 - j0))
-            for s0, _, slab in _slabs(m, cols, slab_scratch):
+            S = scratch.take("S", (UbT.shape[1], j1 - j0))
+            for s0, _, slab in _slabs(m, cols, scratch):
                 np.matmul(UbT.T, slab, out=S[:, s0:s0 + slab.shape[1]])
         np.multiply(S, fm.col_scale[None, cols], out=S)
         return reduce(cols, S)

@@ -11,7 +11,9 @@ a block, whole columns of keys for a power-law matrix) and run the blocks on
 ``store.ordered_block_map``. Each block builds its own PCG64 at its offset in
 the one sequential stream (``PCG64.advance`` jumps there in O(log n) steps),
 so every block draws exactly the numbers a single thread would have drawn
-there, and the output depends on neither the grid nor the worker count. The
+there, and the output depends on neither the grid nor the worker count. A
+power-law block's keys, sorted keys and mask are buffers of the pass's one
+``store._Scratch``, which each thread reuses for its next sub-slice. The
 worker count is the passes' default (``store.resolve_workers``); no option
 sets it. Seeds must be at least 0, and every generator refuses a matrix or
 signal larger than physical memory before allocating it
@@ -34,13 +36,12 @@ the column cloud its large projection outliers.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .store import (CSC, CountMatrix, SignalSeries, _index_dtype,
+from .store import (CSC, CountMatrix, SignalSeries, _index_dtype, _Scratch,
                     check_memory, column_blocks, footprint, ordered_block_map)
 
 DEFAULT_EXPONENT = 2.49
@@ -95,7 +96,7 @@ def gen_randomwalk_signal(n: int, start: float, seed: int,
 
     Mimics a slow-moving instrument price stream: values stay on the tick
     lattice, with long runs of identical values when p_repeat is high. The
-    walk aborts (rather than clamping) if it would touch zero.
+    walk aborts at zero, on overflow or where float64 spacing exceeds tick.
     """
     if n < 1:
         raise ValidationError("signal length must be at least 1")
@@ -125,6 +126,10 @@ def gen_randomwalk_signal(n: int, start: float, seed: int,
     if low <= 0:
         raise ValidationError(
             "random walk crossed zero; raise start or lower n")
+    if high - np.nextafter(high, 0.0) > tick:  # steps rounded off the ticks
+        raise ValidationError(f"random walk reaches {high:.17g}, where "
+                              f"float64 spacing exceeds the tick {tick:.17g}; "
+                              "lower start or raise tick")
     return SignalSeries(values)
 
 
@@ -256,33 +261,23 @@ def gen_powerlaw_boolean(n_rows: int, n_cols: int, seed: int,
     # drawn in column order, n_rows per column, so block [c0, c1) starts
     # c0 * n_rows outputs into the stream.
     step = max(1, _KEY_SLICE // n_rows)
-    scratch = _KeyScratch((min(step, n_cols), n_rows))
+    scratch = _Scratch()
 
     def draw(c0: int, c1: int) -> None:
-        """Draws and selects columns [c0, c1) sub-slice by sub-slice."""
+        """Draws and selects columns [c0, c1) sub-slice by sub-slice, in
+        the thread's buffers of ``scratch``."""
         rng = _stream_at(state, c0 * n_rows)
         for a in range(c0, c1, step):
             b = min(a + step, c1)
-            keys = scratch.keys[: b - a]
-            rng.random(out=keys)
-            flat = _select(keys, sums[a:b], scratch.sorted[: b - a],
-                           scratch.mask[: b - a])
+            keys = rng.random(out=scratch.take("keys", (b - a, n_rows)))
+            flat = _select(keys, sums[a:b], scratch.take("sorted", keys.shape),
+                           scratch.take("mask", keys.shape, bool))
             indices[indptr[a]: indptr[b]] = flat % n_rows
 
     for _ in ordered_block_map(draw, column_blocks(n_rows, n_cols)):
         pass
     return CountMatrix._from_csc(n_rows, n_cols,
                                  CSC(indptr, indices, np.ones(nnz)))
-
-
-class _KeyScratch(threading.local):
-    """Per-thread buffers of one sub-slice of keys, reused by the thread's
-    next sub-slice: the keys, their sorted copy and the selection mask."""
-
-    def __init__(self, shape: tuple[int, int]):
-        self.keys = np.empty(shape)
-        self.sorted = np.empty(shape)
-        self.mask = np.empty(shape, dtype=bool)
 
 
 def _select(keys: np.ndarray, s: np.ndarray, sorted_keys: np.ndarray,

@@ -34,6 +34,8 @@ the rows and values of some columns' entries, column by column, and each
 column's entry count. Validation and ``to_dense`` read one column block at
 a time, the triplet writer one chunk of columns and the analysis passes
 one block or slab, so none holds an array of one item per stored entry.
+A block pass that reuses buffers takes them from one ``_Scratch``: each
+thread gets its own, reused by its next block.
 """
 
 from __future__ import annotations
@@ -399,16 +401,23 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def footprint(n_rows: int, n_cols: int, nnz: int | None = None,
-              analysis: bool = False) -> int:
-    """Bytes of a job's arrays, a lower bound on its peak: dense storage
-    (``nnz`` None) or CSC storage of ``nnz`` entries, plus with ``analysis``
-    ``_ANALYSIS_COLUMNS`` per-column float64 arrays and 5 n_rows^2 float64 for
-    W, deflated in place, and ``eigh`` (measured: 4.2 n^2 beyond W at 2,000
-    rows)."""
+              workers: int = 0) -> int:
+    """Bytes of a job's arrays: dense storage (``nnz`` None) or CSC storage
+    of ``nnz`` entries, plus, for an analysis on ``workers`` workers (0:
+    none), ``_ANALYSIS_COLUMNS`` per-column float64 arrays and the larger
+    phase in float64: ``eigh``, 5 n_rows^2 (W, deflated in place, and 4.2 n^2
+    measured at 2,000 rows), or the W pass: W, the Grams of the blocks in
+    flight, and per thread a Gram being added and one block of scratch."""
     index = np.dtype(_index_dtype(n_rows, n_cols, nnz or 0)).itemsize
     size = 8 * n_rows * n_cols if nnz is None else \
         nnz * (8 + index) + (n_cols + 1) * index
-    return size + analysis * 8 * (_ANALYSIS_COLUMNS * n_cols + 5 * n_rows ** 2)
+    width = max(1, min(n_cols, _BLOCK_ELEMS // max(1, n_rows)))
+    blocks = -(-n_cols // width)  # as ``column_blocks`` lays them
+    threads = min(workers, blocks)
+    in_flight = min(_LOOKAHEAD_PER_WORKER * workers, blocks)
+    w_pass = (1 + in_flight + threads) * n_rows ** 2 + threads * n_rows * width
+    return size + bool(workers) * 8 * (_ANALYSIS_COLUMNS * n_cols
+                                       + max(5 * n_rows ** 2, w_pass))
 
 
 def check_memory(job: str, size: int,
@@ -501,6 +510,20 @@ def _csc_block(m: CountMatrix, j0: int, j1: int
     return rows, values, values.min() if values.size else np.inf
 
 
+class _Scratch(threading.local):
+    """Per-thread named buffers of one block pass: ``take`` gives the calling
+    thread a view of its buffer ``name``, grown when too small, which its
+    next block reuses. The buffers go with their thread or the scratch."""
+
+    def take(self, name: str, shape: int | tuple[int, ...],
+             dtype: type = np.float64) -> np.ndarray:
+        size = int(np.prod(shape))
+        buf = vars(self).get(name)  # this thread's
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = vars(self)[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
                       workers: int | None = None) -> Iterator:
     """Apply ``fn(j0, j1)`` over blocks, yielding results in block order.
@@ -579,6 +602,7 @@ def ordered_block_map(fn: Callable, blocks: Iterable[tuple[int, int]],
                 if not ok:
                     raise value
                 yield value
+                del value  # the caller's to keep: not held while k + 1 runs
                 with cond:
                     consumed = k + 1
                     cond.notify_all()
@@ -651,17 +675,18 @@ def _write_values(fh, read: Callable, line: bytes, bounds: np.ndarray,
     whole entries and at most ``size`` values in all: entry i of each column
     in turn, for every i, the value k0 + k followed by
     ``line[(k0 + k) % len(line)]``. The chunks are rendered on
-    ``ordered_block_map``, one ``_render`` each in its thread's buffers,
-    and written in order: the bytes do not depend on the worker count."""
+    ``ordered_block_map``, one ``_render`` each in its thread's buffers of
+    one ``_Scratch``, and written in order: the bytes do not depend on the
+    worker count."""
     seps = np.frombuffer(line * (size // len(line) + 2), dtype=np.uint8)
-    buf = _RenderBuffers(size)
+    scratch = _Scratch()
 
     def render(a: int, b: int) -> bytes:
         k0, columns = read(a, b)
-        values = buf.floats[7, :len(columns) * columns[0].size]
-        np.stack(columns, axis=1, out=values.reshape(-1, len(columns)))
+        values = scratch.take("values", (columns[0].size, len(columns)))
+        np.stack(columns, axis=1, out=values)
         k0 %= len(line)
-        return _render(values, seps[k0:k0 + values.size], buf)
+        return _render(values.reshape(-1), seps[k0:k0 + values.size], scratch)
 
     for text in ordered_block_map(render, zip(bounds[:-1], bounds[1:])):
         fh.write(text)
@@ -701,19 +726,6 @@ def _veltkamp(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     c = np.multiply(a, 134217729.0, out=lo)  # 2**27 + 1
     np.subtract(c, np.subtract(c, a, out=hi), out=hi)
     np.subtract(a, hi, out=lo)
-
-
-class _RenderBuffers(threading.local):
-    """Per-thread working arrays of ``_render`` for up to ``n`` values
-    (``floats[7]`` holds them), reused by the thread's next chunk instead of
-    fresh memory."""
-
-    def __init__(self, n: int):
-        self.floats = np.empty((8, n))
-        self.ints = np.empty((9, n), dtype=np.int64)
-        self.digits = np.empty((n, 5), dtype=np.uint32)
-        self.fields = np.empty((n, _FIELD), dtype=np.uint8)
-        self.keep = np.empty((n, _FIELD), dtype=bool)
 
 
 class _Tables(NamedTuple):
@@ -774,14 +786,14 @@ def _masks() -> np.ndarray:
     return masks.reshape(-1, _FIELD)
 
 
-def _scaled(a: np.ndarray, x: np.ndarray, tables: _Tables,
-            buf: _RenderBuffers) -> tuple[np.ndarray, np.ndarray]:
+def _scaled(a: np.ndarray, x: np.ndarray, tables: _Tables, scratch: _Scratch,
+            d: np.ndarray, step: np.ndarray) -> None:
     """D = a * 10**(16 - x) rounded half to even, exactly, for x in
-    [_X_MIN, _X_MAX], and the step (-1, 0 or +1) that takes x toward the
-    exponent that puts the exact product in [10**16, 10**17), in ``buf``."""
-    a_hi, a_lo, p, b_hi, b_lo, e = buf.floats[1:7, :a.size]
-    k, d, step = buf.ints[1:4, :a.size]
-    np.subtract(16, x, out=k)
+    [_X_MIN, _X_MAX], into ``d``, and into ``step`` the step (-1, 0 or +1)
+    that takes x toward the exponent that puts the exact product in
+    [10**16, 10**17); the other working arrays come from ``scratch``."""
+    a_hi, a_lo, p, b_hi, b_lo, e = scratch.take("scaled", (6, a.size))
+    k = np.subtract(16, x, out=scratch.take("power", a.size, np.int64))
     _veltkamp(a, a_hi, a_lo)
     for table, out in zip(tables.pow10, (p, b_hi, b_lo)):
         np.take(table, k, out=out, mode="clip")  # "raise" would buffer
@@ -798,27 +810,28 @@ def _scaled(a: np.ndarray, x: np.ndarray, tables: _Tables,
     d += step
     np.copyto(step, (p > 1e17) | ((p == 1e17) & (e >= 0)))  # up
     step[(p < 1e16) | ((p == 1e16) & (e < 0))] = -1  # down
-    return d, step
 
 
-def _decimal(a: np.ndarray, tables: _Tables, buf: _RenderBuffers
+def _decimal(a: np.ndarray, tables: _Tables, scratch: _Scratch
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D, X, missed) for magnitudes a in [1e-6, 1e17): X = floor(log10 a)
     and D = a * 10**(16 - X) rounded half to even, a rounding up to 10**17
-    carried into X + 1, both in ``buf``. ``missed`` is True where X is not
+    carried into X + 1, in ``scratch``. ``missed`` is True where X is not
     found in [_X_MIN, _X_MAX] (the float nearest 1e-6 is below 10**-6)."""
-    x, log = buf.ints[0, :a.size], buf.floats[1, :a.size]
+    x, d, step = scratch.take("decimal", (3, a.size), np.int64)
+    log = scratch.take("log", a.size)
     np.copyto(x, np.floor(np.log10(a, out=log), out=log), casting="unsafe")
     np.clip(x, _X_MIN, _X_MAX, out=x)
-    d, step = _scaled(a, x, tables, buf)
+    _scaled(a, x, tables, scratch, d, step)
     redo = np.flatnonzero(step)
     for _ in range(2):  # log10 is off by at most one next to a power of ten
         if not redo.size:
             break
         x[redo] += step[redo]
         redo = redo[(x[redo] >= _X_MIN) & (x[redo] <= _X_MAX)]
-        d[redo], step[redo] = _scaled(a[redo], x[redo], tables,
-                                      _RenderBuffers(redo.size))
+        d_redo, step_redo = scratch.take("redo", (2, redo.size), np.int64)
+        _scaled(a[redo], x[redo], tables, scratch, d_redo, step_redo)
+        d[redo], step[redo] = d_redo, step_redo
         redo = redo[step[redo] != 0]
     carry = d == 10**17
     d[carry] = 10**16
@@ -833,36 +846,35 @@ def _divmod(a: np.ndarray, b: int, q: np.ndarray, r: np.ndarray) -> None:
     np.subtract(a, np.multiply(q, b, out=r), out=r)
 
 
-def _render(values: np.ndarray, seps: np.ndarray,
-            buf: _RenderBuffers | None = None) -> bytes:
+def _render(values: np.ndarray, seps: np.ndarray, scratch: _Scratch) -> bytes:
     """Each float64 of ``values`` exactly as ``"%.17g" % v`` renders it,
     followed by its separator byte from ``seps`` (uint8, one per value);
-    the working arrays come from ``buf``, which holds that many values."""
+    the working arrays come from ``scratch``."""
     n = values.size
-    buf = buf or _RenderBuffers(n)
-    a = np.abs(values, out=buf.floats[0, :n])
+    a = np.abs(values, out=scratch.take("abs", n))
     fast = (a >= 1e-6) & (a < 1e17)
     zero = a == 0.0
     a[~fast] = 1.0
     tables = _tables()
-    d, x, missed = _decimal(a, tables, buf)
+    d, x, missed = _decimal(a, tables, scratch)
     d[zero] = 0  # 17 zero digits, one significant, X = 0: "0"
     slow = ~(fast | zero) | missed
     x[zero | slow] = 0  # a slow value's mask: any, its field is overwritten
-    rest, high = buf.ints[1, :n], buf.ints[3, :n]  # free after _decimal
-    groups = buf.ints[4:, :n]
+    groups = scratch.take("groups", (5, n), np.int64)
     lead, g1, g2, g3, g4 = groups
-    _divmod(d, 10**16, lead, rest)
-    _divmod(rest, 10**8, high, d)  # d: the low eight digits
-    _divmod(high, 10**4, g1, g2)
+    # g4 and g3 hold D below 10**16 and its high eight digits until cut
+    _divmod(d, 10**16, lead, g4)
+    _divmod(g4, 10**8, g3, d)  # d: the low eight digits
+    _divmod(g3, 10**4, g1, g2)
     _divmod(d, 10**4, g3, g4)
     # A zero group of D counts 4 plus the trailing zeros before it.
     zeros = tables.group_zeros[g1]
     for g in (g2, g3, g4):
         zeros = tables.group_zeros[g] + (g == 0) * zeros
-    digits = np.take(tables.group_ascii, groups.T, out=buf.digits[:n],
+    digits = np.take(tables.group_ascii, groups.T,
+                     out=scratch.take("digits", (n, 5), np.uint32),
                      mode="clip").view(np.uint8)[:, 3:]
-    fields = buf.fields[:n]
+    fields = scratch.take("fields", (n, _FIELD), np.uint8)
     fields.view(np.uint64)[:] = np.frombuffer(_LAYOUT, dtype=np.uint64)
     fields[:, _DIGITS:_DIGITS + 17] = digits
     fields[:, _FRACTION:_FRACTION + 17] = digits
@@ -871,7 +883,8 @@ def _render(values: np.ndarray, seps: np.ndarray,
     rows += 17 - zeros
     rows *= 2
     rows += np.signbit(values)  # ((X - _X_MIN) * 18 + 17 - zeros) * 2 + sign
-    keep = np.take(tables.masks, rows, axis=0, out=buf.keep[:n], mode="clip")
+    keep = np.take(tables.masks, rows, axis=0,
+                   out=scratch.take("keep", (n, _FIELD), bool), mode="clip")
     for i in np.flatnonzero(slow):
         text = b"%.17g" % values[i]
         fields[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)

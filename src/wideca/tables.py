@@ -18,15 +18,15 @@ block runs anyway; a dim of several blocks runs one job at a time on all
 the workers.
 
 Every dim is checked before any matrix is built, against physical memory
-too (``store.check_memory``), with one matrix and analysis counted per job
-in flight. The paper's sizes run in seconds and hold one matrix at a time
-at any number of seeds: on a 2-vCPU Xeon, table 1 at 10^6 columns took
-1.3 s for one seed and 2.4-2.9 s at 766 MiB peak for two, table 4 at
-1,052,000 took 8.9-9.5 s for one and 21.6-23.0 s at 505-509 MiB for two.
-The four ``reproduce`` commands of the ``sweep-small`` benchmark
-(default dims; seeds 10, 3, 3 and 3) took 1.91-1.93 s (median of ten
-20-second runs, at seeds 1 and 1512), against 2.17-2.31 s with the seeds
-run one at a time.
+too (``store.check_memory``), with one matrix and analysis, on the job's
+workers, counted per job in flight. The paper's sizes run in seconds and
+hold one matrix at a time at any number of seeds: on a 2-vCPU Xeon,
+table 1 at 10^6 columns took 1.3 s for one seed and 2.4-2.9 s at 766 MiB
+peak for two, table 4 at 1,052,000 took 8.9-9.5 s for one and 21.6-23.0 s
+at 505-509 MiB for two. The four ``reproduce`` commands of the
+``sweep-small`` benchmark (default dims; seeds 10, 3, 3 and 3) took
+1.91-1.93 s (median of ten 20-second runs, at seeds 1 and 1512), against
+2.17-2.31 s with the seeds run one at a time.
 """
 
 from __future__ import annotations
@@ -84,13 +84,11 @@ def _check_sweep(table, dims, seeds: int, marg: ParametricMarginals,
         if table == "2-synthetic" and d > EMBED_MAX_DIM:
             raise ValidationError(f"dimension {d} exceeds {EMBED_MAX_DIM}, "
                                   f"the longest window of table 2-synthetic")
-        rows = TABLE_ROWS[table]
-        if table in ("3", "4"):  # CSC storage at the law's mean column sum
-            size = footprint(rows, d, int(marg.mean_sum(rows) * d),
-                             analysis=table == "4")
-        else:
-            size = footprint(rows, d, analysis=True)
-        size *= _jobs(table, d, seeds, workers)
+        rows, jobs = TABLE_ROWS[table], _jobs(table, d, seeds, workers)
+        job_workers = 0 if table == "3" else 1 if jobs > 1 else workers
+        # CSC storage at the law's mean column sum for tables 3 and 4
+        nnz = int(marg.mean_sum(rows) * d) if table in ("3", "4") else None
+        size = jobs * footprint(rows, d, nnz, job_workers)
         if table == "2-synthetic":  # every seed's signal is held throughout
             size += footprint(seeds, SIGNAL_LEN)
         check_memory(f"table {table} at dimension {d}", size)

@@ -574,7 +574,7 @@ def test_triplet_parsed_body_checked_against_memory(tmp_path, monkeypatch,
     save_matrix(wideca.CountMatrix.from_dense(np.ones((20, 200))), str(mat),
                 TRIPLET)
     need = store.footprint(20, 200, 4_000) + 4_000 * 16
-    assert store.footprint(20, 200, 4_000, analysis=True) < need - 1
+    assert store.footprint(20, 200, 4_000, store.resolve_workers()) < need - 1
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need - 1)
     assert run("analyze", mat, "--format", "triplet", "-o", tmp_path / "r") == 1
     assert capsys.readouterr().err == (
@@ -871,6 +871,60 @@ def test_exit_code_gen_signal_overflow(tmp_path, start, tick, p_repeat):
     assert proc.stderr == ("error: random walk overflows float64; "
                            "lower start or tick\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, high, tick", [
+    (["--len", "1000", "--start", "2e14", "--tick", "0.01"],
+     "200000000000000.03", "0.01"),
+    (["--len", "100000", "--start", "1.7976931348623157e308",
+      "--p-repeat", "0.5"], "1.7976931348623157e+308", "0.5")])
+def test_exit_code_gen_signal_below_float_spacing(tmp_path, args, high, tick):
+    """A walk whose values float64 spaces wider than its tick would be
+    written off the tick lattice (steps of 0.03125 at 2e14), or constant:
+    it is refused with one line."""
+    out = tmp_path / "s.txt"
+    src = str(Path(wideca.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wideca.cli", "gen", "signal", *args,
+         "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: random walk reaches {high}, where float64 spacing exceeds "
+        f"the tick {tick}; lower start or raise tick\n")
+    assert not out.exists()
+
+
+# sha256 of files that ``gen`` wrote at the commit that pinned them, at
+# seeds 1 and 1512 (the ``.meta.json`` sidecars aside): generated matrices
+# and signals keep their bytes for a given seed.
+GEN_DIGESTS = {
+    ("uniform", "--rows", "86", "--cols", "2000"): (
+        "42d2c108e9ed701acce5e02f2922c8fc3dc8b61d38e6c043fed5f7d6afab1ca1",
+        "a61cb16d46e5655094ed925273c393577f5280e8d8ba10716874518c7eec91cf"),
+    ("uniform", "--rows", "86", "--cols", "2000", "--format", "triplet"): (
+        "20926348ceb70962ec830083d7de71b537222f6e821dc134ffc596e98b69f9be",
+        "019864c7f3d37d133fb3175a533f61f4f3d313c97a7232c70d96b4e17680e05d"),
+    ("powerlaw", "--rows", "425", "--cols", "1052"): (
+        "22592ca0ce65478039ac7c01a21dacaf1eee057a99d06d8d205b8af9c7065283",
+        "dab27c24a20d0a807adb353a6d642a5b2d7483e1ee35ecd3c8f63a3844239085"),
+    ("powerlaw", "--rows", "425", "--cols", "1052", "--format", "dense-csv"): (
+        "c98b654fb4a0f6b1267913a2650968cca2b5af02727e6b9b60dfc69e5adf4983",
+        "3fd7a1e2abd2841aa5772750eb4bc1fe9dd4b91fd8d8cd25b56bc3126ef79218"),
+    ("signal", "--len", "95011"): (
+        "8a379ae6a7447948adce4bc86d3d0a79f4128b1bece75ff3934d8a54db39a5f8",
+        "8ea3b24066f0f8b27e8b96680405750d0392718cbf218bc03b5b93cb132d3254"),
+}
+
+
+@pytest.mark.parametrize("command", GEN_DIGESTS, ids=" ".join)
+def test_gen_files_keep_their_bytes(tmp_path, command):
+    import hashlib
+    for seed, digest in zip((1, 1512), GEN_DIGESTS[command]):
+        out = tmp_path / f"out-{seed}"
+        assert run("gen", *command, "--seed", seed, "-o", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command, named", [

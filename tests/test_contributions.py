@@ -576,17 +576,23 @@ def test_pair_gram_is_the_dense_gram(rng, monkeypatch, slab_elems):
     the dense Gram of the same columns, with zeros above: equal for counts,
     whose sums are exact, and within the two summations' error bound,
     2 (columns) eps relative, once scaled. A tiny pair buffer flushes often
-    and grows for a full column."""
+    and grows for a full column, in that call only: a scratch that earlier
+    calls grew gives the bits of a fresh one."""
     from wideca.engine import _pair_gram
+    from wideca.store import _Scratch
     monkeypatch.setattr("wideca.engine._SLAB_ELEMS", slab_elems)
     ms, md = _sparse_and_dense(rng, "mixed")
     _, by_fill = ms._fill_order()
     scale = rng.random(ms.n_rows) + 0.5
+    shared = _Scratch()
     for cols in (by_fill[:40], by_fill[:1_500], by_fill[-400:], by_fill[::7]):
         rows, values, counts = ms._entries(cols)
         for s, rtol in ((np.ones(ms.n_rows), 0.0),
                         (scale, 2 * cols.size * np.finfo(float).eps)):
-            gram = _pair_gram(rows, values * s[rows], counts, ms.n_rows)
+            gram = _pair_gram(rows, values * s[rows], counts, ms.n_rows,
+                              _Scratch())
+            assert _pair_gram(rows, values * s[rows], counts, ms.n_rows,
+                              shared).tobytes() == gram.tobytes()
             B = md.dense[:, cols] * s[:, None]
             assert (np.triu(gram, 1) == 0).all()
             np.testing.assert_allclose(gram, np.tril(B @ B.T), rtol=rtol,
@@ -597,7 +603,8 @@ def test_slabs_are_the_dense_columns(rng, monkeypatch):
     """A sparse block comes from ``_slabs`` as slabs of at most
     ``_SLAB_ELEMS`` cells, in order, each with the bits of the dense
     columns it covers; a dense block is one slab, a view of its storage."""
-    from wideca.engine import _Scratch, _slabs
+    from wideca.engine import _slabs
+    from wideca.store import _Scratch
     monkeypatch.setattr("wideca.engine._SLAB_ELEMS", 600)  # 10 columns
     ms, md = _sparse_and_dense(rng, "mixed")
     K = md.dense

@@ -351,6 +351,47 @@ def test_row_limit_rejected(monkeypatch):
         decompose(fm)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_w_pass_peak_within_its_count(monkeypatch, workers):
+    """The traced peak of ``decompose`` stays within what ``footprint``
+    counts for its analysis, here with the calling thread held on its first
+    block until the pool has finished every other block the lookahead
+    lets it start: W, the Grams of 2w blocks in flight and a block of
+    scratch per thread. The scratch goes before ``eigh``, and a consumed
+    Gram before the next block runs."""
+    import threading
+    import tracemalloc
+    from wideca import engine, store
+    n_rows, n_cols = 1_000, 5_000  # five blocks of 8 MB
+    fm = build_frequency_model(CountMatrix.from_dense(
+        np.random.default_rng(1).random((n_rows, n_cols))))
+    caller, pool_done = threading.get_ident(), threading.Semaphore(0)
+    started = store._LOOKAHEAD_PER_WORKER * workers - 1  # beside block 0
+    real = engine.ordered_block_map
+
+    def held(fn, blocks, workers):
+        def block(j0, j1):
+            gram = fn(j0, j1)
+            if threading.get_ident() != caller:
+                pool_done.release()
+            elif j0 == 0 and workers > 1:
+                for _ in range(started):
+                    assert pool_done.acquire(timeout=60)
+            return gram
+        return real(block, blocks, workers)
+
+    monkeypatch.setattr(engine, "ordered_block_map", held)
+    tracemalloc.start()
+    try:
+        decompose(fm, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = store.footprint(n_rows, n_cols, workers=workers) \
+        - store.footprint(n_rows, n_cols)
+    assert peak <= count
+
+
 def _canonical_signs_loop(U):
     """Reference: the column-by-column sign rule."""
     for a in range(U.shape[1]):

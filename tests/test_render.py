@@ -1,5 +1,6 @@
 """Property tests of the array renderer: every float64 comes out as the
-bytes of ``"%.17g" % v``, whatever its neighbours in the chunk."""
+bytes of ``"%.17g" % v``, whatever its neighbours in the chunk and whatever
+earlier chunks left in the scratch buffers."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from wideca.store import _render  # noqa: E402
+from wideca.store import _render, _Scratch  # noqa: E402
+
+# One scratch for every example: each renders in the buffers the last left.
+SCRATCH = _Scratch()
 
 
 def _check(values):
@@ -16,7 +20,7 @@ def _check(values):
     seps = np.resize(np.frombuffer(b",\n", dtype=np.uint8), values.size)
     want = b"".join(b"%.17g" % v + bytes([s])
                     for v, s in zip(values.tolist(), seps.tolist()))
-    assert _render(values, seps) == want
+    assert _render(values, seps, SCRATCH) == want
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),

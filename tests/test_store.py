@@ -922,9 +922,10 @@ def _render_edge_values():
     np.concatenate([np.arange(100.0), [0.5]]),  # one fraction among them
 ], ids=["edges", "negated-edges", "whole", "mixed"])
 def test_render_matches_percent_g_edges(values):
-    from wideca.store import _render
+    from wideca.store import _render, _Scratch
     seps = np.resize(np.frombuffer(b" ,\n", dtype=np.uint8), values.size)
-    assert _render(values, seps) == _render_reference(values, seps)
+    assert _render(values, seps, _Scratch()) == \
+        _render_reference(values, seps)
 
 
 # -- block passes --------------------------------------------------------------
@@ -1231,7 +1232,7 @@ def test_footprint_counts_and_unknown_memory(monkeypatch):
     assert store.footprint(425, 105_200, 3_051_177) == \
         3_051_177 * 12 + 105_201 * 4
     assert store.footprint(2, 3_000_000_000, 0) == 3_000_000_001 * 8
-    assert store.footprint(2, 3, 4, analysis=True) == \
+    assert store.footprint(2, 3, 4, workers=1) == \
         4 * 12 + 4 * 4 + 8 * (5 * 3 + 5 * 2 * 2)
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 0)
     store.check_memory("any job", 10 ** 30)

@@ -121,18 +121,19 @@ def test_large_dims_gated(monkeypatch):
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 1 << 30)
     _spy_generators(monkeypatch)
     for table, fits, refused, need in (
-            # 86 x d float64 plus 5 per-column arrays and 5 * 86^2 for the
-            # dual operator: 728,295,840 bytes at 10^6 columns
-            ("1", 1_000_000, 2_000_000, 1_456_295_840),
+            # 86 x d float64 plus 5 per-column arrays and, at two workers,
+            # W pass float64: W, 4 + 2 Grams of 86^2 and two blocks of
+            # 86 x 11,627: 744,412,928 bytes at 10^6 columns
+            ("1", 1_000_000, 2_000_000, 1_472_412_928),
             # 29.0 ones per column, 12 bytes each, plus 4-byte column
             # pointers: 370,349,196 bytes at 1,052,000 columns; table 4 adds
             # the analysis
             ("3", 1_052_000, 10_520_000, 3_703_491_936),
-            ("4", 1_052_000, 10_520_000, 4_131_516_936)):
+            ("4", 1_052_000, 10_520_000, 4_150_400_536)):
         with pytest.raises(Built):
-            sweep(table, dims=(fits,), seeds=1)
+            sweep(table, dims=(fits,), seeds=1, workers=2)
         with _refused(f"table {table} at dimension {refused}", need):
-            sweep(table, dims=(100, refused), seeds=1)
+            sweep(table, dims=(100, refused), seeds=1, workers=2)
 
 
 def test_table2_signals_counted(monkeypatch):
@@ -147,11 +148,13 @@ def test_table2_signals_counted(monkeypatch):
 
 
 def test_jobs_in_flight_counted(monkeypatch):
-    """A one-block dim counts one matrix and analysis per job in flight,
-    min(workers, seeds); a multi-block dim counts one, whatever the
+    """A one-block dim counts one matrix and one-worker analysis per job in
+    flight, min(workers, seeds); a multi-block dim counts one, on all the
     workers."""
-    # 8 * (86 * 10^4 + 5 * 10^4 + 5 * 86^2) bytes a table 1 job at 10^4
-    one = 7_575_840
+    # 8 * (86 * 10^4 + 5 * 10^4 + 3 * 86^2 + 86 * 10^4) bytes a table 1 job
+    # at 10^4: the matrix, 5 per-column arrays and the W pass (W, its one
+    # block's Gram, a Gram being added and a scaled copy of the block)
+    one = 14_337_504
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 3 * one)
     _spy_generators(monkeypatch)
     for workers, seeds in ((1, 5), (3, 5), (5, 3)):
@@ -160,11 +163,18 @@ def test_jobs_in_flight_counted(monkeypatch):
     with pytest.raises(ValidationError, match=(
             f"^table 1 at dimension 10000 needs at least {4 * one:,} bytes")):
         sweep("1", dims=(10_000,), seeds=5, workers=4)
-    # 425 x 10,520 is five blocks: one job at a time, about 12.8 MB
+    # 425 x 10,520 is five blocks: one job at a time on four workers, where
+    # four one-worker jobs would count 71.6 MB
+    job = store.footprint(425, 10_520, int(tables.ParametricMarginals()
+                                           .mean_sum(425) * 10_520), workers=4)
+    assert job == 50_561_488
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", job)
     with pytest.raises(Built):
         sweep("4", dims=(10_520,), seeds=5, workers=4)
-    with pytest.raises(ValidationError, match="^table 4 at dimension 1052 "):
-        sweep("4", dims=(10_520, 1052), seeds=5, workers=4)
+    monkeypatch.setattr(store, "_PHYSICAL_MEMORY", job - 1)
+    with pytest.raises(ValidationError, match=(
+            f"^table 4 at dimension 10520 needs at least {job:,} bytes")):
+        sweep("4", dims=(1052, 10_520), seeds=5, workers=4)
 
 
 def test_dims_checked_before_any_matrix(monkeypatch):
