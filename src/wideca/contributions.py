@@ -34,9 +34,12 @@ basis.
 
 Summary statistics: sample standard deviation (n-1 denominator); the median
 of an even-length vector is the mean of the two central order statistics.
-Maximum projections are reported over non-trivial axes only (the trivial
-projection is identically 1 and carries no information), separately for the
-column cloud (the headline number for wide matrices) and the row cloud.
+The trivial axis (eigenvalue 1, every projection 1) is counted here alone,
+by the convention of the contribution tables: ``decompose`` returns the
+non-trivial axes, and ``include_trivial`` adds 1 to ``nu`` and the total
+inertia and f_j to each column's contributions (f_i to each live row's).
+Maximum projections are reported over non-trivial axes only, separately for
+the column cloud (the headline number for wide matrices) and the row cloud.
 
 The column statistics are reductions over the engine's column blocks
 (``map_projection_blocks``), which hand over standardized projections
@@ -122,13 +125,19 @@ class ContributionReport:
 
 
 def _summary(x: np.ndarray) -> tuple[float, float, float]:
-    """(mean, sample sd, median); the sd of a single value is 0."""
+    """(mean, sample sd, median); the sd of a single value is 0. The median
+    is ``np.median``'s, taken by ``np.partition``, which, unlike
+    ``np.median``, does not import ``numpy.ma``."""
     sd = float(x.std(ddof=1)) if x.size > 1 else 0.0
-    return float(x.mean()), sd, float(np.median(x))
+    h, odd = divmod(x.size, 2)
+    part = np.partition(x, (h - 1 + odd, h))
+    median = part[h] if odd else (part[h - 1] + part[h]) / 2
+    return float(x.mean()), sd, float(median)
 
 
 def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
-                         workers: int | None = None) -> ContributionReport:
+                         workers: int | None = None, *,
+                         include_trivial: bool = True) -> ContributionReport:
     """All per-column metrics and summaries, in one streaming pass when the
     eigenvalues can serve as relative denominators.
 
@@ -136,13 +145,14 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
     column inertias I_a, the largest |projection|, and the relative
     contributions divided by the eigenvalues. Those are kept when every
     |lambda_a / I_a - 1| <= 1e-12; otherwise, or when an I_a is zero or not
-    a number, the same pass runs again dividing by I_a.
+    a number, the same pass runs again dividing by I_a. ``fd`` holds the
+    non-trivial axes; ``include_trivial`` adds the trivial one (see above).
     """
     fj = fm.col_masses
     n_cols = fm.n_cols
     live = fj > 0
-    trivial = 1.0 if fd.include_trivial else 0.0
-    eigenvalues = fd.eigenvalues[1:] if fd.include_trivial else fd.eigenvalues
+    trivial = 1.0 if include_trivial else 0.0
+    lams = fd.eigenvalues
 
     abs_col = np.zeros(n_cols)
     rel_col = np.zeros(n_cols)
@@ -168,31 +178,29 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
             max_proj = max(max_proj, top)
         return inertia, max_proj
 
-    axis_inertia, max_proj_cols = column_pass(1.0 / eigenvalues)
+    axis_inertia, max_proj_cols = column_pass(1.0 / lams)
     # A zero I_a gives an infinite gap and a NaN one a NaN gap: both fail
     # the check below and take the rerun.
     with np.errstate(divide="ignore", invalid="ignore"):
-        inertia_gap = float(np.abs(eigenvalues / axis_inertia - 1.0).max()) \
+        inertia_gap = float(np.abs(lams / axis_inertia - 1.0).max()) \
             if axis_inertia.size else 0.0
     if not inertia_gap <= _EIG_INERTIA_TOL:
         column_pass(_inv_pos(axis_inertia))
 
     # Row cloud: small by design, computed densely.
-    F = fd.row_projections
-    F_nt = F[:, 1:] if fd.include_trivial else F
-    fi = fm.row_masses
-    row_abs = fi * (F * F).sum(axis=1)
-    row_axis_inertia = (F_nt * F_nt).T @ fi
-    inv_row_inertia = _inv_pos(row_axis_inertia)
-    row_rel = fi * (trivial * np.where(fi > 0, 1.0, 0.0)
-                    + (F_nt * F_nt) @ inv_row_inertia)
-    max_proj_rows = float(np.abs(F_nt).max()) if F_nt.size else 0.0
+    F, fi = fd.row_projections, fm.row_masses
+    F2 = F * F
+    trivial_rows = trivial * (fi > 0)  # F_0(i)^2, 0 for zero-mass rows
+    row_abs = fi * (trivial_rows + F2.sum(axis=1))
+    row_rel = fi * (trivial_rows + F2 @ _inv_pos(F2.T @ fi))
+    max_proj_rows = float(np.abs(F).max()) if F.size else 0.0
+    spectrum = np.r_[1.0, lams] if include_trivial else lams
 
     abs_mean, abs_sd, abs_median = _summary(abs_col[live])
     rel_mean, rel_sd, rel_median = _summary(rel_col[live])
     return ContributionReport(
-        dim=n_cols, n_cols_effective=int(live.sum()), nu=fd.nu,
-        total_inertia=float(fd.eigenvalues.sum()),
+        dim=n_cols, n_cols_effective=int(live.sum()), nu=spectrum.size,
+        total_inertia=float(spectrum.sum()),
         abs_mean=abs_mean, abs_sd=abs_sd, abs_median=abs_median,
         rel_mean=rel_mean, rel_sd=rel_sd, rel_median=rel_median,
         max_proj_cols=max_proj_cols, max_proj_rows=max_proj_rows,
@@ -215,5 +223,6 @@ def analyze(m: CountMatrix, include_trivial: bool = True,
     """The whole pipeline: ``build_frequency_model``, ``decompose`` and
     ``concentration_report``, on ``workers`` (default ``resolve_workers()``)."""
     fm = build_frequency_model(m)
-    fd = decompose(fm, include_trivial=include_trivial, workers=workers)
-    return Analysis(fm, fd, concentration_report(fm, fd, workers))
+    fd = decompose(fm, workers=workers)
+    return Analysis(fm, fd, concentration_report(
+        fm, fd, workers, include_trivial=include_trivial))

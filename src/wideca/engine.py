@@ -9,7 +9,8 @@ symmetric operator
 in a single pass over columns and eigendecomposes that. W has the known
 eigenpair (1, sqrt(f_I)), the "trivial" axis on which every profile projects
 to 1. That pair is deflated analytically before calling the eigensolver, so
-degenerate spectra (other eigenvalues equal to 1) cannot mix with it. Column
+degenerate spectra (other eigenvalues equal to 1) cannot mix with it; only
+the report counts it, so ``decompose`` returns the other axes. Column
 coordinates are recovered afterwards by the transition formula
 
     G_a(j) = (1 / sqrt(lambda_a)) sum_i F_a(i) f_ij / f_j
@@ -75,8 +76,7 @@ from .store import (CountMatrix, _Scratch, check_memory, column_blocks,
                     column_sums, footprint, one_blas_thread, ordered_block_map,
                     resolve_workers)
 
-# Non-trivial axes below _REL_EIG_TOL times the largest non-trivial
-# eigenvalue are dropped.
+# Axes below _REL_EIG_TOL times the largest eigenvalue are dropped.
 _REL_EIG_TOL = 1e-12
 # Eigenvalues below n_rows * eps are indistinguishable from the deflation
 # residual of the unit-norm trivial axis, whatever the data.
@@ -140,19 +140,16 @@ class FrequencyModel:
 
 @dataclass
 class FactorDecomposition:
-    """Eigenvalues, row projections, and the basis needed to stream columns.
+    """Eigenvalues, row projections, and the basis needed to stream columns,
+    of the non-trivial axes only: the report adds the trivial one.
 
-    Axes are ordered by eigenvalue, descending. When ``include_trivial`` is
-    set (the default), axis 0 is the trivial one: eigenvalue exactly 1, row
-    projections exactly 1. ``basis`` holds the orthonormal eigenvectors u_a
-    of the non-trivial axes only, as columns.
+    Axes are ordered by eigenvalue, descending. ``basis`` holds their
+    orthonormal eigenvectors u_a, as columns.
     """
 
-    nu: int
     eigenvalues: np.ndarray
     row_projections: np.ndarray
     basis: np.ndarray
-    include_trivial: bool
 
     @property
     def n_nontrivial(self) -> int:
@@ -305,14 +302,14 @@ def _slabs(m: CountMatrix, cols: slice | np.ndarray, scratch: _Scratch
         yield s0, c, slab
 
 
-def decompose(fm: FrequencyModel, include_trivial: bool = True,
+def decompose(fm: FrequencyModel, *,
               workers: int | None = None) -> FactorDecomposition:
-    """Eigendecompose the dual-space operator and build row projections.
+    """Eigendecompose the dual-space operator and build the row projections
+    of its non-trivial axes, on ``workers`` (default ``resolve_workers()``).
 
-    Non-trivial axes below ``_REL_EIG_TOL * max(non-trivial eigenvalue)``
-    are dropped, as are axes below the absolute noise floor
-    ``n_rows * eps``. The retained count never exceeds
-    min(effective rows, effective cols) - 1 non-trivial axes.
+    Axes below ``_REL_EIG_TOL * max(eigenvalue)`` are dropped, as are axes
+    below the absolute noise floor ``n_rows * eps``. The retained count
+    never exceeds min(effective rows, effective cols) - 1.
     """
     m = fm.matrix
     workers = resolve_workers(workers)
@@ -379,16 +376,9 @@ def decompose(fm: FrequencyModel, include_trivial: bool = True,
     _canonical_signs(U)
 
     # Row principal coordinates; zero-mass rows have no profile and get 0.
-    F_nt = U * np.sqrt(lams)[None, :] * fm.row_scale[:, None]
-    eigenvalues, row_projections = lams, F_nt
-    if include_trivial:
-        trivial_col = np.where(fm.row_masses > 0, 1.0, 0.0)
-        eigenvalues = np.concatenate(([1.0], lams))
-        row_projections = np.column_stack([trivial_col, F_nt])
     return FactorDecomposition(
-        nu=int(eigenvalues.size), eigenvalues=eigenvalues,
-        row_projections=row_projections, basis=U,
-        include_trivial=include_trivial)
+        eigenvalues=lams, basis=U,
+        row_projections=U * np.sqrt(lams)[None, :] * fm.row_scale[:, None])
 
 
 def _canonical_signs(U: np.ndarray) -> None:

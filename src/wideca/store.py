@@ -405,8 +405,8 @@ def footprint(n_rows: int, n_cols: int, nnz: int | None = None,
     """Bytes of a job's arrays: dense storage (``nnz`` None) or CSC storage
     of ``nnz`` entries, plus, for an analysis on ``workers`` workers (0:
     none), ``_ANALYSIS_COLUMNS`` per-column float64 arrays and the larger
-    phase in float64: ``eigh``, 5 n_rows^2 (W, deflated in place, and 4.2 n^2
-    measured at 2,000 rows), or the W pass: W, the Grams of the blocks in
+    phase in float64: ``eigh``, 6 n_rows^2 (W and its workspace: 5.7 n^2
+    measured at 1,000 rows), or the W pass: W, the Grams of the blocks in
     flight, and per thread a Gram being added and one block of scratch."""
     index = np.dtype(_index_dtype(n_rows, n_cols, nnz or 0)).itemsize
     size = 8 * n_rows * n_cols if nnz is None else \
@@ -417,7 +417,7 @@ def footprint(n_rows: int, n_cols: int, nnz: int | None = None,
     in_flight = min(_LOOKAHEAD_PER_WORKER * workers, blocks)
     w_pass = (1 + in_flight + threads) * n_rows ** 2 + threads * n_rows * width
     return size + bool(workers) * 8 * (_ANALYSIS_COLUMNS * n_cols
-                                       + max(5 * n_rows ** 2, w_pass))
+                                       + max(6 * n_rows ** 2, w_pass))
 
 
 def check_memory(job: str, size: int,

@@ -76,7 +76,8 @@ def column_projections(fm, fd, workers: int = 1) -> np.ndarray:
     return G
 
 
-def two_pass_relative(fm, fd) -> tuple[np.ndarray, np.ndarray]:
+def two_pass_relative(fm, fd, include_trivial: bool = True
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """(relative contributions, axis inertias) with the empirical axis
     inertias I_a = sum_j f_j G_a(j)^2 as denominators: trivial * f_j +
     sum_a f_j G_a(j)^2 / I_a, the two-pass computation. It keeps the
@@ -87,7 +88,7 @@ def two_pass_relative(fm, fd) -> tuple[np.ndarray, np.ndarray]:
     for _, S2 in blocks:
         inertia += S2.sum(axis=1)
     inv = _inv_pos(inertia)
-    trivial = 1.0 if fd.include_trivial else 0.0
+    trivial = 1.0 if include_trivial else 0.0
     f = fm.col_masses
     rel = np.zeros(fm.n_cols)
     for cols, S2 in blocks:

@@ -53,13 +53,14 @@ def test_criterion_1_exact_identity_suite():
         n_cols = int(rng.integers(max(4, n_rows // 2), 201))
         m = random_count_matrix(rng, n_rows, n_cols, kinds[trial % 4])
         fm = build_frequency_model(m)
+        fd = decompose(fm)
         for include_trivial in (True, False):
-            fd = decompose(fm, include_trivial=include_trivial)
-            rep = concentration_report(fm, fd)
-            lam_sum = fd.eigenvalues.sum()
+            rep = concentration_report(fm, fd, include_trivial=include_trivial)
+            lam_sum = float(include_trivial) + fd.eigenvalues.sum()
+            nu = fd.n_nontrivial + include_trivial
             assert abs(rep.per_column_absolute.sum() - lam_sum) < 1e-8
             assert abs(rep.per_row_absolute.sum() - lam_sum) < 1e-8
-            assert abs(rep.rel_mean - fd.nu / rep.n_cols_effective) < 1e-10
+            assert abs(rep.rel_mean - nu / rep.n_cols_effective) < 1e-10
     _elapsed_guard(t0, 10.0, "criterion 1")
     print("PASS criterion 1: identity suite on 50 random matrices")
 
@@ -76,9 +77,9 @@ def test_criterion_2_oracle_equivalence():
         lam_o, F_o, G_o = svd_oracle(K)
         fm = build_frequency_model(CountMatrix.from_dense(K))
         fd = decompose(fm)
-        n = fd.nu - 1
-        assert np.abs(fd.eigenvalues[1:] - lam_o[:n]).max() < 1e-9
-        assert np.abs(fd.row_projections[:, 1:] - F_o[:, :n]).max() < 1e-9
+        n = fd.n_nontrivial
+        assert np.abs(fd.eigenvalues - lam_o[:n]).max() < 1e-9
+        assert np.abs(fd.row_projections - F_o[:, :n]).max() < 1e-9
         G = column_projections(fm, fd)  # the report's kernel, S / sqrt(f_j)
         assert np.abs(G - G_o[:n]).max() < 1e-9
     _elapsed_guard(t0, 5.0, "criterion 2")

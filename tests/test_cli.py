@@ -291,9 +291,9 @@ def _unreachable(*args, **kw):
 
 
 @pytest.mark.parametrize("argv, memory, message, spy", [
-    # 8 * (86 * 100 + 5 * 100 + 5 * 86^2) bytes
+    # 8 * (86 * 100 + 5 * 100 + 6 * 86^2) bytes
     (["reproduce", "--table", "1", "--dims", 100, "--seeds", 1], 1_000,
-     "table 1 at dimension 100 needs at least 368,640 bytes",
+     "table 1 at dimension 100 needs at least 427,808 bytes",
      "wideca.tables.gen_uniform"),
     (["gen", "uniform", "--rows", 2, "--cols", 2], 31,
      "a 2 x 2 uniform matrix needs at least 32 bytes",
@@ -306,9 +306,9 @@ def _unreachable(*args, **kw):
     (["gen", "powerlaw", "--rows", 425, "--cols", 100, "--seed", 4], 36_000,
      "a 425 x 100 power-law boolean matrix needs at least 36,968 bytes",
      "wideca.generators.ordered_block_map"),
-    # 8 * (2 * 2 + 5 * 2 + 5 * 2^2) bytes, checked after the file is read
-    (["analyze", "IN"], 271,
-     "the analysis of a 2 x 2 matrix needs at least 272 bytes",
+    # 8 * (2 * 2 + 5 * 2 + 6 * 2^2) bytes, checked after the file is read
+    (["analyze", "IN"], 303,
+     "the analysis of a 2 x 2 matrix needs at least 304 bytes",
      "wideca.engine.ordered_block_map"),
     # the samples and two masks, 10 bytes a sample: 9,000 bytes, above the
     # 8 a sample once counted and below the walk's peak, is refused
@@ -695,7 +695,7 @@ def test_w_pass_loads_no_scipy(tmp_path):
         " K[np.nonzero(K)])\n"
         "fm = build_frequency_model(m)\n"
         "for workers in (1, 2):\n"
-        "    assert decompose(fm, workers=workers).nu > 1\n"
+        "    assert decompose(fm, workers=workers).n_nontrivial > 0\n"
         "assert 'scipy' not in sys.modules\n"
         "import wideca.engine\n"
         "wideca.engine._SCIPY_IMPORT_MADDS = 1\n"
@@ -719,6 +719,30 @@ def test_small_sparse_analyses_load_no_scipy(tmp_path):
         "assert main(['reproduce', '--table', '4', '--seeds', '1',"
         " '-o', 't4.csv']) == 0\n"
         "assert 'scipy' not in sys.modules\n"
+    )
+    _run_fresh_python(script, tmp_path)
+
+
+def test_dense_analyze_and_tables_load_no_numpy_ma(tmp_path):
+    """The report takes its medians with ``np.partition``: in a fresh
+    interpreter, ``analyze`` of a dense-csv file and ``reproduce`` of tables
+    1, 2-synthetic and 4 leave ``numpy.ma`` unloaded, which ``np.median``
+    imports."""
+    run("gen", "uniform", "--rows", 20, "--cols", 500, "-o", tmp_path / "u.csv")
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wideca.cli import main\n"
+        "def run(*argv):\n"
+        "    assert main([str(a) for a in argv]) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+        "run('analyze', 'u.csv', '-o', 'r')\n"
+        "for table, dims in (('1', '100'), ('2-synthetic', '100'),"
+        " ('4', '1052')):\n"
+        "    run('reproduce', '--table', table, '--dims', dims, '--seeds', 1,"
+        " '-o', 't.csv')\n"
+        "np.median(np.arange(3.0))\n"
+        "assert 'numpy.ma' in sys.modules\n"
     )
     _run_fresh_python(script, tmp_path)
 

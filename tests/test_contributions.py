@@ -17,9 +17,9 @@ def _matrix(m):
     return m if isinstance(m, CountMatrix) else CountMatrix.from_dense(m)
 
 
-def analyze(m, include_trivial=True):
+def analyze(m):
     fm = build_frequency_model(_matrix(m))
-    fd = decompose(fm, include_trivial=include_trivial)
+    fd = decompose(fm)
     return fm, fd
 
 
@@ -83,7 +83,7 @@ def test_absolute_contribution_identical_rows():
     # identical rows: only the trivial axis, total equals f_j
     K = np.vstack([np.array([1.0, 2, 3, 4])] * 3)
     fm, fd, rep = report(K)
-    assert fd.nu == 1
+    assert fd.n_nontrivial == 0 and rep.nu == 1
     np.testing.assert_allclose(rep.per_column_absolute, fm.col_masses,
                                rtol=1e-12)
     assert rep.axis_column_inertia.size == 0
@@ -92,8 +92,9 @@ def test_absolute_contribution_identical_rows():
 def test_relative_contribution_trivial_axis_is_mass(rng):
     m = random_count_matrix(rng, 6, 14, "counts")
     fm = build_frequency_model(m)
-    with_t = concentration_report(fm, decompose(fm, include_trivial=True))
-    without = concentration_report(fm, decompose(fm, include_trivial=False))
+    fd = decompose(fm)
+    with_t = concentration_report(fm, fd, include_trivial=True)
+    without = concentration_report(fm, fd, include_trivial=False)
     np.testing.assert_allclose(
         with_t.per_column_relative - without.per_column_relative,
         fm.col_masses, rtol=1e-12, atol=1e-15)
@@ -104,8 +105,8 @@ def test_absolute_contributions_sum_to_inertia(rng):
     fm, fd, rep = report(m)
     np.testing.assert_allclose(rep.per_column_absolute,
                                direct_absolute(m.to_dense()), rtol=1e-10)
-    assert rep.per_column_absolute.sum() == pytest.approx(fd.eigenvalues.sum(),
-                                                          abs=1e-8)
+    assert rep.per_column_absolute.sum() == pytest.approx(
+        1.0 + fd.eigenvalues.sum(), abs=1e-8)
 
 
 def test_per_axis_relative_sums_to_one(rng):
@@ -128,9 +129,9 @@ def test_inertia_totals_agree_both_ways(rng):
     for kind in ("uniform", "counts", "boolean", "sparse"):
         for include_trivial in (True, False):
             m = random_count_matrix(rng, 12, 40, kind)
-            fm, fd = analyze(m, include_trivial)
-            rep = concentration_report(fm, fd)
-            lam_sum = fd.eigenvalues.sum()
+            fm, fd = analyze(m)
+            rep = concentration_report(fm, fd, include_trivial=include_trivial)
+            lam_sum = float(include_trivial) + fd.eigenvalues.sum()
             assert rep.per_column_absolute.sum() == pytest.approx(lam_sum,
                                                                   abs=1e-8)
             assert rep.per_row_absolute.sum() == pytest.approx(lam_sum,
@@ -144,7 +145,7 @@ def test_axis_inertia_matches_eigenvalues(rng):
     fm, fd = analyze(m)
     rep = concentration_report(fm, fd)
     np.testing.assert_allclose(rep.axis_column_inertia,
-                               fd.eigenvalues[1:], atol=1e-8)
+                               fd.eigenvalues, atol=1e-8)
     # rho^2(j) = 1 + sum_a G_a^2(j): full-rank case
     rho2 = rep.per_column_absolute / fm.col_masses
     np.testing.assert_allclose(
@@ -156,7 +157,8 @@ def test_mean_relative_is_exact_identity(rng):
         m = random_count_matrix(rng, 11, 35, kind)
         fm, fd = analyze(m)
         rep = concentration_report(fm, fd)
-        assert rep.rel_mean == pytest.approx(fd.nu / 35, abs=1e-10)
+        assert rep.rel_mean == pytest.approx((fd.n_nontrivial + 1) / 35,
+                                             abs=1e-10)
 
 
 def test_mean_relative_identity_with_zero_columns():
@@ -166,7 +168,7 @@ def test_mean_relative_identity_with_zero_columns():
     fm, fd = analyze(K)
     rep = concentration_report(fm, fd)
     assert rep.n_cols_effective == 3
-    assert rep.rel_mean == pytest.approx(fd.nu / 3, abs=1e-10)
+    assert rep.rel_mean == pytest.approx((fd.n_nontrivial + 1) / 3, abs=1e-10)
     np.testing.assert_array_equal(rep.excluded_cols, [1, 4])
     assert rep.per_column_absolute[1] == 0.0
 
@@ -174,12 +176,73 @@ def test_mean_relative_identity_with_zero_columns():
 def test_trivial_included_shifts_absolute_by_mass(rng):
     m = random_count_matrix(rng, 7, 18, "uniform")
     fm = build_frequency_model(m)
-    with_t = concentration_report(fm, decompose(fm, include_trivial=True))
-    without = concentration_report(fm, decompose(fm, include_trivial=False))
+    fd = decompose(fm)
+    with_t = concentration_report(fm, fd, include_trivial=True)
+    without = concentration_report(fm, fd, include_trivial=False)
     np.testing.assert_allclose(
         with_t.per_column_absolute - without.per_column_absolute,
         fm.col_masses, atol=1e-12)
     assert with_t.nu == without.nu + 1
+
+
+# -- the trivial axis ------------------------------------------------------------
+# ``decompose`` returns the non-trivial axes only; the report counts the
+# trivial one (eigenvalue 1, every row and column projection 1) unless
+# ``include_trivial`` is off.
+
+def test_uniform_matrix_only_trivial_axis():
+    fm, fd, rep = report(np.ones((2, 2)))
+    assert fd.n_nontrivial == 0 and rep.nu == 1
+    assert rep.total_inertia == 1.0
+    # f_i F_0(i)^2 / f_i: the trivial row projections
+    np.testing.assert_allclose(rep.per_row_absolute / fm.row_masses, 1.0)
+
+
+def _trivial_terms(fm, fd):
+    """What counting the trivial axis adds to the report: (f_i F_0(i)^2,
+    f_j G_0(j)^2, its eigenvalue), each row's, column's and the total
+    inertia's difference between the reports with and without it."""
+    with_t = concentration_report(fm, fd, include_trivial=True)
+    without = concentration_report(fm, fd, include_trivial=False)
+    return (with_t.per_row_absolute - without.per_row_absolute,
+            with_t.per_column_absolute - without.per_column_absolute,
+            with_t.total_inertia - without.total_inertia)
+
+
+def test_trivial_axis_projections_are_one(rng):
+    for kind in ("uniform", "boolean"):
+        fm = build_frequency_model(random_count_matrix(rng, 10, 30, kind))
+        fd = decompose(fm)
+        rows, _, eigenvalue = _trivial_terms(fm, fd)
+        np.testing.assert_allclose(rows / fm.row_masses, 1.0, atol=1e-10)
+        assert abs(eigenvalue - 1.0) < 1e-10
+
+
+def test_exclude_trivial_flag(rng):
+    fm = build_frequency_model(random_count_matrix(rng, 6, 12, "uniform"))
+    fd = decompose(fm)
+    with_t = concentration_report(fm, fd, include_trivial=True)
+    without = concentration_report(fm, fd, include_trivial=False)
+    assert with_t.nu == without.nu + 1 == fd.n_nontrivial + 1
+    # the non-trivial axes are the same either way
+    np.testing.assert_allclose(with_t.axis_column_inertia,
+                               without.axis_column_inertia, atol=0)
+    for name in ("max_proj_cols", "max_proj_rows", "inertia_gap"):
+        assert getattr(with_t, name) == getattr(without, name), name
+    # the eigenvalue 1 is summed first, ahead of the non-trivial spectrum
+    assert with_t.total_inertia == float(np.r_[1.0, fd.eigenvalues].sum())
+    assert without.total_inertia == float(fd.eigenvalues.sum())
+
+
+def test_trivial_column_projection_is_one(rng):
+    # transition formula on the trivial axis: G_0(j) = sum_i (f_ij/f_j) F_0(i)
+    m = random_count_matrix(rng, 7, 19, "counts")
+    fm = build_frequency_model(m)
+    rows, cols, _ = _trivial_terms(fm, decompose(fm))
+    K = m.to_dense()
+    G0 = (K / K.sum(axis=0)).T @ np.sqrt(rows / fm.row_masses)
+    np.testing.assert_allclose(G0, 1.0, atol=1e-10)
+    np.testing.assert_allclose(cols / fm.col_masses, 1.0, atol=1e-10)
 
 
 def test_max_projection_excludes_trivial(rng):
@@ -563,7 +626,7 @@ def test_repeated_eigenvalue_storage_agreement(rng):
     _, fd_s, sparse = wideca.analyze(
         CountMatrix.from_triplets(*K.shape, *coo, K[coo]))
     _, fd_d, dense = wideca.analyze(CountMatrix.from_dense(K))
-    assert np.count_nonzero(np.abs(fd_d.eigenvalues - 1.0) < 1e-9) == 11
+    assert np.count_nonzero(np.abs(fd_d.eigenvalues - 1.0) < 1e-9) == 10
     np.testing.assert_allclose(fd_s.eigenvalues, fd_d.eigenvalues,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(sparse.per_column_absolute,
@@ -659,11 +722,11 @@ def test_analyze_is_the_three_stages_bit_for_bit(rng, monkeypatch, sparse,
     m = CountMatrix.from_triplets(30, 9_000, *coo, K[coo]) if sparse \
         else CountMatrix.from_dense(K)
     fm = build_frequency_model(m)
-    fd = decompose(fm, include_trivial=include_trivial, workers=workers)
-    ref = concentration_report(fm, fd, workers=workers)
+    fd = decompose(fm, workers=workers)
+    ref = concentration_report(fm, fd, workers, include_trivial=include_trivial)
     got = wideca.analyze(m, include_trivial, workers)
     assert got.model.matrix is m
-    assert got.decomposition.include_trivial is include_trivial
+    assert got.report.nu == fd.n_nontrivial + include_trivial
     for name in ("eigenvalues", "row_projections", "basis"):
         assert getattr(got.decomposition, name).tobytes() == \
             getattr(fd, name).tobytes(), name
@@ -794,7 +857,8 @@ def test_relative_denominator_zero_mass_columns(kind):
     assert rep.relative_denominator == \
         ("eigenvalues" if kind == "uniform" else "axis_inertia")
     assert (rep.per_column_relative[[0, 57]] == 0.0).all()
-    assert rep.rel_mean == pytest.approx(fd.nu / 98, abs=1e-10)
+    assert rep.rel_mean == pytest.approx((fd.n_nontrivial + 1) / 98,
+                                         abs=1e-10)
 
 
 def test_zero_axis_inertia_falls_back_without_warning(rng):

@@ -7,9 +7,9 @@ from wideca import (CountMatrix, ValidationError, build_frequency_model,
                     concentration_report, decompose)
 
 
-def analyze(K, include_trivial=True, workers=1):
+def analyze(K, workers=1):
     fm = build_frequency_model(CountMatrix.from_dense(K))
-    fd = decompose(fm, include_trivial=include_trivial, workers=workers)
+    fd = decompose(fm, workers=workers)
     return fm, fd
 
 
@@ -150,27 +150,19 @@ def test_profiles_sum_to_one(rng):
 
 # -- decomposition -------------------------------------------------------------
 
-def test_uniform_matrix_only_trivial_axis():
-    _, fd = analyze(np.ones((2, 2)))
-    assert fd.nu == 1
-    assert fd.eigenvalues[0] == 1.0
-    np.testing.assert_allclose(fd.row_projections[:, 0], 1.0)
-
-
 def test_perfect_association():
     # [[2,0],[0,2]]: one non-trivial axis with eigenvalue 1 (hand oracle)
     _, fd = analyze(np.array([[2.0, 0], [0, 2]]))
-    assert fd.nu == 2
-    np.testing.assert_allclose(fd.eigenvalues, [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(np.abs(fd.row_projections[:, 1]), [1.0, 1.0],
+    assert fd.n_nontrivial == 1
+    np.testing.assert_allclose(fd.eigenvalues, [1.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(fd.row_projections[:, 0]), [1.0, 1.0],
                                atol=1e-10)
-    assert fd.row_projections[0, 1] > 0  # sign convention
+    assert fd.row_projections[0, 0] > 0  # sign convention
 
 
 def test_k0_eigenvalues_match_frozen_oracle():
     _, fd = analyze(K0)
-    np.testing.assert_allclose(fd.eigenvalues, [1.0, *K0_EIGENVALUES],
-                               atol=1e-12)
+    np.testing.assert_allclose(fd.eigenvalues, K0_EIGENVALUES, atol=1e-12)
 
 
 def test_k0_projections_satisfy_axis_inertia():
@@ -178,24 +170,15 @@ def test_k0_projections_satisfy_axis_inertia():
     fm, fd = analyze(K0)
     G = column_projections(fm, fd)
     lam_hat = (G * G) @ fm.col_masses
-    np.testing.assert_allclose(lam_hat, fd.eigenvalues[1:], atol=1e-10)
+    np.testing.assert_allclose(lam_hat, fd.eigenvalues, atol=1e-10)
 
 
-def test_trivial_axis_projections_are_one(rng):
-    for kind in ("uniform", "boolean"):
-        fm = build_frequency_model(random_count_matrix(rng, 10, 30, kind))
-        fd = decompose(fm)
-        np.testing.assert_allclose(fd.row_projections[:, 0], 1.0, atol=1e-10)
-        assert abs(fd.eigenvalues[0] - 1.0) < 1e-10
-
-
-def test_exclude_trivial_flag(rng):
-    fm = build_frequency_model(random_count_matrix(rng, 6, 12, "uniform"))
-    with_t = decompose(fm, include_trivial=True)
-    without = decompose(fm, include_trivial=False)
-    assert with_t.nu == without.nu + 1
-    np.testing.assert_allclose(with_t.eigenvalues[1:], without.eigenvalues,
-                               atol=0)
+def test_decompose_takes_workers_by_keyword_only():
+    """A positional second argument, the trivial-axis flag of an older
+    signature, raises instead of setting the worker count."""
+    fm, _ = analyze(K0)
+    with pytest.raises(TypeError):
+        decompose(fm, True)
 
 
 def test_eigenvalues_descending_in_unit_interval(rng):
@@ -217,13 +200,13 @@ def test_weighted_orthogonality(rng):
 def test_uniform_86x100_has_full_nu():
     rng = np.random.Generator(np.random.PCG64(5))
     _, fd = analyze(rng.random((86, 100)))
-    assert fd.nu == 86
+    assert fd.n_nontrivial == 85
 
 
 def test_rank_capped_by_columns():
     rng = np.random.Generator(np.random.PCG64(6))
     _, fd = analyze(rng.random((10, 4)))
-    assert fd.nu <= 4
+    assert fd.n_nontrivial <= 3
 
 
 def test_oracle_equivalence_small(rng):
@@ -231,10 +214,9 @@ def test_oracle_equivalence_small(rng):
         K = rng.random((7 + trial, 13)) + 0.05
         lam_o, F_o, G_o = svd_oracle(K)
         fm, fd = analyze(K)
-        n = fd.nu - 1
-        np.testing.assert_allclose(fd.eigenvalues[1:], lam_o[:n], atol=1e-11)
-        np.testing.assert_allclose(fd.row_projections[:, 1:], F_o[:, :n],
-                                   atol=1e-9)
+        n = fd.n_nontrivial
+        np.testing.assert_allclose(fd.eigenvalues, lam_o[:n], atol=1e-11)
+        np.testing.assert_allclose(fd.row_projections, F_o[:, :n], atol=1e-9)
         G = column_projections(fm, fd)
         np.testing.assert_allclose(G, G_o[:n], atol=1e-9)
 
@@ -245,9 +227,9 @@ def test_transition_duality(rng):
     fm, fd = analyze(K)
     G = column_projections(fm, fd)
     prof = (K / K.sum(axis=1)[:, None])
-    lam = fd.eigenvalues[1:]
+    lam = fd.eigenvalues
     F_back = (prof @ G.T) / np.sqrt(lam)[None, :]
-    np.testing.assert_allclose(F_back, fd.row_projections[:, 1:], atol=1e-8)
+    np.testing.assert_allclose(F_back, fd.row_projections, atol=1e-8)
 
 
 def test_column_projection_orthogonality(rng):
@@ -256,17 +238,7 @@ def test_column_projection_orthogonality(rng):
     G = column_projections(fm, fd)
     fj = fm.col_masses
     gram = (G * fj[None, :]) @ G.T
-    np.testing.assert_allclose(gram, np.diag(fd.eigenvalues[1:]), atol=1e-8)
-
-
-def test_trivial_column_projection_is_one(rng):
-    # transition formula on the trivial axis: G_0(j) = sum_i (f_ij/f_j) F_0(i)
-    m = random_count_matrix(rng, 7, 19, "counts")
-    fm = build_frequency_model(m)
-    fd = decompose(fm)
-    K = m.to_dense()
-    G0 = (K / K.sum(axis=0)).T @ fd.row_projections[:, 0]
-    np.testing.assert_allclose(G0, 1.0, atol=1e-10)
+    np.testing.assert_allclose(gram, np.diag(fd.eigenvalues), atol=1e-8)
 
 
 def test_zero_mass_column_skipped():
@@ -332,13 +304,13 @@ def test_worker_count_does_not_change_bits(rng):
 
 def test_row_limit_rejected(monkeypatch):
     """The rows a machine can analyze are bounded by its memory: W and
-    ``eigh`` take 5 n^2 float64 beside the storage and 5 per-column arrays.
+    ``eigh`` take 6 n^2 float64 beside the storage and 5 per-column arrays.
     decompose refuses an analysis that does not fit before its W pass."""
     from wideca import engine, store
     fm = build_frequency_model(CountMatrix.from_dense(np.ones((40, 3))))
-    need = 8 * (40 * 3 + 5 * 3 + 5 * 40 * 40)
+    need = 8 * (40 * 3 + 5 * 3 + 6 * 40 * 40)
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need)
-    assert decompose(fm).nu == 1
+    assert decompose(fm).n_nontrivial == 0
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", need - 1)
 
     def unreachable(*args, **kw):

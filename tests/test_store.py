@@ -1233,7 +1233,7 @@ def test_footprint_counts_and_unknown_memory(monkeypatch):
         3_051_177 * 12 + 105_201 * 4
     assert store.footprint(2, 3_000_000_000, 0) == 3_000_000_001 * 8
     assert store.footprint(2, 3, 4, workers=1) == \
-        4 * 12 + 4 * 4 + 8 * (5 * 3 + 5 * 2 * 2)
+        4 * 12 + 4 * 4 + 8 * (5 * 3 + 6 * 2 * 2)
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 0)
     store.check_memory("any job", 10 ** 30)
     monkeypatch.setattr(store, "_PHYSICAL_MEMORY", 100)

@@ -143,7 +143,7 @@ def test_table2_signals_counted(monkeypatch):
     _spy_generators(monkeypatch)
     with pytest.raises(Built):
         sweep("2-synthetic", dims=(100,), seeds=1000, workers=1)
-    with _refused("table 2-synthetic at dimension 100", 1_520_544_640):
+    with _refused("table 2-synthetic at dimension 100", 1_520_603_808):
         sweep("2-synthetic", dims=(100,), seeds=2000, workers=1)
 
 
