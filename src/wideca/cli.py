@@ -301,9 +301,6 @@ def build_parser() -> _Parser:
                      help="comma-separated dimensionalities")
     rep.add_argument("--seeds", type=int, default=3, help="seeds per setting")
     rep.add_argument("--exponent", type=float, default=DEFAULT_EXPONENT)
-    rep.add_argument("--allow-large", action="store_true",
-                     help="accepted and has no effect: a dimension runs "
-                          "when its arrays fit in physical memory")
     common(rep, workers=True, trivial=True)
     rep.set_defaults(func=_cmd_reproduce)
 

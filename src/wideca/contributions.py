@@ -50,7 +50,8 @@ columns of the per-column arrays (a slice of them for dense storage, the
 block's fill-ordered column indices for sparse storage): column sums of S^2
 for the absolute, the inverse denominators times S^2 for the relative
 contributions. Only per-axis sums of S^2 and the block's largest
-|G| = sqrt(max_a S^2) / sqrt(f_j) come back, merged in block order. The pass
+|G| / sqrt(k) = sqrt(max_a S^2) / sqrt(k_j) come back, merged in block
+order, and the largest is scaled by sqrt(k) once. The pass
 runs once with the inverse eigenvalues, and again with the inverse axis
 inertias only when the gap check fails; the rerun rewrites the absolute
 contributions with the same bits and its sums are discarded.
@@ -165,8 +166,8 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
             S2 = np.multiply(S, S, out=S)
             abs_col[cols] = trivial * f + S2.sum(axis=0)
             rel_col[cols] = trivial * f + inv_denominators @ S2
-            # max |G| = sqrt(f_j G^2) / sqrt(f_j); an empty block leaves
-            # the running max alone
+            # max |G| / sqrt(k) = sqrt(max_a S^2) / sqrt(k_j); an empty
+            # block leaves the running max alone
             top = float((np.sqrt(S2.max(axis=0))
                          * fm.col_scale[cols]).max()) if S2.size else 0.0
             return top, S2.sum(axis=1)
@@ -176,7 +177,7 @@ def concentration_report(fm: FrequencyModel, fd: FactorDecomposition,
         for top, part in map_projection_blocks(fm, fd, block, workers):
             inertia += part
             max_proj = max(max_proj, top)
-        return inertia, max_proj
+        return inertia, float(np.sqrt(fm.grand_total)) * max_proj
 
     axis_inertia, max_proj_cols = column_pass(1.0 / lams)
     # A zero I_a gives an infinite gap and a NaN one a NaN gap: both fail

@@ -16,30 +16,38 @@ coordinates are recovered afterwards by the transition formula
     G_a(j) = (1 / sqrt(lambda_a)) sum_i F_a(i) f_ij / f_j
 
 in a second streaming pass, which keeps cost and memory linear in the number
-of columns. Row coordinates are F_a(i) = sqrt(lambda_a) u_a(i) / sqrt(f_i).
+of columns.
+
+Both passes read one matrix, B = diag(1/sqrt(k_i)) K diag(1/sqrt(k_j)) of
+the counts K, row sums k_i and column sums k_j, whose grand totals cancel:
+it is diag(1/sqrt(f_i)) F diag(1/sqrt(f_j)) of the frequencies F = K / k.
+The first pass forms W = B B^T, the second the projections S = U^T B onto
+the eigenvectors u_a, the columns of U. By the transition formula
+S = sqrt(f_j) G, so the column coordinates are G = sqrt(k) S / sqrt(k_j)
+and the row coordinates F_a(i) = sqrt(lambda_a) sqrt(k) u_a(i) / sqrt(k_i).
+``build_frequency_model`` computes the scales 1/sqrt(k_i) and 1/sqrt(k_j)
+once, and sparse storage's fill order, and every reader takes them from the
+model; sqrt(k) enters each coordinate once.
 
 Each pass is one block function over the fixed column-block grid. Dense
 storage lays the grid over its columns as they are; sparse storage lays it
 over its columns sorted by entry count (``CountMatrix._fill_order``, a
-stable sort made once per pass), so each block holds columns of like fill
-and takes one kernel for all of them. A block reads storage only through
-``store``: ``_slabs`` hands it to BLAS in slabs, a dense block as one slab,
-a view of its storage, and a sparse block's entries
-(``CountMatrix._entries``) scattered into the thread's ``slab`` buffer, in
-slabs of at most ``_SLAB_ELEMS`` cells. So each pass makes one choice per
-block: its slabs, or a sparse block's light kernel. The mass-unit scales
-1/sqrt(f_i) and 1/sqrt(f_j) are built once, by ``build_frequency_model``,
-and every reader in mass units takes them from the model; the W pass keeps
-its own count-unit scales, fixed once per pass. The W pass (``block_gram``
-in ``decompose``) scales each slab of K into the thread's ``slab`` buffer,
-a sparse slab in place, and sums the slabs' Gram matrices, formed by BLAS. A
-sparse block whose fill does not make BLAS pay (``_dense_gram``) sums the
-products of its columns' entry pairs with ``np.bincount`` instead
-(``_pair_gram``), which fills only the lower triangle ``eigh`` reads. The W
-pass imports no scipy. The projection pass (``map_projection_blocks``)
-folds the row scaling into the basis, so a block's projections come from
-products that read K where it is stored, and hands the standardized
-S = sqrt(f_j) G to the caller's reduction inside the same worker. A sparse
+stable sort the model makes once for both passes), so each block holds
+columns of like fill and takes one kernel for all of them. A block reads
+storage only through ``store``: ``_slabs`` hands it to BLAS in slabs, a
+dense block as one slab, a view of its storage, and a sparse block's
+entries (``CountMatrix._entries``) scattered into the thread's ``slab``
+buffer, in slabs of at most ``_SLAB_ELEMS`` cells. So each pass makes one
+choice per block: its slabs, or a sparse block's light kernel. The W pass
+(``block_gram`` in ``decompose``) scales each slab of K into the thread's
+``slab`` buffer, a sparse slab in place, and sums the slabs' Gram
+matrices, formed by BLAS. A sparse block whose fill does not make BLAS pay
+(``_dense_gram``) sums the products of its columns' entry pairs with
+``np.bincount`` instead (``_pair_gram``), which fills only the lower
+triangle ``eigh`` reads. The W pass imports no scipy. The projection pass
+(``map_projection_blocks``) folds the row scale into the basis, so a
+block's projections come from products that read K where it is stored,
+and hands S to the caller's reduction inside the same worker. A sparse
 block at most ``_DENSE_PROJECTION_FILL`` full takes scipy's sparse product
 when, over the whole pass, what that product saves on the light blocks
 pays for importing ``scipy.sparse`` (``_scipy_pays``), and the BLAS slabs
@@ -106,10 +114,18 @@ class FrequencyModel:
 
     Row and column masses each sum to 1. Zero-mass rows and columns are kept
     in place but recorded here; they have no profile and are excluded from
-    every profile-based computation downstream. ``row_scale`` and
-    ``col_scale`` are 1/sqrt(f_i) and 1/sqrt(f_j), exactly 0 at zero mass:
-    the mass-unit scales of the row coordinates, the projection pass and the
-    report's largest |projection|, computed here once.
+    every profile-based computation downstream.
+
+    ``row_scale`` and ``col_scale`` are 1/sqrt(k_i) and 1/sqrt(k_j), of the
+    row and column sums k_i and k_j, exactly 0 at a zero sum: the scales of
+    B = diag(1/sqrt(k_i)) K diag(1/sqrt(k_j)), which both block passes read,
+    W = B B^T in the first and S = U^T B in the second. In mass units
+    B = diag(1/sqrt(f_i)) F diag(1/sqrt(f_j)), F = K / k, since the grand
+    totals cancel; only the coordinates carry sqrt(k), once each:
+    G = sqrt(k) S / sqrt(k_j) and F_a = sqrt(lambda_a) sqrt(k) u_a / sqrt(k_i).
+    ``fill_order`` is sparse storage's (entries per column, columns by
+    ascending entry count) from ``CountMatrix._fill_order``, taken once here
+    for both passes; None for dense storage.
     """
 
     matrix: CountMatrix
@@ -120,6 +136,7 @@ class FrequencyModel:
     excluded_cols: np.ndarray
     row_scale: np.ndarray
     col_scale: np.ndarray
+    fill_order: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def n_rows(self) -> int:
@@ -160,23 +177,22 @@ def build_frequency_model(m: CountMatrix) -> FrequencyModel:
     """Convert counts to frequencies with row/column mass distributions; a
     positive row or column sum below the smallest normal float64, whose
     reciprocal scales would overflow, is rejected."""
-    k = m.grand_total
-    if k <= 0:
-        raise ValidationError("all-zero matrix has no frequency form")
+    k = m.grand_total  # positive: ``CountMatrix`` checks it
     tiny = float(np.finfo(np.float64).tiny)
-    for name, sums in (("row", m.row_sums()), ("column", column_sums(m))):
+    row_sums, col_sums = m.row_sums(), column_sums(m)
+    for name, sums in (("row", row_sums), ("column", col_sums)):
         low = np.flatnonzero((sums > 0) & (sums < tiny))
         if low.size:
             raise ValidationError(f"{name} {low[0]} sums to {float(sums[low[0]])}, "
                                   f"below the smallest normal float64 {tiny}")
-    row_masses = m.row_sums() / k
-    col_masses = column_sums(m) / k
+    row_masses, col_masses = row_sums / k, col_sums / k
     return FrequencyModel(
         matrix=m, row_masses=row_masses, col_masses=col_masses, grand_total=k,
         excluded_rows=np.flatnonzero(row_masses == 0.0),
         excluded_cols=np.flatnonzero(col_masses == 0.0),
-        row_scale=_inv_pos(np.sqrt(row_masses)),
-        col_scale=_inv_pos(np.sqrt(col_masses)))
+        row_scale=_inv_pos(np.sqrt(row_sums)),
+        col_scale=np.sqrt(_inv_pos(col_sums)),
+        fill_order=m._fill_order() if m.is_sparse else None)
 
 
 def _inv_pos(x: np.ndarray) -> np.ndarray:
@@ -316,15 +332,13 @@ def decompose(fm: FrequencyModel, *,
     check_memory(f"the analysis of a {m.n_rows} x {m.n_cols} matrix",
                  footprint(m.n_rows, m.n_cols, m.nnz if m.is_sparse else None,
                            workers))
-    inv_sqrt_ki = _inv_pos(np.sqrt(m.row_sums()))
-    inv_sqrt_kj = np.sqrt(_inv_pos(column_sums(m)))
     scratch = _Scratch()
     if m.is_sparse:
-        counts, by_fill = m._fill_order()
+        counts, by_fill = fm.fill_order
 
     def block_gram(j0: int, j1: int) -> np.ndarray:
-        """Gram matrix of one block of columns of B = diag(1/sqrt(k_i)) K
-        diag(1/sqrt(k_j)); in count units W = B B^T exactly. A dense block
+        """Gram matrix of one block of columns of B (see ``FrequencyModel``),
+        whose sum over the blocks is W = B B^T. A dense block
         is columns [j0, j1), a sparse block positions [j0, j1) of the fill
         order. Unless the block is sparse and ``_dense_gram`` refuses it,
         each of its slabs is scaled into the thread's ``slab`` buffer (a
@@ -335,13 +349,13 @@ def decompose(fm: FrequencyModel, *,
         cols = by_fill[j0:j1] if m.is_sparse else slice(j0, j1)
         if m.is_sparse and not _dense_gram(counts[cols], m.n_rows):
             rows, values, n = m._entries(cols)
-            return _pair_gram(rows, values * inv_sqrt_ki[rows] * np.repeat(
-                inv_sqrt_kj[cols], n), n, m.n_rows, scratch)
+            return _pair_gram(rows, values * fm.row_scale[rows] * np.repeat(
+                fm.col_scale[cols], n), n, m.n_rows, scratch)
         gram = None  # a one-slab block returns its slab's Gram
         for _, c, slab in _slabs(m, cols, scratch):
             buf = scratch.take("slab", slab.shape)
-            np.multiply(slab, inv_sqrt_ki[:, None], out=buf)
-            np.multiply(buf, inv_sqrt_kj[None, c], out=buf)
+            np.multiply(slab, fm.row_scale[:, None], out=buf)
+            np.multiply(buf, fm.col_scale[None, c], out=buf)
             part = buf @ buf.T
             gram = part if gram is None else np.add(gram, part, out=gram)
         return gram
@@ -376,9 +390,10 @@ def decompose(fm: FrequencyModel, *,
     _canonical_signs(U)
 
     # Row principal coordinates; zero-mass rows have no profile and get 0.
+    row_scale = np.sqrt(fm.grand_total) * fm.row_scale
     return FactorDecomposition(
         eigenvalues=lams, basis=U,
-        row_projections=U * np.sqrt(lams)[None, :] * fm.row_scale[:, None])
+        row_projections=U * np.sqrt(lams)[None, :] * row_scale[:, None])
 
 
 def _canonical_signs(U: np.ndarray) -> None:
@@ -398,19 +413,16 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     ``cols`` indexes the block's columns: a slice for dense storage, an
     array of column indices in fill order for sparse storage (see the
     module docstring). S, of shape (n_nontrivial, block width), holds the
-    block's standardized non-trivial projections S = sqrt(f_j) G, so S^2 is
-    exactly the contribution f_j G_a(j)^2; zero-mass columns hold zeros. In
-    mass units the transition formula collapses to
-
-        G_a(j) = (1 / f_j) sum_i u_a(i) f_ij / sqrt(f_i)
-
-    since the sqrt(lambda_a) in F and the 1/sqrt(lambda_a) prefactor cancel.
-    The model's row scale is folded into the basis once per pass,
-    Ub = U^T diag(1/sqrt(f_i)) / k, so the block product H = Ub K[:, cols]
-    reads K where it is stored, with no scaled copy, and one in-place column
-    pass by the model's column scale gives S = H / sqrt(f_j). S keeps the
-    range that H^2 / f_j would lose for columns of relative mass below about
-    1e-154.
+    block's standardized non-trivial projections S = U^T B[:, cols], of the
+    B whose Gram matrix is W (see ``FrequencyModel``). By the transition
+    formula, whose sqrt(lambda_a) in F and 1/sqrt(lambda_a) prefactor
+    cancel, S = sqrt(f_j) G, so S^2 is exactly the contribution
+    f_j G_a(j)^2; zero-mass columns hold zeros. The model's row scale is
+    folded into the basis once per pass, Ub = U^T diag(1/sqrt(k_i)), so the
+    block product H = Ub K[:, cols] reads K where it is stored, with no
+    scaled copy, and one in-place column pass by the model's column scale
+    gives S = H / sqrt(k_j). S keeps the range that H^2 / k_j would lose
+    for columns of relative mass below about 1e-154.
 
     ``reduce`` runs inside the worker that computed S and may overwrite it,
     but must not keep it: a BLAS block's S, dense or sparse, is the worker's
@@ -425,11 +437,11 @@ def map_projection_blocks(fm: FrequencyModel, fd: FactorDecomposition,
     m = fm.matrix
     # Ub^T, C-ordered: scipy's sparse-times-dense product takes it as it
     # is, and its transpose is the BLAS operand Ub.
-    UbT = fd.basis * fm.row_scale[:, None] / fm.grand_total
+    UbT = fd.basis * fm.row_scale[:, None]
     scratch = _Scratch()
     sparse = None
     if m.is_sparse:
-        counts, by_fill = m._fill_order()
+        counts, by_fill = fm.fill_order
         # built in the calling thread, and only when scipy's product pays
         if _scipy_pays(counts, by_fill, m.n_rows, UbT.shape[1]):
             sparse = m.sparse

@@ -8,7 +8,7 @@ density ~ x^-(alpha+1), the CCDF decays ~ x^-alpha; every reported number in
 this package is a CCDF exponent unless labeled otherwise.
 
 The default window is x_min = 1 up to the 99th percentile of the observed
-values; the upper cutoff exists to exclude the sparse fan-out region where
+values (``percentile``, ``np.percentile``'s value); the upper cutoff exists to exclude the sparse fan-out region where
 single observations dominate the tail. Both cutoffs are overridable;
 ``x_max=None`` selects the percentile default and ``x_max=inf`` disables the
 upper cutoff entirely.
@@ -60,6 +60,23 @@ def ccdf(values) -> tuple[np.ndarray, np.ndarray]:
     return xs, greater / vals.size
 
 
+def percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` of a nonempty 1-D array, for q in
+    [0, 100], by its default ("linear") method, bit for bit: the same order
+    statistics, from ``np.partition`` at the same positions (signed zeros
+    included), and the same interpolation. Unlike ``np.percentile``, it
+    does not import ``numpy.ma``. A NaN among the values gives NaN."""
+    at = (values.size - 1) * (q / 100)  # numpy's virtual index
+    # from the last index on, numpy takes the largest value, at index -1
+    i = -1 if at >= values.size - 1 else int(at)
+    j = -1 if i < 0 else i + 1
+    part = np.partition(values, sorted({0, -1, i, j}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    a, b, t = part[i], part[j], at - i
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def fit_loglog(x, y) -> tuple[float, float, float]:
     """OLS of ln y on ln x; returns (slope, intercept, r_squared)."""
     lx = np.log(np.asarray(x, dtype=np.float64))
@@ -89,7 +106,7 @@ def fit_exponent(values, x_min: float = 1.0,
     if x_min < 1.0:
         raise ValidationError("x_min must be at least 1")
     if x_max is None:
-        x_max = float(np.percentile(vals, 99.0))
+        x_max = percentile(vals, 99.0)
     if x_max < x_min:
         raise ValidationError(f"empty fit window [{x_min}, {x_max}]")
     mask = (xs >= x_min) & (xs <= x_max) & (fractions > 0)

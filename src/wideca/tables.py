@@ -2,7 +2,8 @@
 
 A table is a matrix factory and a stats function. ``sweep`` builds the
 table's matrices for every (dim, seed) pair, reduces each to a dict of
-statistics (one ``wideca.analyze`` call for the concentration tables),
+statistics (one ``wideca.analyze`` call for the concentration tables; table
+3's factory draws only a matrix's column sums, which is all its fit reads),
 and returns one row dict per dimensionality: the seed-mean of
 every statistic, then per-seed min/max spread columns, in the order of the
 first per-seed dict. Seeds are ``base_seed + i`` and are shared across
@@ -19,8 +20,9 @@ the workers.
 
 Every dim is checked before any matrix is built, against physical memory
 too (``store.check_memory``), with one matrix and analysis, on the job's
-workers, counted per job in flight. The paper's sizes run in seconds and
-hold one matrix at a time at any number of seeds: on a 2-vCPU Xeon,
+workers (table 3: one matrix's column sums), counted per job in flight.
+The paper's sizes run in seconds and hold one matrix at a time at any
+number of seeds: on a 2-vCPU Xeon,
 table 1 at 10^6 columns took 1.3 s for one seed and 2.4-2.9 s at 766 MiB
 peak for two, table 4 at 1,052,000 took 8.9-9.5 s for one and 21.6-23.0 s
 at 505-509 MiB for two. The four ``reproduce`` commands of the
@@ -37,10 +39,10 @@ from .contributions import analyze
 from .errors import ValidationError
 from .generators import (DEFAULT_EXPONENT, ParametricMarginals, embed_signal,
                          gen_powerlaw_boolean, gen_randomwalk_signal,
-                         gen_uniform)
-from .powerlaw import fit_exponent
-from .store import (check_memory, column_blocks, column_sums, footprint,
-                    ordered_block_map, resolve_workers)
+                         gen_uniform, rng_from_seed)
+from .powerlaw import fit_exponent, percentile
+from .store import (check_memory, column_blocks, footprint, ordered_block_map,
+                    resolve_workers)
 
 UNIFORM_ROWS = 86
 UNIFORM_DIMS = (100, 1000, 10_000)
@@ -85,10 +87,11 @@ def _check_sweep(table, dims, seeds: int, marg: ParametricMarginals,
             raise ValidationError(f"dimension {d} exceeds {EMBED_MAX_DIM}, "
                                   f"the longest window of table 2-synthetic")
         rows, jobs = TABLE_ROWS[table], _jobs(table, d, seeds, workers)
-        job_workers = 0 if table == "3" else 1 if jobs > 1 else workers
-        # CSC storage at the law's mean column sum for tables 3 and 4
-        nnz = int(marg.mean_sum(rows) * d) if table in ("3", "4") else None
-        size = jobs * footprint(rows, d, nnz, job_workers)
+        # CSC storage at the law's mean column sum for table 4; table 3
+        # holds one matrix's column sums and the uniform draws behind them
+        nnz = int(marg.mean_sum(rows) * d) if table == "4" else None
+        size = jobs * (footprint(2, d) if table == "3" else
+                       footprint(rows, d, nnz, 1 if jobs > 1 else workers))
         if table == "2-synthetic":  # every seed's signal is held throughout
             size += footprint(seeds, SIGNAL_LEN)
         check_memory(f"table {table} at dimension {d}", size)
@@ -120,8 +123,10 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
 
     Table 3 fits the linear region of the generated law: from the body
     start of the marginal distribution up to the 90th percentile, ahead of
-    the sparse fan-out. Its ``exponent`` column carries the conventional
-    negative sign of a decaying CCDF slope.
+    the sparse fan-out. It builds no matrix: a power-law matrix's column
+    sums are exactly the generator's first draws from the law, which it
+    makes alone. Its ``exponent`` column carries the conventional negative
+    sign of a decaying CCDF slope.
     """
     if table not in TABLE_DIMS:
         raise ValidationError(f"unknown table {table!r}")
@@ -142,14 +147,16 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
         return lambda dim: gen_powerlaw_boolean(POWERLAW_ROWS, dim, seed,
                                                 marginals=marg)
 
+    def powerlaw_sums(seed):  # the column sums of powerlaw(seed)(dim)
+        return lambda dim: marg.sample(rng_from_seed(seed), dim, POWERLAW_ROWS)
+
     def concentration(m, workers: int) -> dict:
         d = analyze(m, include_trivial, workers).report.to_dict()
         return {c: d[c] for c in _STAT_COLS}
 
-    def exponent_fit(m, workers: int) -> dict:
-        sums = column_sums(m)
+    def exponent_fit(sums, workers: int) -> dict:
         fit = fit_exponent(sums, x_min=float(marg.body_start),
-                           x_max=float(np.percentile(sums, 90.0)))
+                           x_max=percentile(sums, 90.0))
         return {"exponent": -fit.alpha, "r_squared": fit.r_squared}
 
     def density(m, workers: int) -> dict:
@@ -158,7 +165,7 @@ def sweep(table: str, dims=None, seeds: int = 3, base_seed: int = 1,
 
     factory, stats = {"1": (uniform, concentration),
                       "2-synthetic": (embedding, concentration),
-                      "3": (powerlaw, exponent_fit),
+                      "3": (powerlaw_sums, exponent_fit),
                       "4": (powerlaw, density)}[table]
     matrices = [factory(base_seed + i) for i in range(seeds)]
     rows = []

@@ -242,13 +242,13 @@ def test_reproduce_table3_default_dims(tmp_path):
         assert -2.0 <= e <= -1.3
 
 
-def test_reproduce_table3_four_rows_with_allow_large(tmp_path):
+def test_reproduce_table3_four_rows(tmp_path):
     # the full four-dimensionality sweep, budget-gated; one seed to keep the
     # suite quick
     out = tmp_path / "t3full.csv"
     assert run("reproduce", "--table", "3",
                "--dims", "1052,10520,105200,1052000", "--seeds", 1,
-               "--allow-large", "-o", out) == 0
+               "-o", out) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 5
     exps = [float(line.split(",")[2]) for line in lines[1:]]
@@ -262,14 +262,12 @@ def test_reproduce_table4_paper_dim_without_flag(tmp_path):
     assert out.read_text().splitlines()[1].startswith("60000,1,")
 
 
-def test_allow_large_accepted_without_effect(tmp_path):
-    csv = {}
-    for name, flag in (("plain", []), ("flag", ["--allow-large"])):
-        out = tmp_path / f"{name}.csv"
-        assert run("reproduce", "--table", "1", "--dims", "100,1000",
-                   "--seeds", 2, *flag, "-o", out) == 0
-        csv[name] = out.read_bytes()
-    assert csv["flag"] == csv["plain"]
+def test_exit_code_allow_large_refused(tmp_path, capsys):
+    """``--allow-large`` is gone: the memory rule decides which dims run."""
+    assert run("reproduce", "--table", "1", "--allow-large",
+               "-o", tmp_path / "t.csv") == 1
+    assert capsys.readouterr().err == \
+        "error: wideca: unrecognized arguments: --allow-large\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -724,10 +722,11 @@ def test_small_sparse_analyses_load_no_scipy(tmp_path):
 
 
 def test_dense_analyze_and_tables_load_no_numpy_ma(tmp_path):
-    """The report takes its medians with ``np.partition``: in a fresh
-    interpreter, ``analyze`` of a dense-csv file and ``reproduce`` of tables
-    1, 2-synthetic and 4 leave ``numpy.ma`` unloaded, which ``np.median``
-    imports."""
+    """The report takes its medians, and ``fit`` and table 3 their
+    percentiles, with ``np.partition``: in a fresh interpreter, ``analyze``
+    and ``fit`` of a dense-csv file and ``reproduce`` of every table leave
+    ``numpy.ma`` unloaded, which ``np.median`` and ``np.percentile``
+    import."""
     run("gen", "uniform", "--rows", 20, "--cols", 500, "-o", tmp_path / "u.csv")
     script = (
         "import sys\n"
@@ -737,11 +736,12 @@ def test_dense_analyze_and_tables_load_no_numpy_ma(tmp_path):
         "    assert main([str(a) for a in argv]) == 0, argv\n"
         "    assert 'numpy.ma' not in sys.modules, argv\n"
         "run('analyze', 'u.csv', '-o', 'r')\n"
+        "run('fit', 'u.csv', '-o', 'f.json')\n"
         "for table, dims in (('1', '100'), ('2-synthetic', '100'),"
-        " ('4', '1052')):\n"
+        " ('3', '1052'), ('4', '1052')):\n"
         "    run('reproduce', '--table', table, '--dims', dims, '--seeds', 1,"
         " '-o', 't.csv')\n"
-        "np.median(np.arange(3.0))\n"
+        "np.percentile(np.arange(3.0), 90.0)\n"
         "assert 'numpy.ma' in sys.modules\n"
     )
     _run_fresh_python(script, tmp_path)

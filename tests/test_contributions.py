@@ -711,6 +711,37 @@ def test_sparse_passes_read_storage_only_through_the_reader(rng, monkeypatch):
         assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes()
 
 
+@pytest.mark.parametrize("rerun", [False, True], ids=["eigenvalues", "rerun"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_model_computes_scales_and_fill_order_once(rng, monkeypatch, sparse,
+                                                   rerun):
+    """One analysis sorts sparse columns by fill once and takes the sums
+    for its scales once, in ``build_frequency_model``: ``decompose`` and
+    every report pass, the I_a rerun included, read the model's."""
+    import wideca.engine as engine
+    monkeypatch.setattr("wideca.store._BLOCK_ELEMS", SMALL_BLOCK_ELEMS)
+    if rerun:  # no gap passes the check
+        monkeypatch.setattr("wideca.contributions._EIG_INERTIA_TOL", -1.0)
+    ms, md = _sparse_and_dense(rng, "mixed")
+    calls = {"_fill_order": 0, "row_sums": 0, "column_sums": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+    for name in ("_fill_order", "row_sums"):
+        monkeypatch.setattr(CountMatrix, name,
+                            spy(name, getattr(CountMatrix, name)))
+    monkeypatch.setattr(engine, "column_sums",
+                        spy("column_sums", engine.column_sums))
+    rep = wideca.analyze(ms if sparse else md, workers=2).report
+    assert rep.relative_denominator == \
+        ("axis_inertia" if rerun else "eigenvalues")
+    assert calls == {"_fill_order": int(sparse), "row_sums": 1,
+                     "column_sums": 1}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("include_trivial", [True, False])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])

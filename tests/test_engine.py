@@ -93,9 +93,12 @@ def test_zero_column_recorded():
     assert fm.n_cols_effective == 2
 
 
-def test_mass_scales_zero_at_zero_mass_and_exact_elsewhere(rng):
-    # whole counts keep dense and sparse sums exact, so both storages give
-    # the same masses and the same scales
+def test_count_scales_zero_at_zero_sum_and_exact_elsewhere(rng):
+    """The model's scales are those of B = diag(1/sqrt(k_i)) K
+    diag(1/sqrt(k_j)), bit for bit: 1 / sqrt(k_i) and sqrt(1 / k_j), the W
+    pass's expressions, 0 at a zero sum. Whole counts keep dense and sparse
+    sums exact, so both storages give the same scales; sparse storage's
+    fill order is its matrix's, dense storage has none."""
     K = rng.integers(0, 4, (9, 40)).astype(np.float64)
     K[[2, 7], :] = 0.0
     K[:, [0, 13, 39]] = 0.0
@@ -105,15 +108,18 @@ def test_mass_scales_zero_at_zero_mass_and_exact_elsewhere(rng):
         9, 40, rows, cols, K[rows, cols]))
     assert sparse.matrix.is_sparse
     for fm in (dense, sparse):
-        for scale, mass in ((fm.row_scale, fm.row_masses),
-                            (fm.col_scale, fm.col_masses)):
-            zero = mass == 0.0
+        for scale, sums, formula in (
+                (fm.row_scale, K.sum(axis=1), lambda k: 1.0 / np.sqrt(k)),
+                (fm.col_scale, K.sum(axis=0), lambda k: np.sqrt(1.0 / k))):
+            zero = sums == 0.0
             assert zero.sum() in (2, 3)
             assert (scale[zero] == 0.0).all()
-            assert scale[~zero].tobytes() == \
-                (1.0 / np.sqrt(mass[~zero])).tobytes()
+            assert scale[~zero].tobytes() == formula(sums[~zero]).tobytes()
     assert dense.row_scale.tobytes() == sparse.row_scale.tobytes()
     assert dense.col_scale.tobytes() == sparse.col_scale.tobytes()
+    assert dense.fill_order is None
+    for got, want in zip(sparse.fill_order, sparse.matrix._fill_order()):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- profiles ------------------------------------------------------------------
@@ -201,6 +207,24 @@ def test_uniform_86x100_has_full_nu():
     rng = np.random.Generator(np.random.PCG64(5))
     _, fd = analyze(rng.random((86, 100)))
     assert fd.n_nontrivial == 85
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 19: the deflation residual of the trivial axis lands "
+    "above the absolute floor n_rows * eps; shifting the trivial pair to "
+    "-1 mends it"))
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("shape, value", [((4, 29), 688.4470421242095),
+                                          ((3, 38), 848.2913599838517),
+                                          ((2, 37), 391.3810349242379)])
+def test_constant_matrix_has_only_the_trivial_axis(shape, value, sparse):
+    """A constant matrix has no structure: its report keeps the trivial
+    axis alone, nu == 1, in either storage."""
+    K = np.full(shape, value)
+    m = CountMatrix.from_triplets(*shape, *np.nonzero(K), K.ravel()) \
+        if sparse else CountMatrix.from_dense(K)
+    fm = build_frequency_model(m)
+    assert concentration_report(fm, decompose(fm, workers=1)).nu == 1
 
 
 def test_rank_capped_by_columns():

@@ -82,3 +82,21 @@ def test_sparse_and_dense_storage_agree_on_every_kernel(K):
         # a spread of near-equal values is known to its values' scale
         assert sparse.abs_sd == pytest.approx(
             dense.abs_sd, rel=1e-10, abs=1e-10 * dense.abs_mean)
+
+
+@hypothesis.given(
+    values=hnp.arrays(np.float64, st.integers(1, 60), elements=st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, 1.0, 2.0]))),
+    q=st.one_of(st.sampled_from([0.0, 50.0, 90.0, 99.0, 100.0]),
+                st.floats(0.0, 100.0)))
+def test_percentile_is_numpys_bit_for_bit(values, q):
+    """``powerlaw.percentile`` gives ``np.percentile``'s bits, signed zeros,
+    ties, infinities, NaNs and overflowing differences included, and
+    leaves its input as it was."""
+    from wideca.powerlaw import percentile
+    given = values.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.float64(np.percentile(values, q))
+        got = np.float64(percentile(values, q))
+    assert got.tobytes() == want.tobytes()
+    assert values.tobytes() == given.tobytes()

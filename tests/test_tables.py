@@ -3,9 +3,12 @@ import threading
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from wideca import ValidationError
+from wideca import (ValidationError, column_sums, fit_exponent,
+                    gen_powerlaw_boolean)
+from wideca.generators import DEFAULT_BODY_START
 from wideca import store, tables
 from wideca.tables import sweep
 
@@ -69,6 +72,22 @@ def test_exponent_table_signs_and_regime():
     assert 0.9 <= r["r_squared"] <= 1.0
 
 
+@pytest.mark.parametrize("seed", [1, 1512])
+def test_exponent_table_fits_the_matrices_column_sums(seed):
+    """Table 3 draws only the column sums, and its rows are the fits of
+    the column sums of the matrices ``gen_powerlaw_boolean`` builds, with
+    ``np.percentile``'s 90th percentile, bit for bit."""
+    dims = (1052, 10_520)
+    rows = sweep("3", dims=dims, seeds=1, base_seed=seed)
+    for dim, row in zip(dims, rows):
+        sums = column_sums(gen_powerlaw_boolean(tables.POWERLAW_ROWS, dim,
+                                                seed))
+        fit = fit_exponent(sums, x_min=float(DEFAULT_BODY_START),
+                           x_max=float(np.percentile(sums, 90.0)))
+        assert (row["exponent"], row["r_squared"]) == \
+            (-fit.alpha, fit.r_squared)
+
+
 def test_exponent_table_reference_value_at_1052():
     # seed-mean fitted exponent at 1052 columns stays within 0.15 of the
     # reference value 1.49 (individual seeds scatter wider)
@@ -104,7 +123,9 @@ def _spy_generators(monkeypatch):
     def built(*args, **kw):
         raise Built
 
-    for name in ("gen_uniform", "gen_randomwalk_signal", "gen_powerlaw_boolean"):
+    # table 3 draws its column sums from ``rng_from_seed``'s generator
+    for name in ("gen_uniform", "gen_randomwalk_signal", "gen_powerlaw_boolean",
+                 "rng_from_seed"):
         monkeypatch.setattr(tables, name, built)
 
 
@@ -125,10 +146,11 @@ def test_large_dims_gated(monkeypatch):
             # W pass float64: W, 4 + 2 Grams of 86^2 and two blocks of
             # 86 x 11,627: 744,412,928 bytes at 10^6 columns
             ("1", 1_000_000, 2_000_000, 1_472_412_928),
+            # two 8-byte arrays a column: the uniform draws and the sums
+            ("3", 10_520_000, 105_200_000, 1_683_200_000),
             # 29.0 ones per column, 12 bytes each, plus 4-byte column
-            # pointers: 370,349,196 bytes at 1,052,000 columns; table 4 adds
-            # the analysis
-            ("3", 1_052_000, 10_520_000, 3_703_491_936),
+            # pointers: 370,349,196 bytes at 1,052,000 columns, and the
+            # analysis
             ("4", 1_052_000, 10_520_000, 4_150_400_536)):
         with pytest.raises(Built):
             sweep(table, dims=(fits,), seeds=1, workers=2)
@@ -181,7 +203,8 @@ def test_dims_checked_before_any_matrix(monkeypatch):
     def unreachable(*args, **kw):
         raise AssertionError("a matrix was built before the dims were checked")
 
-    for name in ("gen_uniform", "gen_randomwalk_signal", "gen_powerlaw_boolean"):
+    for name in ("gen_uniform", "gen_randomwalk_signal", "gen_powerlaw_boolean",
+                 "rng_from_seed"):
         monkeypatch.setattr(tables, name, unreachable)
     for table in tables.TABLE_DIMS:
         for dims in ((100, -1), (0,)):
